@@ -11,10 +11,8 @@
 //! object (total wall-clock, latency percentiles, throughput) that is
 //! explicitly *not* deterministic — strip it before byte-comparing runs.
 //!
-//! Payments: `--payments critical` prices every admission with
-//! prefix-resumed critical-value bisection; `--payments critical-naive`
-//! runs the full-rerun baseline (bit-identical revenue, superlinearly
-//! slower — kept for speedup measurements like `BENCH_PR2.json`).
+//! Payments: `--payments critical` prices every admission at its exact
+//! critical value (one resumed pass per winner).
 //!
 //! Selection: `--selection incremental` (default) drives each epoch's
 //! argmin with the dirty-set path cache + lazy score heap;
@@ -776,9 +774,8 @@ fn main() -> ExitCode {
     let payment_policy = match options.payments.as_str() {
         "none" => PaymentPolicy::None,
         "critical" => PaymentPolicy::critical_value(),
-        "critical-naive" => PaymentPolicy::critical_value_naive(),
         other => {
-            eprintln!("engine_sim: unknown payments {other} (none|critical|critical-naive)");
+            eprintln!("engine_sim: unknown payments {other} (none|critical)");
             return ExitCode::FAILURE;
         }
     };

@@ -14,11 +14,12 @@
 //!    c. multiply `y_e ← y_e · e^{εB d_{r̂} / c_e}` along `p_{r̂}`;
 //!    d. route `r̂` on `p_{r̂}`.
 //!
-//! Production details beyond the pseudocode (see DESIGN.md §4):
-//! log-space weights so small ε cannot overflow, per-iteration parallel
-//! shortest-path fan-out grouped by source vertex, and the Claim 3.6 dual
-//! certificate recorded per iteration so every run carries a certified
-//! bound on its own approximation ratio.
+//! Production details beyond the pseudocode: log-space weights so small
+//! ε cannot overflow (see [`crate::weights`]), per-iteration parallel
+//! shortest-path fan-out grouped by source vertex or the incremental
+//! selector (see [`crate::selection`] and `crates/core/README.md`), and
+//! the Claim 3.6 dual certificate recorded per iteration so every run
+//! carries a certified bound on its own approximation ratio.
 
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::ids::NodeId;
@@ -26,6 +27,7 @@ use ufp_netgraph::path::Path;
 use ufp_obs::{Phase, Recorder};
 use ufp_par::Pool;
 
+use crate::critical::Shadow;
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
 use crate::selection::{IncrementalSelector, SelectInputs, SelectionStrategy};
@@ -212,7 +214,7 @@ pub fn bounded_ufp(instance: &UfpInstance, config: &BoundedUfpConfig) -> UfpRunR
 /// shortest-path queries. The bump exponents are stored verbatim so the
 /// replay is bit-identical to the original arithmetic sequence.
 #[derive(Clone, Debug)]
-struct ResumeStep {
+pub(crate) struct ResumeStep {
     path: Path,
     /// Line-10 exponent per path edge, in `path.edges()` order.
     bumps: Vec<f64>,
@@ -234,9 +236,9 @@ struct ResumeStep {
 /// agent's declared value is *lowered*, the selection sequence is
 /// unchanged up to the step that originally selected that agent — its
 /// score `(d/v)·|p|` only rises, and every earlier argmin already beat
-/// it. Critical-value bisection therefore only needs to re-run the
-/// *suffix* from that step for each probe, which is what makes truthful
-/// pricing viable at 10⁴-request epochs.
+/// it. Pricing a winner therefore only re-runs the *suffix* from that
+/// step: [`crate::critical_value_exact`] resumes it once, with the
+/// winner masked out, and reads the exact threshold off that run.
 #[derive(Clone, Debug, Default)]
 pub struct EpochResumeTrace {
     steps: Vec<ResumeStep>,
@@ -304,7 +306,7 @@ impl EpochResumeTrace {
     /// yields an [`EpochResumeTrace`] over the global instance that
     /// behaves exactly like one produced by [`bounded_ufp_epoch_traced`]:
     /// [`Self::checkpoint`] / [`Self::prefix_outcome`] replay it by
-    /// arithmetic, and [`bounded_ufp_epoch_resume_watch`] prices winners
+    /// arithmetic, and [`crate::critical_value_exact`] prices winners
     /// against it with the same O(suffix) resume discipline.
     ///
     /// `bumps` must hold one line-10 exponent per `path.edges()` entry,
@@ -371,7 +373,7 @@ impl EpochResumeTrace {
     /// replaying the recorded mutations (no shortest-path queries).
     /// `instance`, `config` and `ctx` must match the traced run — except
     /// that requests not selected within the prefix may carry different
-    /// declared values (the counterfactuals of payment probes).
+    /// declared values (the counterfactuals of critical-value pricing).
     pub fn checkpoint(
         &self,
         instance: &UfpInstance,
@@ -394,14 +396,10 @@ impl EpochResumeTrace {
 }
 
 /// Materialized state of an epoch run after some step prefix — the
-/// resumable snapshot handed to [`bounded_ufp_epoch_resume`] /
-/// [`bounded_ufp_epoch_resume_watch`]. After
-/// [`EpochCheckpoint::strip_outcome_state`], cloning is `O(m + n)`
-/// (weight vectors plus bookkeeping) — what each bisection probe costs
-/// up front instead of a full re-run.
+/// resumable snapshot handed to [`bounded_ufp_epoch_resume`].
 #[derive(Clone, Debug)]
 pub struct EpochCheckpoint {
-    state: EpochRunState,
+    pub(crate) state: EpochRunState,
 }
 
 impl EpochCheckpoint {
@@ -409,41 +407,20 @@ impl EpochCheckpoint {
     pub fn steps(&self) -> usize {
         self.state.steps_done
     }
-
-    /// Drop the accumulated prefix solution, iteration records, and
-    /// carry from this snapshot. The result still answers
-    /// selection-membership questions exactly (everything the loop's
-    /// control flow reads — weights, residuals, remaining set, routed
-    /// value — is retained), so it is the right thing to clone per
-    /// [`bounded_ufp_epoch_resume_watch`] probe: the prefix paths and
-    /// records are dead weight there, and a deep prefix would otherwise
-    /// be re-copied on every probe. Do **not** feed a stripped
-    /// checkpoint to [`bounded_ufp_epoch_resume`] if you need the full
-    /// outcome — its solution and trace would be missing the prefix.
-    pub fn strip_outcome_state(mut self) -> EpochCheckpoint {
-        self.state.solution.routed.clear();
-        self.state.solution.routed.shrink_to_fit();
-        self.state.records.clear();
-        self.state.records.shrink_to_fit();
-        self.state.carry = None;
-        self
-    }
 }
 
 /// Everything the Algorithm 1 main loop mutates, factored out so runs
 /// can be checkpointed, cloned, and resumed.
 #[derive(Clone, Debug)]
-struct EpochRunState {
-    weights: DualWeights,
+pub(crate) struct EpochRunState {
+    pub(crate) weights: DualWeights,
     carry: Option<Vec<f64>>,
-    remaining: Vec<RequestId>,
+    pub(crate) remaining: Vec<RequestId>,
     residual: Vec<f64>,
     solution: UfpSolution,
     routed_value: f64,
     records: Vec<IterationRecord>,
-    /// Selection steps applied so far. Tracked separately from
-    /// `records.len()` so stripped probe checkpoints keep reporting
-    /// their position ([`EpochCheckpoint::steps`]).
+    /// Selection steps applied so far.
     steps_done: usize,
 }
 
@@ -501,15 +478,6 @@ impl EpochRunState {
     }
 }
 
-/// How one call to [`run_epoch_loop`] ended.
-enum LoopEnd {
-    /// The loop stopped for one of Algorithm 1's reasons.
-    Stopped(StopReason),
-    /// The watched request was about to be selected; the state is frozen
-    /// at the top of that iteration (nothing of the step applied).
-    WatchSelected,
-}
-
 /// Shared input validation for all epoch entry points.
 fn validate_epoch_inputs(
     instance: &UfpInstance,
@@ -538,14 +506,14 @@ fn validate_epoch_inputs(
 
 /// The loop's path-search filter: `usable ∧ routable`, materialized only
 /// when the context actually restricts routing beyond usability.
-fn path_mask(ctx: Option<&EpochContext<'_>>) -> Option<Vec<bool>> {
+pub(crate) fn path_mask(ctx: Option<&EpochContext<'_>>) -> Option<Vec<bool>> {
     let c = ctx?;
     let r = c.routable?;
     Some(c.usable.iter().zip(r).map(|(&u, &x)| u && x).collect())
 }
 
 /// The guard bound `B`: minimum capacity over (usable) edges.
-fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_>>) -> f64 {
+pub(crate) fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_>>) -> f64 {
     match ctx {
         None => instance.graph().min_capacity(),
         Some(c) => c
@@ -566,13 +534,12 @@ fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_>>) -> f64 
 ///
 /// * `record_steps` — when set, every executed step is appended as a
 ///   [`ResumeStep`] (the traced run).
-/// * `watch` — when set, the loop returns [`LoopEnd::WatchSelected`]
-///   *before* applying the step that would select the watched request,
-///   leaving the state at the top of that iteration. Payment probes use
-///   this both as an early exit ("it wins at this declared value") and
-///   as a deeper checkpoint for every later probe at a lower value.
+/// * `shadow` — when set, an observer of one request that is *not* in
+///   the remaining set: both loop bodies show it every step's argmin
+///   (before the step is applied) and every applied path, which is all
+///   exact critical-value pricing needs ([`crate::critical`]).
 #[allow(clippy::too_many_arguments)] // internal: one call site per entry point
-fn run_epoch_loop(
+pub(crate) fn run_epoch_loop(
     instance: &UfpInstance,
     config: &BoundedUfpConfig,
     usable: Option<&[bool]>,
@@ -580,8 +547,8 @@ fn run_epoch_loop(
     ln_guard: f64,
     state: &mut EpochRunState,
     record_steps: Option<&mut Vec<ResumeStep>>,
-    watch: Option<RequestId>,
-) -> LoopEnd {
+    shadow: Option<&mut Shadow>,
+) -> StopReason {
     match config.selection {
         SelectionStrategy::FanOut => run_epoch_loop_fanout(
             instance,
@@ -591,7 +558,7 @@ fn run_epoch_loop(
             ln_guard,
             state,
             record_steps,
-            watch,
+            shadow,
         ),
         SelectionStrategy::Incremental => run_epoch_loop_incremental(
             instance,
@@ -601,8 +568,27 @@ fn run_epoch_loop(
             ln_guard,
             state,
             record_steps,
-            watch,
+            shadow,
         ),
+    }
+}
+
+/// The shadow observer's view of the loop state at the top of an
+/// iteration (the same inputs the selector reads).
+pub(crate) fn shadow_inputs<'a>(
+    instance: &'a UfpInstance,
+    config: &'a BoundedUfpConfig,
+    usable: Option<&'a [bool]>,
+    state: &'a EpochRunState,
+) -> SelectInputs<'a> {
+    SelectInputs {
+        instance,
+        weights: &state.weights,
+        residual: &state.residual,
+        usable,
+        respect_residual: config.respect_residual,
+        pool: &config.pool,
+        obs: &config.obs,
     }
 }
 
@@ -685,17 +671,17 @@ fn run_epoch_loop_fanout(
     ln_guard: f64,
     state: &mut EpochRunState,
     mut record_steps: Option<&mut Vec<ResumeStep>>,
-    watch: Option<RequestId>,
-) -> LoopEnd {
+    mut shadow: Option<&mut Shadow>,
+) -> StopReason {
     let mut path_scratch = Dijkstra::new(instance.graph().num_nodes());
     let mut path_buf = Path::trivial(NodeId(0));
     loop {
         if state.remaining.is_empty() {
-            return LoopEnd::Stopped(StopReason::Exhausted);
+            return StopReason::Exhausted;
         }
         let ln_d1 = state.weights.ln_dual_sum();
         if ln_d1 > ln_guard {
-            return LoopEnd::Stopped(StopReason::Guard);
+            return StopReason::Guard;
         }
 
         // Cost model only — results are identical either way (see
@@ -744,11 +730,15 @@ fn run_epoch_loop_fanout(
             }
         }
         let Some((score, idx)) = best else {
-            return LoopEnd::Stopped(StopReason::NoPath);
+            return StopReason::NoPath;
         };
         let selected = findings[idx].request;
-        if watch == Some(selected) {
-            return LoopEnd::WatchSelected;
+        if let Some(s) = shadow.as_deref_mut() {
+            s.observe(
+                &shadow_inputs(instance, config, usable, state),
+                selected,
+                score,
+            );
         }
         // Materialize only the winner's path: taken from the fan-out if
         // it collected paths, re-derived with one targeted query into
@@ -780,13 +770,26 @@ fn run_epoch_loop_fanout(
             ln_d1,
             path,
         );
+        if let Some(s) = shadow.as_deref_mut() {
+            s.after_step(last_routed(state));
+        }
     }
+}
+
+/// The path [`apply_step`] just appended to the solution.
+fn last_routed(state: &EpochRunState) -> &Path {
+    &state
+        .solution
+        .routed
+        .last()
+        .expect("apply_step appends the routed path")
+        .1
 }
 
 /// The incremental loop: dirty-set path cache + lazy score heap (see
 /// [`crate::selection`]). Selector state is *derived* — rebuildable from
-/// the loop state at any point — so checkpoints, resume traces, watch
-/// probes, and snapshots need no knowledge of it.
+/// the loop state at any point — so checkpoints, resume traces, exact
+/// pricing passes, and snapshots need no knowledge of it.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_loop_incremental(
     instance: &UfpInstance,
@@ -796,16 +799,16 @@ fn run_epoch_loop_incremental(
     ln_guard: f64,
     state: &mut EpochRunState,
     mut record_steps: Option<&mut Vec<ResumeStep>>,
-    watch: Option<RequestId>,
-) -> LoopEnd {
+    mut shadow: Option<&mut Shadow>,
+) -> StopReason {
     let mut selector = IncrementalSelector::new(instance);
     loop {
         if state.remaining.is_empty() {
-            return LoopEnd::Stopped(StopReason::Exhausted);
+            return StopReason::Exhausted;
         }
         let ln_d1 = state.weights.ln_dual_sum();
         if ln_d1 > ln_guard {
-            return LoopEnd::Stopped(StopReason::Guard);
+            return StopReason::Guard;
         }
 
         let selection = {
@@ -821,10 +824,14 @@ fn run_epoch_loop_incremental(
             selector.select(&state.remaining, &inputs)
         };
         let Some((selected, score)) = selection else {
-            return LoopEnd::Stopped(StopReason::NoPath);
+            return StopReason::NoPath;
         };
-        if watch == Some(selected) {
-            return LoopEnd::WatchSelected;
+        if let Some(s) = shadow.as_deref_mut() {
+            s.observe(
+                &shadow_inputs(instance, config, usable, state),
+                selected,
+                score,
+            );
         }
         // The winner's path comes straight from the cache: its exactness
         // is the invariant the dirty-set bookkeeping maintains. The
@@ -841,13 +848,11 @@ fn run_epoch_loop_incremental(
             ln_d1,
             path,
         );
-        let applied = &state
-            .solution
-            .routed
-            .last()
-            .expect("apply_step appends the routed path")
-            .1;
+        let applied = last_routed(state);
         selector.after_step(selected, applied, &state.weights);
+        if let Some(s) = shadow.as_deref_mut() {
+            s.after_step(applied);
+        }
     }
 }
 
@@ -897,7 +902,8 @@ pub fn bounded_ufp_epoch(
 
 /// [`bounded_ufp_epoch`] that additionally records a per-step
 /// [`EpochResumeTrace`]. The outcome is bit-identical to the untraced
-/// run; the trace enables prefix-resumed counterfactual probes.
+/// run; the trace enables prefix-resumed counterfactual runs, such as
+/// [`crate::critical_value_exact`]'s pricing passes.
 pub fn bounded_ufp_epoch_traced(
     instance: &UfpInstance,
     config: &BoundedUfpConfig,
@@ -920,7 +926,7 @@ fn run_epoch(
     let merged_mask = path_mask(ctx);
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
     let mut state = EpochRunState::init(instance, ctx);
-    let end = run_epoch_loop(
+    let stop_reason = run_epoch_loop(
         instance,
         config,
         usable,
@@ -930,16 +936,13 @@ fn run_epoch(
         record_steps,
         None,
     );
-    let LoopEnd::Stopped(stop_reason) = end else {
-        unreachable!("unwatched runs always stop")
-    };
     if config.obs.is_enabled() {
         // The paper's internal signals, gauged once per epoch run:
         // remaining guard headroom `ε(B−1) − ln D₁`, dual-weight
         // growth, and how often the log-sum-exp scale re-centered.
-        // Counterfactual payment probes (the resume entry points) are
-        // deliberately not gauged — they would drown the real epoch's
-        // signal in replay noise.
+        // Counterfactual runs (the resume entry points and exact
+        // pricing passes) are deliberately not gauged — they would drown
+        // the real epoch's signal in replay noise.
         let obs = &config.obs;
         obs.gauge_set("core.guard_slack", ln_guard - state.weights.ln_dual_sum());
         obs.gauge_set("core.dual_weight_max_ln_y", state.weights.max_ln_y());
@@ -970,51 +973,10 @@ pub fn bounded_ufp_epoch_resume(
     let merged_mask = path_mask(ctx);
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
     let mut state = checkpoint.state;
-    let end = run_epoch_loop(
+    let stop_reason = run_epoch_loop(
         instance, config, usable, b, ln_guard, &mut state, None, None,
     );
-    let LoopEnd::Stopped(stop_reason) = end else {
-        unreachable!("unwatched runs always stop")
-    };
     finish_outcome(config, ctx.is_some(), state, stop_reason, ln_guard)
-}
-
-/// Resume an epoch run from `checkpoint`, watching for `watch`.
-///
-/// Returns `Some(deeper)` — the state frozen at the top of the iteration
-/// that selects `watch` (the step itself *not* applied) — as soon as the
-/// continued run would select it, or `None` if the run stops without
-/// selecting it. The returned checkpoint is a valid resume point for any
-/// further probe that declares `watch` at a *lower* value than this run
-/// did (its score only rises, so the shared prefix only grows), which
-/// lets bisection advance its checkpoint monotonically toward the
-/// critical step.
-pub fn bounded_ufp_epoch_resume_watch(
-    instance: &UfpInstance,
-    config: &BoundedUfpConfig,
-    ctx: Option<&EpochContext<'_>>,
-    checkpoint: EpochCheckpoint,
-    watch: RequestId,
-) -> Option<EpochCheckpoint> {
-    validate_epoch_inputs(instance, config, ctx);
-    let b = epoch_bound_b(instance, ctx);
-    let ln_guard = config.epsilon * (b - 1.0);
-    let merged_mask = path_mask(ctx);
-    let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
-    let mut state = checkpoint.state;
-    match run_epoch_loop(
-        instance,
-        config,
-        usable,
-        b,
-        ln_guard,
-        &mut state,
-        None,
-        Some(watch),
-    ) {
-        LoopEnd::WatchSelected => Some(EpochCheckpoint { state }),
-        LoopEnd::Stopped(_) => None,
-    }
 }
 
 /// Shortest-path *distances* for all remaining requests, one Dijkstra
@@ -1604,50 +1566,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn watch_mode_agrees_with_full_membership_and_deepens() {
-        let (inst, cfg) = resume_fixture();
-        let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
-        for (rid, _) in &full.run.solution.routed {
-            let k = trace.selection_step(*rid).unwrap();
-            let declared = inst.request(*rid).value;
-            let base = trace.checkpoint(&inst, &cfg, None, k);
-            let mut last_selected_steps = k;
-            for factor in [0.9, 0.6, 0.3, 0.05] {
-                let probe =
-                    inst.with_declared_type(*rid, inst.request(*rid).demand, declared * factor);
-                let scratch = bounded_ufp_epoch(&probe, &cfg, None);
-                let watched =
-                    bounded_ufp_epoch_resume_watch(&probe, &cfg, None, base.clone(), *rid);
-                assert_eq!(
-                    watched.is_some(),
-                    scratch.run.solution.contains(*rid),
-                    "watch disagreed with full run for {rid:?} at {factor}x"
-                );
-                // Stripping the prefix outcome state (the per-probe cost
-                // optimization) must not change membership answers or
-                // step accounting.
-                let stripped = bounded_ufp_epoch_resume_watch(
-                    &probe,
-                    &cfg,
-                    None,
-                    base.clone().strip_outcome_state(),
-                    *rid,
-                );
-                assert_eq!(stripped.is_some(), watched.is_some());
-                if let (Some(a), Some(b)) = (&watched, &stripped) {
-                    assert_eq!(a.steps(), b.steps());
-                }
-                if let Some(deeper) = watched {
-                    // Lower values push the selection step later, never
-                    // earlier — the checkpoint advances monotonically.
-                    assert!(deeper.steps() >= last_selected_steps);
-                    last_selected_steps = deeper.steps();
-                }
-            }
-        }
-    }
-
     /// Reassemble a recorded trace step by step through the public
     /// [`EpochResumeTrace::push_step`] API — the merged-trace assembly
     /// path a sharded engine uses — from the read-only step views plus
@@ -1707,9 +1625,9 @@ mod tests {
 
     #[test]
     fn probe_resume_over_a_pushed_trace_is_bit_identical() {
-        // The global-payment contract: critical-value probes may bisect
-        // against an externally assembled trace exactly as against the
-        // engine-recorded one.
+        // The global-payment contract: counterfactual resumes and exact
+        // critical values over an externally assembled trace match the
+        // engine-recorded one bit for bit.
         let (inst, cfg) = resume_fixture();
         let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
         let rebuilt = reassemble(&full, &trace);
@@ -1724,17 +1642,10 @@ mod tests {
                 let ckpt = rebuilt.checkpoint(&probe, &cfg, None, k);
                 let resumed = bounded_ufp_epoch_resume(&probe, &cfg, None, ckpt);
                 assert_outcomes_identical(&scratch, &resumed);
-                let watched = bounded_ufp_epoch_resume_watch(
-                    &probe,
-                    &cfg,
-                    None,
-                    rebuilt
-                        .checkpoint(&probe, &cfg, None, k)
-                        .strip_outcome_state(),
-                    *rid,
-                );
-                assert_eq!(watched.is_some(), scratch.run.solution.contains(*rid));
             }
+            let recorded = crate::critical_value_exact(&inst, &cfg, None, &trace, k, 1e-12);
+            let pushed = crate::critical_value_exact(&inst, &cfg, None, &rebuilt, k, 1e-12);
+            assert_eq!(recorded.to_bits(), pushed.to_bits());
         }
     }
 

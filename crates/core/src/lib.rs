@@ -24,26 +24,22 @@
 //! monotonicity-based truthfulness (Theorem 2.3) is layered on top by the
 //! `ufp-mechanism` crate.
 //!
-//! ## Prefix-resumed runs
+//! ## Prefix-resumed runs and exact critical values
 //!
-//! Critical-value pricing probes an allocator with one agent's declared
-//! value lowered, `O(log 1/tol)` times per winner. By Lemma 3.4's
-//! monotonicity, lowering a value cannot change any selection made
-//! *before* the step that selected that agent — so a probe never needs
-//! to re-run the prefix. [`bounded_ufp_epoch_traced`] records a per-step
+//! By Lemma 3.4's monotonicity, lowering one agent's declared value
+//! cannot change any selection made *before* the step that selected that
+//! agent. [`bounded_ufp_epoch_traced`] records a per-step
 //! [`EpochResumeTrace`] during the real run;
 //! [`EpochResumeTrace::checkpoint`] rebuilds the exact state after any
 //! prefix (pure arithmetic replay, bit-identical, no shortest-path
-//! work); [`bounded_ufp_epoch_resume`] completes a run from a
-//! checkpoint, and [`bounded_ufp_epoch_resume_watch`] additionally
-//! early-exits the moment the probed agent is selected — returning a
-//! *deeper* checkpoint that later (lower-valued) probes of the same
-//! agent can resume from. Each bisection probe thus costs `O(suffix)`
-//! instead of `O(full run)`, with the suffix shrinking as the bracket
-//! tightens.
+//! work), and [`bounded_ufp_epoch_resume`] completes a run from a
+//! checkpoint. [`critical_value_exact`] prices a winner with one such
+//! resume, the winner masked out: its critical value is
+//! `min_t d_r·|p_r^t| / s_t` over that run's steps (see [`critical`]).
 
 pub mod baselines;
 pub mod bounded_ufp;
+pub mod critical;
 pub mod exact;
 pub mod instance;
 pub mod reasonable;
@@ -55,10 +51,11 @@ pub mod trace;
 pub mod weights;
 
 pub use bounded_ufp::{
-    bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_resume_watch,
-    bounded_ufp_epoch_traced, BoundedUfpConfig, EpochCheckpoint, EpochContext, EpochOutcome,
-    EpochResumeTrace, TraceStep, UfpRunResult,
+    bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
+    BoundedUfpConfig, EpochCheckpoint, EpochContext, EpochOutcome, EpochResumeTrace, TraceStep,
+    UfpRunResult,
 };
+pub use critical::critical_value_exact;
 pub use exact::{exact_optimum, ExactConfig, ExactResult};
 pub use instance::UfpInstance;
 pub use reasonable::{

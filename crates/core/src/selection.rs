@@ -59,10 +59,9 @@ use crate::weights::DualWeights;
 ///
 /// Both strategies produce **bit-identical** runs — same selections,
 /// same paths, same [`crate::IterationRecord`]s, same resume traces and
-/// payments — so the choice is purely a performance knob, and snapshots
-/// taken under one restore under the other (the engine keeps them in one
-/// config-fingerprint class, like `CriticalValue` /
-/// `CriticalValueNaive`).
+/// exact critical values — so the choice is purely a performance knob,
+/// and snapshots taken under one restore under the other (the engine
+/// keeps them in one config-fingerprint class).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
     /// Dirty-set shortest-path cache + lazy score heap: per iteration,
@@ -145,7 +144,7 @@ impl SelectInputs<'_> {
 
     /// The edge filter for `r`'s queries (residual-gated when enabled).
     #[inline]
-    fn passable_for(&self, e: EdgeId, demand: f64) -> bool {
+    pub(crate) fn passable_for(&self, e: EdgeId, demand: f64) -> bool {
         self.passable(e) && (!self.respect_residual || self.residual[e.index()] >= demand - 1e-12)
     }
 }

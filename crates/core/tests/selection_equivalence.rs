@@ -2,7 +2,7 @@
 //! [`SelectionStrategy::FanOut`] are **bit-identical** in every
 //! observable output — selections, paths, [`IterationRecord`]s (every
 //! float compared by bits), stop reasons, carried dual exponents, resume
-//! traces, checkpoints, and watch probes — across random graphs, epoch
+//! traces, checkpoints, and exact critical values — across random graphs, epoch
 //! contexts (masked edges, scaled residuals, carried weights),
 //! residual-gated path search, and weight re-centering. Everything PR 2
 //! (prefix-resumed payments) and PR 3 (snapshots) built on the fan-out
@@ -13,9 +13,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ufp_core::{
-    bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_resume_watch,
-    bounded_ufp_epoch_traced, BoundedUfpConfig, EpochContext, EpochOutcome, Request,
-    SelectionStrategy, UfpInstance,
+    bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
+    critical_value_exact, BoundedUfpConfig, EpochContext, EpochOutcome, Request, SelectionStrategy,
+    UfpInstance,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
@@ -180,34 +180,31 @@ proptest! {
     }
 
     #[test]
-    fn watch_probes_agree_across_strategies((inst, eps) in arb_instance()) {
-        // The payment-probe primitive: lower a winner's declared value,
-        // resume from its selection step watching for it. Membership
-        // verdicts and checkpoint depths must match across strategies
-        // (this covers the early-exit used by critical-value pricing).
-        let fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
-        let inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
-        let (full, trace) = bounded_ufp_epoch_traced(&inst, &fan_cfg, None);
-        for (rid, _) in full.run.solution.routed.iter().take(3) {
-            let k = trace.selection_step(*rid).unwrap();
-            let declared = inst.request(*rid).value;
-            for factor in [0.85, 0.4, 0.05] {
-                let probe =
-                    inst.with_declared_type(*rid, inst.request(*rid).demand, declared * factor);
-                let fan_watch = bounded_ufp_epoch_resume_watch(
-                    &probe, &fan_cfg, None,
-                    trace.checkpoint(&probe, &fan_cfg, None, k), *rid,
-                );
-                let inc_watch = bounded_ufp_epoch_resume_watch(
-                    &probe, &inc_cfg, None,
-                    trace.checkpoint(&probe, &inc_cfg, None, k), *rid,
-                );
-                prop_assert_eq!(fan_watch.is_some(), inc_watch.is_some(),
-                    "watch membership diverged for {:?} at {}x", rid, factor);
-                if let (Some(a), Some(b)) = (&fan_watch, &inc_watch) {
-                    prop_assert_eq!(a.steps(), b.steps(),
-                        "watch checkpoint depth diverged for {:?} at {}x", rid, factor);
-                }
+    fn exact_payments_agree_across_strategies(
+        (inst, eps) in arb_instance(),
+        seed in any::<u64>(),
+        gated in any::<bool>(),
+    ) {
+        // The exact critical-value pass resumes each winner's selection
+        // step with the winner masked out and shadows it through either
+        // loop body: payments must match bit for bit across strategies,
+        // under an epoch context and with residual-gated search.
+        let (caps, usable, carry) = context_vectors(&inst, seed);
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: None,
+        };
+        let mut fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
+        let mut inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
+        fan_cfg.respect_residual = gated;
+        inc_cfg.respect_residual = gated;
+        for ctx in [None, Some(&ctx)] {
+            let (_, trace) = bounded_ufp_epoch_traced(&inst, &fan_cfg, ctx);
+            for k in 0..trace.num_steps() {
+                let fan = critical_value_exact(&inst, &fan_cfg, ctx, &trace, k, 1e-12);
+                let inc = critical_value_exact(&inst, &inc_cfg, ctx, &trace, k, 1e-12);
+                prop_assert_eq!(fan.to_bits(), inc.to_bits(),
+                    "step {} priced {} vs {}", k, fan, inc);
+                prop_assert!((0.0..=inst.request(trace.step(k).selected).value).contains(&inc));
             }
         }
     }

@@ -4,12 +4,15 @@ use ufp_core::{bounded_ufp_epoch, BoundedUfpConfig, EpochContext, RequestId, Ufp
 use ufp_mechanism::SingleParamAllocator;
 
 /// Algorithm 1 under a frozen epoch context, as a
-/// [`SingleParamAllocator`]. Critical-value bisection probes counterfactual
+/// [`SingleParamAllocator`]. Critical-value bisection
+/// (`ufp_mechanism::critical_value`) over it probes counterfactual
 /// declarations against *exactly* the residual capacities, usable mask,
-/// and carried weights the epoch's real run saw — the whole point of
-/// per-epoch truthfulness. On a trivial context this coincides with
-/// `ufp_mechanism::UfpAllocator`, which the engine/offline equivalence
-/// tests assert.
+/// and carried weights the epoch's real run saw, re-running the whole
+/// epoch per probe. The engine prices winners exactly instead
+/// ([`crate::PaymentPolicy::CriticalValue`]); this bisection is the
+/// oracle its tests hold the exact payments to. On a trivial context it
+/// coincides with `ufp_mechanism::UfpAllocator`, which the
+/// engine/offline equivalence tests assert.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochAllocator<'a> {
     /// Per-epoch allocation configuration.
@@ -27,7 +30,19 @@ pub struct EpochAllocator<'a> {
     pub routable: Option<&'a [bool]>,
 }
 
-impl EpochAllocator<'_> {
+impl<'a> EpochAllocator<'a> {
+    /// The allocator over a frozen epoch context (e.g.
+    /// [`crate::EpochPlan::context`]).
+    pub fn new(config: &'a BoundedUfpConfig, ctx: &EpochContext<'a>) -> Self {
+        EpochAllocator {
+            config,
+            capacities: ctx.capacities,
+            usable: ctx.usable,
+            carry: ctx.carry,
+            routable: ctx.routable,
+        }
+    }
+
     fn context(&self) -> EpochContext<'_> {
         EpochContext {
             capacities: self.capacities,

@@ -204,12 +204,24 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Append-only byte sink with fixed-width little-endian primitives.
-/// [`Writer::into_container`] wraps the accumulated body in the
-/// magic/version/length/checksum frame.
+///
+/// Nested frames are written **in place**: [`Writer::begin_bytes`] /
+/// [`Writer::begin_container`] reserve a length prefix (or container
+/// header) and return a [`Mark`]; the content follows directly in the
+/// same buffer, and the matching `end_*` call patches the length (and
+/// appends the checksum). A snapshot is thus encoded into one buffer,
+/// byte for byte what building each section separately and copying it
+/// into its parent would produce.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
 }
+
+/// Where an open frame starts, returned by [`Writer::begin_bytes`] /
+/// [`Writer::begin_container`] and consumed by the matching `end_*`.
+#[derive(Debug)]
+#[must_use = "an open frame must be closed with its end_* call"]
+pub struct Mark(usize);
 
 impl Writer {
     /// Fresh empty writer.
@@ -228,16 +240,44 @@ impl Writer {
         self.buf
     }
 
-    /// Frame the body: magic + version + length + body + checksum.
-    pub fn into_container(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.buf.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        let checksum = fnv64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+    /// Overwrite the `u64` at byte offset `at` (a length or checksum
+    /// slot reserved earlier).
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Open a length-prefixed byte string whose content is written next;
+    /// [`Writer::end_bytes`] fills in the length. Equivalent to
+    /// [`Writer::put_bytes`] of the content, without a separate buffer.
+    pub fn begin_bytes(&mut self) -> Mark {
+        let mark = Mark(self.buf.len());
+        self.put_u64(0);
+        mark
+    }
+
+    /// Close a [`Writer::begin_bytes`] frame.
+    pub fn end_bytes(&mut self, mark: Mark) {
+        let len = self.buf.len() - mark.0 - 8;
+        self.patch_u64(mark.0, len as u64);
+    }
+
+    /// Open a container frame (magic + version + body length) whose body
+    /// is written next; [`Writer::end_container`] fills in the length and
+    /// appends the checksum.
+    pub fn begin_container(&mut self) -> Mark {
+        let mark = Mark(self.buf.len());
+        self.put_raw(&MAGIC);
+        self.put_u32(FORMAT_VERSION);
+        self.put_u64(0);
+        mark
+    }
+
+    /// Close a [`Writer::begin_container`] frame.
+    pub fn end_container(&mut self, mark: Mark) {
+        let body = self.buf.len() - mark.0 - HEADER_LEN;
+        self.patch_u64(mark.0 + HEADER_LEN - 8, body as u64);
+        let checksum = fnv64(&self.buf[mark.0..]);
+        self.put_u64(checksum);
     }
 
     /// Append a raw byte.
@@ -511,10 +551,41 @@ mod tests {
     }
 
     #[test]
+    fn in_place_frames_match_copied_ones() {
+        // Copying a separately built body behind its length prefix...
+        let mut inner = Writer::new();
+        inner.put_str("section");
+        inner.put_f64_slice(&[2.5, -1.0]);
+        let mut copied = Writer::new();
+        copied.put_u8(3);
+        copied.put_bytes(inner.as_bytes());
+        // ...and writing it in place produce the same bytes.
+        let mut streamed = Writer::new();
+        streamed.put_u8(3);
+        let m = streamed.begin_bytes();
+        streamed.put_str("section");
+        streamed.put_f64_slice(&[2.5, -1.0]);
+        streamed.end_bytes(m);
+        assert_eq!(copied.as_bytes(), streamed.as_bytes());
+
+        // A container nested after other bytes frames only its own body.
+        let mut w = Writer::new();
+        w.put_u32(7);
+        let c = w.begin_container();
+        w.put_str("payload");
+        w.end_container(c);
+        let bytes = w.into_bytes();
+        let body = open_container(&bytes[4..]).unwrap();
+        assert_eq!(Reader::new(body).get_str("payload").unwrap(), "payload");
+    }
+
+    #[test]
     fn container_round_trip_and_rejections() {
         let mut w = Writer::new();
+        let c = w.begin_container();
         w.put_str("payload");
-        let framed = w.into_container();
+        w.end_container(c);
+        let framed = w.into_bytes();
         assert!(open_container(&framed).is_ok());
 
         // Wrong magic.

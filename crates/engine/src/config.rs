@@ -11,47 +11,41 @@ pub enum PaymentPolicy {
     /// No payments (pure admission control); revenue stays 0.
     None,
     /// Critical-value payments against the epoch's frozen residual state
-    /// (Theorem 2.3 applied per epoch), computed with **prefix-resumed**
-    /// probes: the epoch's real run records a per-step resume trace, each
-    /// winner's bisection resumes from the step that selected it (earlier
-    /// selections cannot change when its value drops), probes early-exit
-    /// the moment the winner is re-selected, and independent winners fan
-    /// out across the engine's worker pool with deterministic ordering.
-    /// Payments are bit-identical to [`PaymentPolicy::CriticalValueNaive`]
-    /// at a fraction of the cost — this is what makes pricing viable for
-    /// 10⁴-request batches.
+    /// (Theorem 2.3 applied per epoch). Each winner `r` is priced
+    /// exactly, by one resume of the epoch's recorded run from the step
+    /// that selected it, with `r` masked out:
+    /// `p_r = min_t d_r·|p_r^t| / s_t` over that `r`-absent run's steps,
+    /// where `s_t` is step `t`'s argmin score and `|p_r^t|` is `r`'s
+    /// shortest-path length then ([`ufp_core::critical_value_exact`]).
+    /// If the run ends by exhaustion or for want of paths while the
+    /// guard is open and `r` still has a path, `p_r = 0`; thresholds
+    /// below [`PaymentConfig::value_floor`] are 0, and `p_r ≤ v_r`.
+    /// Independent winners fan out across the engine's worker pool with
+    /// deterministic ordering.
+    ///
+    /// Contract with critical-value bisection over full re-runs
+    /// (`ufp_mechanism::critical_value` on an [`crate::EpochAllocator`],
+    /// the test oracle): `p ≤ p_bisect ≤ p·(1+tol)` with
+    /// `tol =` [`PaymentConfig::relative_tolerance`], up to the value
+    /// floor. The exact pass itself reads only the floor; the tolerance
+    /// stays in the policy (and its snapshot fingerprint) as the bound
+    /// of that contract.
     CriticalValue(PaymentConfig),
-    /// Critical-value payments by naive full re-runs: every bisection
-    /// probe of every winner reruns the whole epoch allocation from
-    /// scratch. Kept as the reference baseline for equivalence tests and
-    /// speedup benchmarks; superlinear in batch size, so unusable beyond
-    /// small epochs.
-    CriticalValueNaive(PaymentConfig),
 }
 
 impl PaymentPolicy {
-    /// Critical-value payments (prefix-resumed) with default bisection
-    /// tolerances.
+    /// Critical-value payments with the default value floor and
+    /// bisection-contract tolerance.
     pub fn critical_value() -> Self {
         PaymentPolicy::CriticalValue(PaymentConfig::default())
     }
 
-    /// The naive full-rerun baseline with default bisection tolerances.
-    pub fn critical_value_naive() -> Self {
-        PaymentPolicy::CriticalValueNaive(PaymentConfig::default())
-    }
-
     /// Snapshot-fingerprint of the policy: `(class, tolerance bits,
-    /// floor bits)`. [`PaymentPolicy::CriticalValue`] and
-    /// [`PaymentPolicy::CriticalValueNaive`] share a class on purpose —
-    /// their payments are bit-identical by contract (proptested), so a
-    /// snapshot taken under one may be restored under the other (the
-    /// swap is exactly how the equivalence keeps being verified on
-    /// restored engines).
+    /// floor bits)`.
     pub(crate) fn fingerprint(&self) -> (u8, u64, u64) {
         match *self {
             PaymentPolicy::None => (0, 0, 0),
-            PaymentPolicy::CriticalValue(c) | PaymentPolicy::CriticalValueNaive(c) => {
+            PaymentPolicy::CriticalValue(c) => {
                 (1, c.relative_tolerance.to_bits(), c.value_floor.to_bits())
             }
         }
@@ -215,9 +209,7 @@ pub struct EngineConfig {
     /// admissions, records, payments, snapshots — so this is purely a
     /// performance knob, and the snapshot config fingerprint keeps the
     /// two in **one class** (a snapshot taken under either restores
-    /// under the other), the same contract as
-    /// [`PaymentPolicy::CriticalValue`] /
-    /// [`PaymentPolicy::CriticalValueNaive`].
+    /// under the other).
     pub selection: SelectionStrategy,
     /// Event-log granularity.
     pub events: EventLevel,

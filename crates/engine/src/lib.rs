@@ -31,27 +31,25 @@
 //!    is what makes the engine's truthfulness story inherit from
 //!    Theorem 2.3: per-epoch the allocation is value-monotone, and
 //!    critical-value payments are computed against the same frozen
-//!    residual state every probe sees.
+//!    residual state the allocation saw.
 //! 5. **Commits** accepted routes (loads, global solution, event log) and
 //!    computes payments per [`EngineConfig::payments`].
 //!
-//! ## Payments at scale: prefix-resumed critical values
+//! ## Payments: exact critical values from one pass per winner
 //!
 //! Under [`PaymentPolicy::CriticalValue`] the epoch's allocation run is
 //! *traced* ([`ufp_core::bounded_ufp_epoch_traced`]): every selection
-//! step records its path and dual-weight bumps. Each winner's
-//! critical-value bisection then resumes from the step that selected it
-//! — lowering a declared value cannot change any earlier selection
-//! (Lemma 3.4) — via [`ufp_core::bounded_ufp_epoch_resume_watch`], which
-//! additionally stops the moment the winner is re-selected and hands
-//! back a *deeper* checkpoint for the next (lower) probe. Each probe
-//! costs `O(suffix)` instead of `O(full run)`, and the per-winner
-//! searches are independent given the frozen epoch context, so they fan
+//! step records its path and dual-weight bumps. Lowering a declared
+//! value cannot change any earlier selection (Lemma 3.4), and until the
+//! winner `r` is re-selected the run is the run without `r` — so one
+//! resume from the step that selected `r`, with `r` masked out, yields
+//! its critical value exactly: `min_t d_r·|p_r^t| / s_t` over that
+//! run's steps ([`ufp_core::critical_value_exact`]). The per-winner
+//! passes are independent given the frozen epoch context, so they fan
 //! out across [`EngineConfig::pool`] with deterministic (winner-ordered)
-//! results. Payments are **bit-identical** to the naive full-rerun
-//! baseline, which remains available as
-//! [`PaymentPolicy::CriticalValueNaive`] for equivalence tests and
-//! speedup measurements (see `BENCH_PR2.json`).
+//! results. Critical-value bisection over full re-runs
+//! ([`EpochAllocator`] with `ufp_mechanism::critical_value`) stays as
+//! the test oracle: the exact `p` satisfies `p ≤ p_bisect ≤ p·(1+tol)`.
 //!
 //! Feasibility is inductive: epoch `k` allocates within the residual
 //! capacities left by epochs `1..k`, so the cumulative active allocation

@@ -69,7 +69,7 @@ use ufp_netgraph::ids::{EdgeId, NodeId};
 use ufp_netgraph::residual::ResidualCaps;
 use ufp_netgraph::topology::{Topology, TopologyEvent};
 
-use crate::codec::{self, CodecError, Fnv64, Reader, Writer};
+use crate::codec::{self, CodecError, Fnv64, Mark, Reader, Writer};
 use crate::config::EngineConfig;
 use crate::engine::{Admission, Arrival, Engine};
 use crate::event::EngineEvent;
@@ -127,9 +127,11 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CodecError> 
     Ok(())
 }
 
-fn begin_section(w: &mut Writer, tag: u8, body: Writer) {
+/// Open a tagged, length-prefixed section written in place; close it
+/// with [`Writer::end_bytes`].
+fn begin_section(w: &mut Writer, tag: u8) -> Mark {
     w.put_u8(tag);
-    w.put_bytes(body.as_bytes());
+    w.begin_bytes()
 }
 
 fn open_section<'a>(
@@ -152,6 +154,15 @@ fn open_section<'a>(
 /// snapshot container.
 pub fn encode_engine(engine: &Engine, driver: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
+    encode_engine_into(&mut w, engine, driver);
+    w.into_bytes()
+}
+
+/// [`encode_engine`] appended in place to `w` — how composing snapshot
+/// layers (the sharded engine's) embed engine containers without
+/// building and copying them separately.
+pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
+    let container = w.begin_container();
 
     // Config fingerprint: the semantic fields a restored engine must
     // share for continuation to stay bit-identical. The worker pool is
@@ -161,148 +172,147 @@ pub fn encode_engine(engine: &Engine, driver: &[u8]) -> Vec<u8> {
     // strategy is deliberately absent too: `SelectionStrategy::
     // Incremental` and `::FanOut` are bit-identical by contract
     // (proptested in ufp-core's selection_equivalence suite), so they
-    // form one fingerprint class and snapshots restore across the pair —
-    // the same contract as `CriticalValue` ≡ `CriticalValueNaive`.
-    let mut s = Writer::new();
+    // form one fingerprint class and snapshots restore across the pair.
+    let section = begin_section(w, SEC_CONFIG);
     let cfg = &engine.config;
-    s.put_f64(cfg.epsilon);
-    s.put_f64(cfg.carry_decay);
-    s.put_f64(engine.floor);
+    w.put_f64(cfg.epsilon);
+    w.put_f64(cfg.carry_decay);
+    w.put_f64(engine.floor);
     let (pay_class, pay_tol, pay_floor) = cfg.payments.fingerprint();
-    s.put_u8(pay_class);
-    s.put_u64(pay_tol);
-    s.put_u64(pay_floor);
-    s.put_u8(match cfg.events {
+    w.put_u8(pay_class);
+    w.put_u64(pay_tol);
+    w.put_u64(pay_floor);
+    w.put_u8(match cfg.events {
         crate::config::EventLevel::Epoch => 0,
         crate::config::EventLevel::Request => 1,
     });
-    s.put_u64(cfg.event_capacity as u64);
-    begin_section(&mut w, SEC_CONFIG, s);
+    w.put_u64(cfg.event_capacity as u64);
+    w.end_bytes(section);
 
     // Graph fingerprint.
-    let mut s = Writer::new();
-    s.put_u8(match engine.graph.kind() {
+    let section = begin_section(w, SEC_GRAPH);
+    w.put_u8(match engine.graph.kind() {
         GraphKind::Directed => 0,
         GraphKind::Undirected => 1,
     });
-    s.put_u64(engine.graph.num_nodes() as u64);
-    s.put_u64(engine.graph.num_edges() as u64);
-    s.put_u64(graph_digest(&engine.graph));
-    begin_section(&mut w, SEC_GRAPH, s);
+    w.put_u64(engine.graph.num_nodes() as u64);
+    w.put_u64(engine.graph.num_edges() as u64);
+    w.put_u64(graph_digest(&engine.graph));
+    w.end_bytes(section);
 
     // Core evolving state.
-    let mut s = Writer::new();
-    s.put_u64(engine.epoch);
-    s.put_f64_slice(engine.residual.loads());
-    s.put_f64_slice(&engine.carry);
-    begin_section(&mut w, SEC_STATE, s);
+    let section = begin_section(w, SEC_STATE);
+    w.put_u64(engine.epoch);
+    w.put_f64_slice(engine.residual.loads());
+    w.put_f64_slice(&engine.carry);
+    w.end_bytes(section);
 
     // Request registry.
-    let mut s = Writer::new();
-    s.put_u64(engine.requests.len() as u64);
+    let section = begin_section(w, SEC_REQUESTS);
+    w.put_u64(engine.requests.len() as u64);
     for r in &engine.requests {
-        s.put_u32(r.src.0);
-        s.put_u32(r.dst.0);
-        s.put_f64(r.demand);
-        s.put_f64(r.value);
+        w.put_u32(r.src.0);
+        w.put_u32(r.dst.0);
+        w.put_f64(r.demand);
+        w.put_f64(r.value);
     }
-    begin_section(&mut w, SEC_REQUESTS, s);
+    w.end_bytes(section);
 
     // Admissions (paths included: releases need them, read-outs expose
     // them). The expiry index is *not* serialized — it is rebuilt from
     // the unreleased TTL'd admissions, in the same admission order that
     // produced it.
-    let mut s = Writer::new();
-    s.put_u64(engine.admissions.len() as u64);
+    let section = begin_section(w, SEC_ADMISSIONS);
+    w.put_u64(engine.admissions.len() as u64);
     for a in &engine.admissions {
-        s.put_u32(a.request.0);
-        s.put_u64(a.epoch);
+        w.put_u32(a.request.0);
+        w.put_u64(a.epoch);
         match a.expires_at {
-            None => s.put_bool(false),
+            None => w.put_bool(false),
             Some(e) => {
-                s.put_bool(true);
-                s.put_u64(e);
+                w.put_bool(true);
+                w.put_u64(e);
             }
         }
-        s.put_f64(a.payment);
-        s.put_bool(a.released);
-        s.put_bool(a.evicted);
-        s.put_u64(a.path.nodes().len() as u64);
+        w.put_f64(a.payment);
+        w.put_bool(a.released);
+        w.put_bool(a.evicted);
+        w.put_u64(a.path.nodes().len() as u64);
         for n in a.path.nodes() {
-            s.put_u32(n.0);
+            w.put_u32(n.0);
         }
         for e in a.path.edges() {
-            s.put_u32(e.0);
+            w.put_u32(e.0);
         }
     }
-    begin_section(&mut w, SEC_ADMISSIONS, s);
+    w.end_bytes(section);
 
     // Event log + cursor.
-    let mut s = Writer::new();
-    s.put_u64(engine.events_dropped);
-    s.put_u64(engine.events.len() as u64);
+    let section = begin_section(w, SEC_EVENTS);
+    w.put_u64(engine.events_dropped);
+    w.put_u64(engine.events.len() as u64);
     for e in &engine.events {
-        encode_event(&mut s, e);
+        encode_event(w, e);
     }
-    begin_section(&mut w, SEC_EVENTS, s);
+    w.end_bytes(section);
 
     // Metrics (latency figures are wall-clock and excluded from any
     // determinism guarantee, but round-trip identity still preserves
     // them exactly).
-    let mut s = Writer::new();
+    let section = begin_section(w, SEC_METRICS);
     let m = &engine.metrics;
-    s.put_u64(m.epochs);
-    s.put_u64(m.arrivals);
-    s.put_u64(m.accepted);
-    s.put_u64(m.rejected);
-    s.put_u64(m.released);
-    s.put_u64(m.evicted);
-    s.put_f64(m.value_admitted);
-    s.put_f64(m.revenue);
-    s.put_f64(m.refunded);
-    s.put_u64(m.total_latency_us);
-    s.put_u64(m.latency_cursor as u64);
-    s.put_u64_slice(&m.batch_latency_us);
-    begin_section(&mut w, SEC_METRICS, s);
+    w.put_u64(m.epochs);
+    w.put_u64(m.arrivals);
+    w.put_u64(m.accepted);
+    w.put_u64(m.rejected);
+    w.put_u64(m.released);
+    w.put_u64(m.evicted);
+    w.put_f64(m.value_admitted);
+    w.put_f64(m.revenue);
+    w.put_f64(m.refunded);
+    w.put_u64(m.total_latency_us);
+    w.put_u64(m.latency_cursor as u64);
+    w.put_u64_slice(&m.batch_latency_us);
+    w.end_bytes(section);
 
     // Dynamic-topology overlay: the full event log plus the (version,
     // state-fingerprint) pair it must replay to. Both are redundant with
     // the log — deliberately: restore replays and cross-checks them, so
     // a snapshot can never be reinterpreted over a different topology.
-    let mut s = Writer::new();
+    let section = begin_section(w, SEC_TOPOLOGY);
     let topo = engine.topology();
-    s.put_u64(topo.version());
-    s.put_u64(topo.fingerprint());
-    s.put_u64(topo.log().len() as u64);
+    w.put_u64(topo.version());
+    w.put_u64(topo.fingerprint());
+    w.put_u64(topo.log().len() as u64);
     for e in topo.log() {
-        encode_topology_event(&mut s, e);
+        encode_topology_event(w, e);
     }
-    begin_section(&mut w, SEC_TOPOLOGY, s);
+    w.end_bytes(section);
 
     // Re-admission queue: evicted flows waiting for the next batch.
-    let mut s = Writer::new();
-    s.put_u64(engine.readmit_queue.len() as u64);
+    let section = begin_section(w, SEC_READMIT);
+    w.put_u64(engine.readmit_queue.len() as u64);
     for a in &engine.readmit_queue {
-        s.put_u32(a.request.src.0);
-        s.put_u32(a.request.dst.0);
-        s.put_f64(a.request.demand);
-        s.put_f64(a.request.value);
+        w.put_u32(a.request.src.0);
+        w.put_u32(a.request.dst.0);
+        w.put_f64(a.request.demand);
+        w.put_f64(a.request.value);
         match a.ttl {
-            None => s.put_bool(false),
+            None => w.put_bool(false),
             Some(t) => {
-                s.put_bool(true);
-                s.put_u32(t);
+                w.put_bool(true);
+                w.put_u32(t);
             }
         }
     }
-    begin_section(&mut w, SEC_READMIT, s);
+    w.end_bytes(section);
 
     // Opaque driver blob — raw: the section frame already delimits it.
-    let mut s = Writer::new();
-    s.put_raw(driver);
-    begin_section(&mut w, SEC_DRIVER, s);
+    let section = begin_section(w, SEC_DRIVER);
+    w.put_raw(driver);
+    w.end_bytes(section);
 
-    w.into_container()
+    w.end_container(container);
 }
 
 /// Serialize one [`EngineEvent`] in the snapshot wire format. Public so

@@ -7,11 +7,10 @@
 //!   expiries.
 //! * **Continuation equivalence** — a restored engine and the original
 //!   produce bit-identical epochs on any continuation stream.
-//! * **Policy-swap equivalence** — epochs priced with prefix-resumed
-//!   [`PaymentPolicy::CriticalValue`] *after a restore* stay
-//!   bit-identical to a restored engine running
-//!   [`PaymentPolicy::CriticalValueNaive`]: persistence does not break
-//!   the resumed/naive payment contract.
+//! * **Payment contract after restore** — epochs priced with exact
+//!   [`PaymentPolicy::CriticalValue`] payments *after a restore* stay
+//!   bracketed by the bisection oracle over the restored frozen
+//!   contexts: persistence does not break the exact/bisection contract.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,6 +23,8 @@ use ufp_engine::{Arrival, Engine, EngineConfig, EventLevel, PaymentPolicy, Resid
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::{bfs, generators};
+
+mod common;
 
 /// Random small network plus connected requests (normalized demands) —
 /// the same scenario family as the engine equivalence proptests.
@@ -199,57 +200,35 @@ proptest! {
         prop_assert_eq!(full_observable(&original), full_observable(&restored));
     }
 
-    /// After a restore, prefix-resumed critical-value epochs remain
-    /// bit-identical to the naive full-rerun baseline — the PR 2 payment
-    /// contract survives persistence (including the deliberate
-    /// CriticalValue -> CriticalValueNaive restore that the shared
-    /// config fingerprint class permits).
+    /// After a restore, exact critical-value epochs stay bracketed by
+    /// the bisection oracle (full re-runs of each restored epoch's frozen
+    /// context) — the payment contract survives persistence.
     #[test]
     fn restored_critical_value_epochs_match_naive(
         (graph, requests, epsilon) in arb_scenario(),
         ttl in 1u32..4,
         cut in 1usize..4,
     ) {
-        let config = |payments| EngineConfig {
+        let config = EngineConfig {
             residual_floor: ResidualFloor::Permissive,
-            ..EngineConfig::with_epsilon(epsilon).with_payments(payments)
+            ..EngineConfig::with_epsilon(epsilon).with_payments(PaymentPolicy::critical_value())
         };
         let graph = Arc::new(graph);
-        let mut seed_engine = Engine::from_shared(
-            Arc::clone(&graph),
-            config(PaymentPolicy::critical_value()),
-        );
+        let mut seed_engine = Engine::from_shared(Arc::clone(&graph), config.clone());
         let batches = churned_batches(&requests, ttl);
         let cut = cut.min(batches.len());
         for batch in &batches[..cut] {
             seed_engine.submit_batch(batch);
         }
-        let bytes = seed_engine.snapshot_bytes();
-        // One snapshot, two futures: resumed pricing vs naive pricing.
-        let mut fast = Engine::restore_from_bytes(
-            &bytes,
+        let mut restored = Engine::restore_from_bytes(
+            &seed_engine.snapshot_bytes(),
             Arc::clone(&graph),
-            config(PaymentPolicy::critical_value()),
-        ).expect("decodes under the resumed policy");
-        let mut slow = Engine::restore_from_bytes(
-            &bytes,
-            Arc::clone(&graph),
-            config(PaymentPolicy::critical_value_naive()),
-        ).expect("decodes under the naive policy");
-        for batch in &batches[cut..] {
-            let a = fast.submit_batch(batch);
-            let b = slow.submit_batch(batch);
-            prop_assert_eq!(a.accepted, b.accepted);
-            prop_assert_eq!(
-                a.revenue.to_bits(), b.revenue.to_bits(),
-                "restored resumed/naive revenue diverged: {} vs {}",
-                a.revenue, b.revenue
-            );
-        }
-        prop_assert_eq!(fast.admissions().len(), slow.admissions().len());
-        for (a, b) in fast.admissions().iter().zip(slow.admissions()) {
-            prop_assert_eq!(a.request, b.request);
-            prop_assert_eq!(a.payment.to_bits(), b.payment.to_bits());
+            config,
+        ).expect("decodes");
+        for (i, batch) in batches[cut..].iter().enumerate() {
+            let (report, pairs) = common::epoch_with_oracle(&mut restored, batch);
+            prop_assert_eq!(pairs.len(), report.accepted);
+            common::assert_brackets(&pairs, &format!("restored epoch {}", cut + i + 1));
         }
     }
 }

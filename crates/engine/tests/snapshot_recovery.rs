@@ -240,24 +240,13 @@ fn restore_refuses_mismatched_graph_and_config() {
         matches!(err, ufp_engine::CodecError::ConfigMismatch { .. }),
         "got {err}"
     );
-
-    // The intended policy swap is allowed: CriticalValue snapshots
-    // restore under CriticalValueNaive (payments are bit-identical by
-    // contract), which is how the equivalence stays checkable on
-    // recovered state.
-    let naive = EngineConfig {
-        events: EventLevel::Request,
-        ..EngineConfig::with_epsilon(0.6).with_payments(PaymentPolicy::critical_value_naive())
-    };
-    assert!(Engine::restore_from_bytes(&bytes, Arc::clone(&graph), naive).is_ok());
 }
 
 /// PR 4: `SelectionStrategy::Incremental` and `::FanOut` share one
 /// config-fingerprint class (their outputs are bit-identical by
 /// contract), so a snapshot taken under either strategy restores under
 /// the other and the continued run is byte-identical to an unbroken run
-/// under either — the same cross-restore contract as
-/// `CriticalValue` ≡ `CriticalValueNaive`.
+/// under either.
 #[test]
 fn snapshots_restore_across_selection_strategies() {
     use ufp_engine::SelectionStrategy;

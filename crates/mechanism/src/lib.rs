@@ -20,7 +20,7 @@ pub mod verify;
 
 pub use allocator::{BkvAllocator, MucaAllocator, SingleParamAllocator, UfpAllocator};
 pub use mechanism::{CriticalValueMechanism, MechanismOutcome};
-pub use payment::{critical_value, critical_value_from_probe, PaymentConfig};
+pub use payment::{brackets_exact, critical_value, critical_value_from_probe, PaymentConfig};
 pub use verify::{
     verify_ufp_type_truthfulness, verify_value_monotonicity, verify_value_truthfulness,
     VerificationReport,

@@ -40,8 +40,8 @@ impl Default for PaymentConfig {
 /// predicates agree.
 ///
 /// Successive probe values are strictly decreasing below every value
-/// that answered "selected" so far — the property the prefix-resume
-/// optimization in `ufp-core` relies on to advance its checkpoint.
+/// that answered "selected" so far, so a probe may resume from any
+/// state an earlier "selected" probe shared.
 pub fn critical_value_from_probe(
     declared: f64,
     config: &PaymentConfig,
@@ -71,6 +71,17 @@ pub fn critical_value_from_probe(
         }
     }
     hi
+}
+
+/// Whether `bisected`, a [`critical_value_from_probe`] result, brackets
+/// the exact threshold `exact` as bisection promises:
+/// `exact ≤ bisected ≤ exact·(1+tol)`. The slack is a few ulps (the
+/// exact value is a rounded quotient) plus twice the value floor (the
+/// bracketing's last halving may step below the floor from anywhere
+/// under twice it, reporting 0).
+pub fn brackets_exact(exact: f64, bisected: f64, config: &PaymentConfig) -> bool {
+    let slack = 4.0 * f64::EPSILON * exact.abs() + 2.0 * config.value_floor;
+    bisected >= exact - slack && bisected <= exact + config.relative_tolerance * bisected + slack
 }
 
 /// Critical value of `agent` in `inst`, assuming it is currently
@@ -180,6 +191,25 @@ mod tests {
                 min_selected = v;
             }
         }
+    }
+
+    #[test]
+    fn bisection_brackets_the_exact_threshold() {
+        let pc = PaymentConfig::default();
+        for (inst, exact) in [(vec![10.0, 6.5, 1.0], 6.5), (vec![3.0, 2.75], 2.75)] {
+            let p = critical_value(&HighestBid, &inst, 0, &pc);
+            assert!(brackets_exact(exact, p, &pc), "{p} vs {exact}");
+        }
+        assert!(brackets_exact(0.0, 0.0, &pc));
+        assert!(!brackets_exact(
+            1.0,
+            1.0 + 10.0 * pc.relative_tolerance,
+            &pc
+        ));
+        assert!(
+            !brackets_exact(1.0, 1.0 - 1e-10, &pc),
+            "bisection never undercuts"
+        );
     }
 
     #[test]

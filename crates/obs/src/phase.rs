@@ -9,7 +9,7 @@
 //! |--------------|--------------|------------------------------------------|
 //! | `epoch.*`    | `ufp_engine` | the three stages of one engine epoch     |
 //! | `selection.*`| `ufp_core`   | the incremental selection loop internals |
-//! | `payment.*`  | `ufp_engine` | one critical-value bisection probe       |
+//! | `payment.*`  | `ufp_engine` | one winner's exact critical-value pass   |
 //! | `shard.*`    | `ufp_shard`  | the sharded pipeline's own stages        |
 //! | `par.*`      | `ufp_par`    | pool fan-out and help-first stealing     |
 //! | `topology.*` | `ufp_engine` | one between-epochs topology repair pass  |
@@ -42,7 +42,8 @@ pub enum Phase {
     SelectionHeap,
     /// One eager grouped refresh of the dirty set (parallel fan-out).
     SelectionDirtyRefresh,
-    /// One critical-value bisection probe (attr: resumed suffix length).
+    /// One winner's exact critical-value pass (attr: resumed suffix
+    /// length).
     PaymentProbe,
     /// Boundary-edge lease computation before parallel shard epochs.
     ShardLease,

@@ -441,8 +441,20 @@ impl Default for Pool {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that dispatch on the process-global pool.
+    /// The recorder slot is process-global too: a fan-out running
+    /// concurrently with [`recorder_observes_dispatch_without_perturbing`]
+    /// would capture its recorder and close `par.dispatch` spans into it
+    /// after that test's "before" read.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static DISPATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failed test poisons the lock; the next one still runs alone.
+        DISPATCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn map_matches_sequential() {
+        let _serial = serial();
         let items: Vec<u64> = (0..1000).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 4, 8] {
@@ -455,6 +467,7 @@ mod tests {
     #[test]
     fn map_with_reuses_workspace() {
         // Count workspace initializations: at most `threads` per call.
+        let _serial = serial();
         let inits = AtomicUsize::new(0);
         let items: Vec<u32> = (0..256).collect();
         let pool = Pool::new(4);
@@ -475,6 +488,7 @@ mod tests {
 
     #[test]
     fn map_with_floor_matches_map_with() {
+        let _serial = serial();
         let items: Vec<u64> = (0..100).collect();
         let pool = Pool::new(4);
         let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
@@ -486,6 +500,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
+        let _serial = serial();
         let pool = Pool::new(4);
         let out: Vec<u32> = pool.map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
@@ -494,12 +509,14 @@ mod tests {
 
     #[test]
     fn single_item() {
+        let _serial = serial();
         let pool = Pool::new(8);
         assert_eq!(pool.map(&[5u32], |_, &x| x * 2), vec![10]);
     }
 
     #[test]
     fn argmin_breaks_ties_toward_lower_index() {
+        let _serial = serial();
         let items = vec![3.0f64, 1.0, 2.0, 1.0, 5.0];
         for threads in [1, 4] {
             let pool = Pool::new(threads);
@@ -511,6 +528,7 @@ mod tests {
 
     #[test]
     fn uneven_work_balances() {
+        let _serial = serial();
         let items: Vec<u64> = (0..64).collect();
         let pool = Pool::new(4);
         let out = pool.map(&items, |_, &x| {
@@ -525,6 +543,7 @@ mod tests {
 
     #[test]
     fn zero_threads_treated_as_one() {
+        let _serial = serial();
         let pool = Pool::new(0);
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.map(&[1u8, 2, 3], |_, &x| x), vec![1, 2, 3]);
@@ -532,6 +551,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
+        let _serial = serial();
         let pool = Pool::new(2);
         let items: Vec<u32> = (0..100).collect();
         let result = std::panic::catch_unwind(|| {
@@ -553,6 +573,7 @@ mod tests {
     fn many_repeated_calls_amortize() {
         // Regression guard for the per-call spawn problem: thousands of
         // tiny maps must complete quickly (no thread creation per call).
+        let _serial = serial();
         let pool = Pool::new(4);
         let items: Vec<u32> = (0..64).collect();
         let start = std::time::Instant::now();
@@ -571,6 +592,7 @@ mod tests {
 
     #[test]
     fn map_mut_mutates_each_item_once() {
+        let _serial = serial();
         for threads in [1, 4] {
             let pool = Pool::new(threads);
             let mut items: Vec<u64> = (0..257).collect();
@@ -593,6 +615,7 @@ mod tests {
     /// pool permanently.
     #[test]
     fn nested_dispatch_completes() {
+        let _serial = serial();
         let outer = Pool::auto();
         let inner = Pool::auto();
         let items: Vec<u64> = (0..64).collect();
@@ -624,6 +647,7 @@ mod tests {
     /// that).
     #[test]
     fn deeply_nested_map_mut_completes() {
+        let _serial = serial();
         let pool = Pool::auto();
         let mut shards: Vec<Vec<u64>> = (0..8).map(|s| vec![s; 32]).collect();
         let totals = pool.map_mut(&mut shards, |_, shard| {
@@ -640,10 +664,11 @@ mod tests {
 
     /// The installed recorder observes fan-outs without changing
     /// results, and uninstalling silences it again. Single test for
-    /// the whole observer lifecycle because the slot is process-global
-    /// and tests run concurrently.
+    /// the whole observer lifecycle because the slot is process-global;
+    /// [`serial`] keeps every other dispatching test out of it.
     #[test]
     fn recorder_observes_dispatch_without_perturbing() {
+        let _serial = serial();
         let items: Vec<u64> = (0..512).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 7).collect();
         let pool = Pool::new(4);
@@ -669,6 +694,7 @@ mod tests {
     #[test]
     fn nested_borrows_stay_valid() {
         // Borrowed captures (the unsafe lifetime erasure) under stress.
+        let _serial = serial();
         let data: Vec<Vec<u64>> = (0..32).map(|i| vec![i as u64; 100]).collect();
         let pool = Pool::new(4);
         for _ in 0..50 {

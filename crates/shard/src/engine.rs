@@ -26,11 +26,11 @@
 //!    threshold. Pure arithmetic replay; no shortest-path work. When
 //!    payments are on, the pass also assembles the merged steps into a
 //!    global [`EpochResumeTrace`] over the epoch's full batch.
-//! 6. **Price + commit**: price every surviving winner by
-//!    critical-value bisection against the *merged* trace under the
-//!    epoch-start frozen context (read-only probe replays, fanned out
+//! 6. **Price + commit**: price every surviving winner at its exact
+//!    critical value against the *merged* trace under the epoch-start
+//!    frozen context (one read-only resumed pass per winner, fanned out
 //!    on the `ufp_par` pool with `payment.probe` spans — the exact
-//!    probe schedule a single global engine would run), then commit
+//!    passes a single global engine would run), then commit
 //!    each shard's surviving prefix in parallel with its payment slice
 //!    supplied, mirror the admissions into the global state in merged
 //!    order, and settle the lease ledger.
@@ -63,14 +63,14 @@ use crate::partition::{EdgeOwner, ShardPlan};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PaymentScope {
     /// Price winners against the **merged** replay trace, under the
-    /// epoch-start frozen context — the exact probe schedule a single
+    /// epoch-start frozen context — the exact pricing passes a single
     /// global engine would run, so payments are covered by the
-    /// bit-identity contract unconditionally (guard-stopping probes
+    /// bit-identity contract unconditionally (guard-stopping passes
     /// included). This is the correct, default mode.
     #[default]
     GlobalTrace,
     /// Legacy per-shard pass: each shard prices its winners against its
-    /// own local trace. A probe that guard-stops sees the shard's
+    /// own local trace. A pass that guard-stops sees the shard's
     /// (smaller) dual mass instead of the global one and can misprice —
     /// kept only as the baseline `scripts/bench_pr8.sh` measures the
     /// global pass against.
@@ -485,12 +485,12 @@ impl ShardedEngine {
             )
         };
 
-        // 6a. Global payment pass: price every surviving winner by
-        //     critical-value bisection against the *merged* trace,
-        //     under the epoch-start frozen context (capacities / usable
-        //     / carry captured in step 3) — the exact probe schedule a
-        //     single global engine would run, guard stops included.
-        //     Probes are read-only replays; the entry point fans them
+        // 6a. Global payment pass: price every surviving winner at its
+        //     exact critical value against the *merged* trace, under
+        //     the epoch-start frozen context (capacities / usable /
+        //     carry captured in step 3) — the exact passes a single
+        //     global engine would run, guard stops included. Passes
+        //     are read-only replays; the entry point fans them
         //     out on the pool under `payment.probe` spans. The results
         //     are scattered back into per-shard, batch-local payment
         //     slices for the deferred commits below.
@@ -1287,7 +1287,7 @@ pub(crate) fn lease_gauge_names(shards: usize) -> Vec<String> {
 /// path / bumps verbatim, plus the *global* `ln D₁` (the dual sum this
 /// merge checks against the guard) and the global running routed value
 /// — exactly the record a single engine's traced run would have
-/// produced, so payment probes can checkpoint and resume against it.
+/// produced, so pricing passes can checkpoint and resume against it.
 #[allow(clippy::too_many_arguments)] // one call site, mirrors the epoch context
 fn merge_replay(
     capacities: &[f64],

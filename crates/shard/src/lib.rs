@@ -32,12 +32,12 @@
 //! score through one global dual-weight replay that enforces the
 //! *global* guard (truncating shard over-admissions the moment the
 //! merged dual mass crosses `e^{ε(B−1)}`), every surviving winner is
-//! priced by critical-value bisection **against that merged trace**
-//! under the epoch-start context (the probe schedule a single global
-//! engine would run — [`PaymentScope::GlobalTrace`]), then cross-shard
+//! priced at its exact critical value **against that merged trace**
+//! under the epoch-start context (the pass a single global engine
+//! would run — [`PaymentScope::GlobalTrace`]), then cross-shard
 //! requests route sequentially against the post-epoch global
 //! residuals. Everything after the parallel plans is arithmetic replay
-//! plus read-only probe replays — no new shortest-path state — so the
+//! plus read-only pricing replays — no new shortest-path state — so the
 //! whole epoch is deterministic and byte-replayable regardless of
 //! thread scheduling.
 //!
@@ -49,7 +49,7 @@
 //! stream — the sharded engine is **bit-identical** to a single
 //! [`ufp_engine::Engine`] fed the same stream: same admissions (ids,
 //! paths, order), same critical-value payments — *including* epochs
-//! and payment probes that stop on the guard — same events, same
+//! and pricing passes that stop on the guard — same events, same
 //! residual loads and carry bits (proptested in `tests/proptests.rs`).
 //! See `README.md` for the contract's one residual caveat (divergent
 //! dual-weight re-centering, which perturbs the recorded score bits

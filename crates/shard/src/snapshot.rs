@@ -22,7 +22,7 @@ use std::sync::Arc;
 use ufp_core::{Request, RequestId};
 use ufp_engine::codec::{fnv64, CodecError, Reader, Writer};
 use ufp_engine::snapshot::{
-    decode_event, decode_topology_event, encode_event, encode_topology_event,
+    decode_event, decode_topology_event, encode_engine_into, encode_event, encode_topology_event,
 };
 use ufp_engine::{Arrival, Engine, EngineMetrics};
 use ufp_netgraph::graph::Graph;
@@ -54,10 +54,18 @@ fn payment_scope_tag(scope: PaymentScope) -> u8 {
     }
 }
 
-/// Serialize the full sharded engine state.
+/// Container header: magic, body length, body checksum.
+const HEADER_LEN: usize = 24;
+
+/// Serialize the full sharded engine state, streamed into one buffer:
+/// the engine containers are encoded in place behind their length
+/// prefixes, and the header's length and checksum are patched last.
 pub fn encode_sharded(engine: &ShardedEngine) -> Vec<u8> {
     let shards = engine.plan.shards();
     let mut w = Writer::new();
+    w.put_raw(MAGIC);
+    w.put_u64(0); // body length, patched below
+    w.put_u64(0); // body checksum, patched below
     w.put_u32(FORMAT_VERSION);
     w.put_u64(shards as u64);
     w.put_u64(engine.plan.digest());
@@ -124,18 +132,17 @@ pub fn encode_sharded(engine: &ShardedEngine) -> Vec<u8> {
     w.put_f64_slice(&ledger_flat);
     w.put_u64(ledger_epochs);
     w.put_u64_slice(&engine.shard_epoch_us);
-    for s in 0..shards {
-        w.put_bytes(&engine.engines[s].snapshot_bytes());
+    for e in engine.engines.iter().chain([&engine.reconciler]) {
+        let blob = w.begin_bytes();
+        encode_engine_into(&mut w, e, &[]);
+        w.end_bytes(blob);
     }
-    w.put_bytes(&engine.reconciler.snapshot_bytes());
 
-    let body = w.into_bytes();
-    let mut out = Vec::with_capacity(body.len() + 24);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv64(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let body = w.as_bytes().len() - HEADER_LEN;
+    let checksum = fnv64(&w.as_bytes()[HEADER_LEN..]);
+    w.patch_u64(8, body as u64);
+    w.patch_u64(16, checksum);
+    w.into_bytes()
 }
 
 /// Deserialize a sharded snapshot over the given graph, partition, and
@@ -156,16 +163,16 @@ pub fn decode_sharded(
         found[..n].copy_from_slice(&bytes[..n]);
         return Err(CodecError::BadMagic { found });
     }
-    if bytes.len() < 24 {
+    if bytes.len() < HEADER_LEN {
         return Err(CodecError::Truncated {
             context: "sharded snapshot header",
-            need: 24,
+            need: HEADER_LEN,
             have: bytes.len(),
         });
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
     let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let body = &bytes[24..];
+    let body = &bytes[HEADER_LEN..];
     if body.len() != len {
         return Err(CodecError::Truncated {
             context: "sharded snapshot body",

@@ -8,9 +8,9 @@
 //!   loads.
 //! * **Paid guard-pressure + cross equivalence** — the same
 //!   bit-identity holds with tight capacities that trip the per-epoch
-//!   guard (so payment probes guard-stop) and with unroutable
+//!   guard (so pricing passes guard-stop) and with unroutable
 //!   cross-shard arrivals in the stream: the merged-trace payment pass
-//!   replays the exact probe schedule a single engine would run.
+//!   replays the exact pricing passes a single engine would run.
 //! * **Snapshot lockstep** — snapshots of sharded runs (with cross
 //!   traffic, leases, and the deferred global-payment pass in play)
 //!   restore and continue bit-identically per shard and globally, from
@@ -176,7 +176,7 @@ proptest! {
         run_pair_and_assert_identical(&graph, shards, &trace, epsilon)?;
     }
 
-    /// Tight capacities (guard-stopping epochs and payment probes) plus
+    /// Tight capacities (guard-stopping epochs and pricing passes) plus
     /// unroutable cross-shard arrivals ⇒ still bit-identical, payments
     /// included: the full contract PR 8 upgraded the zero-cross one to.
     #[test]

@@ -8,8 +8,8 @@
 //!   to a single engine (the degenerate partition);
 //! * guard pressure: the merge truncates shard over-admissions exactly
 //!   where a single engine's guard would stop, and the global payment
-//!   pass prices the survivors identically — guard-stopping probes
-//!   included;
+//!   pass prices the survivors identically — guard-stopping pricing
+//!   passes included;
 //! * unroutable cross-shard arrivals (disconnected communities) leave
 //!   the paid equivalence intact: both engines reject them identically;
 //! * general cross-shard traffic stays feasible, deterministic, and
@@ -196,7 +196,7 @@ fn guard_pressure_truncates_exactly_like_a_single_engine() {
     // global-guard truncation must reproduce the single engine's stop
     // point bit for bit — and with critical-value payments ON, the
     // global payment pass must price every survivor identically even
-    // though many of its bisection probes themselves stop on the guard
+    // though many of its per-winner passes themselves stop on the guard
     // (the regime the old per-shard pass documented as divergent).
     // Capacities sized so e^{ε(B−1)} sits a little above the initial
     // dual mass (= edge count): epochs admit a handful of requests and
@@ -271,7 +271,7 @@ fn unroutable_cross_paid_traffic_matches_single_engine() {
     // unroutable mode: both engines must reject every cross arrival and
     // stay bit-identical — admissions AND critical-value payments —
     // because the merged-trace payment pass replays the same global
-    // probe schedule either way.
+    // pricing passes either way.
     let (graph, map, trace) = community_scenario(0, 0.3, 8, 17);
     let cross = trace
         .iter()

@@ -9,6 +9,10 @@
 # field (bit-identical payments); only the timing differs. Expect the
 # naive 10^4 row to take on the order of ten minutes — that is the point.
 #
+# History only: `--payments critical-naive` and the bisection behind
+# `--payments critical` were replaced by exact critical values, so this
+# script runs only on a revision that still has them.
+#
 # Usage: cargo build --release && scripts/bench_pr2.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
