@@ -1,21 +1,19 @@
-//! PR 4 benches: the incremental (dirty-set) selection loop vs the full
-//! per-iteration fan-out, and the Dijkstra queue backends underneath
-//! them.
+//! Selection benches: the incremental (dirty-set) selection loop vs the
+//! full per-iteration fan-out, and the Dijkstra queries underneath them.
 //!
 //! * `selection_strategy/*` — one Bounded-UFP epoch at growing request
 //!   counts under both [`SelectionStrategy`] variants. The outputs are
 //!   bit-identical (asserted here on the side); only wall time differs.
 //!   The headline trajectory at 10³/10⁴/10⁵-request epochs lives in
 //!   `BENCH_PR4.json` (regenerate with `scripts/bench_pr4.sh`).
-//! * `dijkstra_heap/*` — full shortest-path trees under the indexed
-//!   4-ary decrease-key heap vs the lazy binary heap (the satellite that
-//!   decided [`HeapKind`]'s default: run both, keep the winner).
+//! * `dijkstra_heap/*` — full shortest-path trees and targeted
+//!   early-exit queries on the indexed 4-ary decrease-key heap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ufp_core::{bounded_ufp, BoundedUfpConfig, SelectionStrategy};
-use ufp_netgraph::dijkstra::{Dijkstra, HeapKind, Targets};
+use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::generators;
 use ufp_netgraph::ids::NodeId;
 use ufp_workloads::{random_ufp, RandomUfpConfig};
@@ -63,8 +61,7 @@ fn selection_strategy(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full-tree Dijkstra under both queue backends. This is the
-/// measurement behind `HeapKind`'s default.
+/// Full-tree and targeted Dijkstra queries.
 fn dijkstra_heap(c: &mut Criterion) {
     let mut group = c.benchmark_group("dijkstra_heap");
     group.sample_size(10);
@@ -74,48 +71,43 @@ fn dijkstra_heap(c: &mut Criterion) {
         let weights: Vec<f64> = (0..graph.num_edges())
             .map(|i| 0.05 + ((i * 37) % 97) as f64 / 50.0)
             .collect();
-        for (label, kind) in [
-            ("indexed4", HeapKind::Indexed4),
-            ("lazy_binary", HeapKind::LazyBinary),
-        ] {
-            // Full shortest-path trees (the grouped fan-out pattern).
-            group.bench_with_input(
-                BenchmarkId::new(format!("{label}_tree"), format!("{nodes}n_{edges}e")),
-                &graph,
-                |b, graph| {
-                    let mut dij = Dijkstra::with_heap(graph.num_nodes(), kind);
-                    let mut src = 0u32;
-                    b.iter(|| {
-                        dij.run(
-                            graph,
-                            &weights,
-                            NodeId(src % nodes as u32),
-                            Targets::All,
-                            |_| true,
-                        );
-                        src = src.wrapping_add(1);
-                        black_box(dij.distance(NodeId((nodes - 1) as u32)))
-                    })
-                },
-            );
-            // Targeted early-exit queries (the lazy-refresh / winner
-            // re-derivation pattern).
-            group.bench_with_input(
-                BenchmarkId::new(format!("{label}_one"), format!("{nodes}n_{edges}e")),
-                &graph,
-                |b, graph| {
-                    let mut dij = Dijkstra::with_heap(graph.num_nodes(), kind);
-                    let mut q = 0u32;
-                    b.iter(|| {
-                        let s = NodeId(q.wrapping_mul(7919) % nodes as u32);
-                        let t = NodeId((q.wrapping_mul(104729) + 1) % nodes as u32);
-                        dij.run(graph, &weights, s, Targets::One(t), |_| true);
-                        q = q.wrapping_add(1);
-                        black_box(dij.distance(t))
-                    })
-                },
-            );
-        }
+        // Full shortest-path trees (the grouped fan-out pattern).
+        group.bench_with_input(
+            BenchmarkId::new("tree", format!("{nodes}n_{edges}e")),
+            &graph,
+            |b, graph| {
+                let mut dij = Dijkstra::new(graph.num_nodes());
+                let mut src = 0u32;
+                b.iter(|| {
+                    dij.run(
+                        graph,
+                        &weights,
+                        NodeId(src % nodes as u32),
+                        Targets::All,
+                        |_| true,
+                    );
+                    src = src.wrapping_add(1);
+                    black_box(dij.distance(NodeId((nodes - 1) as u32)))
+                })
+            },
+        );
+        // Targeted early-exit queries (the lazy-refresh / winner
+        // re-derivation pattern).
+        group.bench_with_input(
+            BenchmarkId::new("one", format!("{nodes}n_{edges}e")),
+            &graph,
+            |b, graph| {
+                let mut dij = Dijkstra::new(graph.num_nodes());
+                let mut q = 0u32;
+                b.iter(|| {
+                    let s = NodeId(q.wrapping_mul(7919) % nodes as u32);
+                    let t = NodeId((q.wrapping_mul(104729) + 1) % nodes as u32);
+                    dij.run(graph, &weights, s, Targets::One(t), |_| true);
+                    q = q.wrapping_add(1);
+                    black_box(dij.distance(t))
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -91,8 +91,7 @@ use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_par::Pool;
 use ufp_shard::{
-    EdgeCut, HotspotPairs, NodeBlocks, Partitioner, PaymentScope, ShardConfig, ShardStats,
-    ShardedEngine,
+    EdgeCut, HotspotPairs, NodeBlocks, Partitioner, ShardConfig, ShardStats, ShardedEngine,
 };
 use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
 use ufp_workloads::failures::{failure_trace, DrainWindow, FailureTraceConfig};
@@ -124,7 +123,6 @@ struct Options {
     cross_fraction: f64,
     cross_unroutable: bool,
     lease_fraction: f64,
-    payment_scope: String,
     trace_out: Option<String>,
     trace_chrome: Option<String>,
     metrics_out: Option<String>,
@@ -167,7 +165,6 @@ impl Default for Options {
             cross_fraction: 0.0,
             cross_unroutable: false,
             lease_fraction: 0.5,
-            payment_scope: "global".to_string(),
             trace_out: None,
             trace_chrome: None,
             metrics_out: None,
@@ -185,15 +182,23 @@ impl Default for Options {
     }
 }
 
-/// The replay target: a single engine or a sharded one. Identical
-/// deterministic outputs are the whole point of the sharded engine, so
-/// the replay loop drives both through one surface.
+/// The replay target: a single engine or a sharded one. A sharded
+/// deployment keeps all of its state in one book engine, so every
+/// read-out goes through [`Sim::book`]; only the calls that run epochs
+/// or repairs, and the per-shard counters, dispatch on the variant.
 enum Sim {
     Single(Box<Engine>),
     Sharded(Box<ShardedEngine>),
 }
 
 impl Sim {
+    fn book(&self) -> &Engine {
+        match self {
+            Sim::Single(e) => e,
+            Sim::Sharded(e) => e.engine(),
+        }
+    }
+
     fn submit_batch(&mut self, batch: &[Arrival]) -> EpochReport {
         match self {
             Sim::Single(e) => e.submit_batch(batch),
@@ -218,93 +223,34 @@ impl Sim {
         }
     }
 
-    fn topology(&self) -> &Topology {
-        match self {
-            Sim::Single(e) => e.topology(),
-            Sim::Sharded(e) => e.topology(),
-        }
-    }
-
-    fn metrics(&self) -> &ufp_engine::EngineMetrics {
-        match self {
-            Sim::Single(e) => e.metrics(),
-            Sim::Sharded(e) => e.metrics(),
-        }
-    }
-
-    fn total_utilization(&self) -> f64 {
-        match self {
-            Sim::Single(e) => e.residual().total_utilization(),
-            Sim::Sharded(e) => e.residual().total_utilization(),
-        }
-    }
-
-    fn utilization_histogram(&self, buckets: usize) -> Vec<usize> {
-        match self {
-            Sim::Single(e) => e.utilization_histogram(buckets),
-            Sim::Sharded(e) => e.utilization_histogram(buckets),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            Sim::Single(e) => e.epoch(),
-            Sim::Sharded(e) => e.epoch(),
-        }
-    }
-
-    fn events_dropped(&self) -> u64 {
-        match self {
-            Sim::Single(e) => e.events_dropped(),
-            Sim::Sharded(e) => e.events_dropped(),
-        }
-    }
-
-    /// Deployment-wide lease accounting: `(granted, used)` summed over
-    /// the shards' ledgers; `None` for a single engine (no leases).
-    fn lease_totals(&self) -> Option<(f64, f64)> {
-        match self {
-            Sim::Single(_) => None,
-            Sim::Sharded(e) => {
-                let ledger = e.ledger();
-                let (mut granted, mut used) = (0.0, 0.0);
-                for s in 0..e.shards() {
-                    granted += ledger.granted(s);
-                    used += ledger.used(s);
-                }
-                Some((granted, used))
-            }
-        }
-    }
-
-    fn feasibility(&self, check_cumulative: bool) -> (bool, Option<bool>) {
-        // On a mutated topology the base-capacity instance no longer
-        // describes the network: audit the active admissions against the
-        // *effective* capacities instead, and skip the cumulative check
-        // (evictions release capacity, like churn).
-        if !self.topology().is_pristine() {
-            let active_ok = match self {
-                Sim::Single(e) => e.verify_active_feasibility().is_ok(),
-                Sim::Sharded(e) => e.verify_active_feasibility().is_ok(),
-            };
-            return (active_ok, None);
-        }
-        let (instance, active, cumulative) = match self {
-            Sim::Single(e) => (e.instance(), e.active_solution(), e.cumulative_solution()),
-            Sim::Sharded(e) => (e.instance(), e.active_solution(), e.cumulative_solution()),
-        };
-        let active_ok = active.check_feasible(&instance, false).is_ok();
-        let cumulative_ok =
-            check_cumulative.then(|| cumulative.check_feasible(&instance, false).is_ok());
-        (active_ok, cumulative_ok)
-    }
-
     fn shard_stats(&self) -> Option<Vec<ShardStats>> {
         match self {
             Sim::Single(_) => None,
             Sim::Sharded(e) => Some(e.shard_stats()),
         }
     }
+}
+
+/// Feasibility verdict of the active (and, when asked, the cumulative)
+/// admissions. On a mutated topology the base-capacity instance no
+/// longer describes the network: audit the active admissions against
+/// the *effective* capacities instead, and skip the cumulative check
+/// (evictions release capacity, like churn).
+fn feasibility(book: &Engine, check_cumulative: bool) -> (bool, Option<bool>) {
+    if !book.topology().is_pristine() {
+        return (book.verify_active_feasibility().is_ok(), None);
+    }
+    let instance = book.instance();
+    let active_ok = book
+        .active_solution()
+        .check_feasible(&instance, false)
+        .is_ok();
+    let cumulative_ok = check_cumulative.then(|| {
+        book.cumulative_solution()
+            .check_feasible(&instance, false)
+            .is_ok()
+    });
+    (active_ok, cumulative_ok)
 }
 
 /// Version tag of the driver blob carried in the snapshot's driver
@@ -552,15 +498,6 @@ fn parse_options() -> Result<Options, String> {
                 }
             }
             "--cross-unroutable" => options.cross_unroutable = true,
-            "--payment-scope" => {
-                options.payment_scope = value("--payment-scope")?;
-                if !matches!(options.payment_scope.as_str(), "global" | "shard-local") {
-                    return Err(format!(
-                        "--payment-scope must be global or shard-local, got {}",
-                        options.payment_scope
-                    ));
-                }
-            }
             "--lease-fraction" => {
                 options.lease_fraction = value("--lease-fraction")?
                     .parse()
@@ -873,18 +810,12 @@ fn main() -> ExitCode {
             options.partitioner,
             plan.boundary_edges().len()
         );
-        let payment_scope = match options.payment_scope.as_str() {
-            "global" => PaymentScope::GlobalTrace,
-            "shard-local" => PaymentScope::ShardLocal,
-            other => unreachable!("parse_options validated --payment-scope, got {other}"),
-        };
         Some(ShardedEngine::new(
             Arc::clone(&graph),
             plan,
             ShardConfig {
                 engine: engine_config.clone(),
                 lease_fraction: options.lease_fraction,
-                payment_scope,
             },
         ))
     } else {
@@ -1013,7 +944,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let start_epoch = engine.epoch() as usize;
+    let start_epoch = engine.book().epoch() as usize;
     let mut sampled_rows: Vec<Vec<String>> = Vec::new();
     let sample_every = (options.epochs / 10).max(1);
     // Per-epoch repair-phase wall-clock (µs): topology.apply,
@@ -1075,7 +1006,7 @@ fn main() -> ExitCode {
             StopReason::IterationCap => 3,
         }] += 1;
         if (t + 1) % sample_every == 0 || t + 1 == options.epochs {
-            let m = engine.metrics();
+            let m = engine.book().metrics();
             sampled_rows.push(vec![
                 report.epoch.to_string(),
                 report.arrivals.to_string(),
@@ -1119,7 +1050,7 @@ fn main() -> ExitCode {
     let replay_elapsed = replay_started.elapsed();
 
     // Feasibility verdict: active always; cumulative too when no churn.
-    let (active_ok, cumulative_ok) = engine.feasibility(options.churn.is_none());
+    let (active_ok, cumulative_ok) = feasibility(engine.book(), options.churn.is_none());
     let feasible = active_ok && cumulative_ok.is_none_or(|c| c);
 
     // Observability exports — side files, never part of the
@@ -1167,7 +1098,7 @@ fn main() -> ExitCode {
     }
 
     if options.json {
-        let metrics = engine.metrics();
+        let metrics = engine.book().metrics();
         let churn = match options.churn {
             Some((lo, hi)) => format!("[{lo}, {hi}]"),
             None => "null".to_string(),
@@ -1179,7 +1110,7 @@ fn main() -> ExitCode {
              \"churn\": {}, \"payments\": \"{}\", \"selection\": \"{}\", \"threads\": {}, \
              \"shards\": {}, \"partitioner\": \"{}\", \"communities\": {}, \
              \"inter_edges\": {}, \"cross_fraction\": {}, \"cross_unroutable\": {}, \
-             \"lease_fraction\": {}, \"payment_scope\": \"{}\", \
+             \"lease_fraction\": {}, \
              \"selection_strategy\": \"{:?}\", \"fail_seed\": {}, \"flap_rate\": {}, \
              \"resize_rate\": {}, \"outage_rate\": {}, \"drains\": {}}},",
             options.nodes,
@@ -1201,7 +1132,6 @@ fn main() -> ExitCode {
             options.cross_fraction,
             options.cross_unroutable,
             options.lease_fraction,
-            options.payment_scope,
             selection,
             options
                 .fail_seed
@@ -1227,17 +1157,17 @@ fn main() -> ExitCode {
             metrics.acceptance_rate(),
             metrics.value_admitted,
             metrics.revenue,
-            engine.total_utilization(),
-            engine.events_dropped(),
+            engine.book().residual().total_utilization(),
+            engine.book().events_dropped(),
             total_topology_events,
-            engine.topology().links_down(),
+            engine.book().topology().links_down(),
             stop_counts[0],
             stop_counts[1],
             stop_counts[2],
             stop_counts[3]
         );
         // Per-shard deterministic counters (lease accounting; the last
-        // row is the reconciler). Wall-clock per-shard epoch time lives
+        // row is the cross-shard pass). Wall-clock per-shard epoch time lives
         // in the "timing" object below.
         if let Some(stats) = engine.shard_stats() {
             let rows: Vec<String> = stats
@@ -1261,7 +1191,9 @@ fn main() -> ExitCode {
         // Deployment-wide lease accounting (sharded runs only;
         // deterministic — CI filters it only in sharded-vs-single
         // comparisons, where the single side has no leases at all).
-        if let Some((granted, used)) = engine.lease_totals() {
+        if let Some(stats) = engine.shard_stats() {
+            let granted: f64 = stats.iter().map(|s| s.lease_granted).sum();
+            let used: f64 = stats.iter().map(|s| s.lease_used).sum();
             println!(
                 "  \"leases\": {{\"granted\": {:.6}, \"used\": {:.6}, \"utilization\": {:.6}}},",
                 granted,
@@ -1336,7 +1268,7 @@ fn main() -> ExitCode {
     }
 
     // Deterministic summary (stdout).
-    let metrics = engine.metrics();
+    let metrics = engine.book().metrics();
     let mut timeline = Table::new(
         "SIM-T",
         format!(
@@ -1378,7 +1310,7 @@ fn main() -> ExitCode {
             format!(
                 "{}/{}",
                 total_topology_events,
-                engine.topology().links_down()
+                engine.book().topology().links_down()
             ),
         );
     }
@@ -1394,12 +1326,12 @@ fn main() -> ExitCode {
     kv(
         &mut summary,
         "total utilization %",
-        f2(100.0 * engine.total_utilization()),
+        f2(100.0 * engine.book().residual().total_utilization()),
     );
     if let Some(stats) = engine.shard_stats() {
         for s in &stats {
             let label = if s.shard == stats.len() - 1 {
-                "reconciler".to_string()
+                "cross-shard".to_string()
             } else {
                 format!("shard {}", s.shard)
             };
@@ -1415,7 +1347,7 @@ fn main() -> ExitCode {
             );
         }
     }
-    let hist = engine.utilization_histogram(10);
+    let hist = engine.book().utilization_histogram(10);
     kv(
         &mut summary,
         "edge util histogram",
@@ -1427,7 +1359,7 @@ fn main() -> ExitCode {
     kv(
         &mut summary,
         "events dropped",
-        engine.events_dropped().to_string(),
+        engine.book().events_dropped().to_string(),
     );
     kv(
         &mut summary,
@@ -1438,7 +1370,7 @@ fn main() -> ExitCode {
         ),
     );
 
-    let active_audit = if engine.topology().is_pristine() {
+    let active_audit = if engine.book().topology().is_pristine() {
         "check_feasible"
     } else {
         "effective-capacity audit"

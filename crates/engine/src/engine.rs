@@ -85,32 +85,44 @@ pub struct TopologyReport {
     pub links_down: usize,
 }
 
-/// Externally supplied epoch context for [`Engine::plan_epoch`]: a
-/// sharded orchestrator's view of the world, replacing the engine's own
-/// residual-derived context. All slices are indexed by edge id of the
-/// engine's graph.
+/// An external allocation rule for one epoch: the one hook through
+/// which a deployment plans an epoch on this engine's book with
+/// something other than a single [`bounded_ufp_epoch`] run. `ufp_shard`
+/// uses it to run shard sub-batches in parallel and merge them.
 ///
-/// Handing every shard the **global** capacities, usable mask, and
-/// (already decayed) carry makes each shard's bound `B`, guard sum, and
-/// line-10 exponents bit-identical to a single global engine's, while
-/// `routable` confines its paths to the territory it holds leases on.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochOverride<'a> {
-    /// Effective capacity per edge (interior: global residual; boundary:
-    /// this shard's lease).
-    pub capacities: &'a [f64],
-    /// Edges participating in `B` and the guard sum.
-    pub usable: &'a [bool],
-    /// Edges this engine may route over (`None` = all usable edges).
-    pub routable: Option<&'a [bool]>,
-    /// Carried ln-space dual exponents, already decayed by the caller.
-    pub carry: &'a [f64],
+/// The engine opens the epoch, registers the batch, and freezes the
+/// context (decayed carry, residuals, usable mask) exactly as for its
+/// own run. The planner decides winners, routes, the carried exponents
+/// and the payments against that context. The engine then commits the
+/// result like one of its own plans: loads, admissions, TTL index,
+/// events, metrics and gauges.
+pub trait EpochPlanner {
+    /// Plan the epoch whose batch is `instance` (ids are batch
+    /// positions) against `ctx`, the book's frozen epoch context.
+    /// `book` is the engine in its post-release, pre-commit state.
+    fn plan(
+        &mut self,
+        book: &Engine,
+        instance: &UfpInstance,
+        ctx: &EpochContext<'_>,
+    ) -> PlannedEpoch;
+}
+
+/// An epoch decided by an [`EpochPlanner`].
+#[derive(Clone, Debug)]
+pub struct PlannedEpoch {
+    /// Winners (batch-local ids) with their routes in commit order, the
+    /// stop reason, and the carried dual exponents after the epoch.
+    pub outcome: EpochOutcome,
+    /// Payment per batch position (losers pay nothing).
+    pub payments: Vec<f64>,
 }
 
 /// A planned-but-uncommitted epoch, produced by [`Engine::plan_epoch`]
 /// and consumed by [`Engine::commit_epoch`]. Holds the frozen epoch
-/// context, the allocation outcome, and (for traced runs) the per-step
-/// resume trace an orchestrator replays during reconciliation.
+/// context, the allocation outcome, and what commit needs to charge
+/// it: the resume trace of a priced run, or the payments an
+/// [`EpochPlanner`] already decided.
 #[derive(Debug)]
 pub struct EpochPlan {
     epoch: u64,
@@ -123,43 +135,22 @@ pub struct EpochPlan {
     released: Vec<usize>,
     outcome: EpochOutcome,
     resume_trace: Option<EpochResumeTrace>,
+    /// Payments decided by an [`EpochPlanner`] (`None`: priced at commit).
+    payments: Option<Vec<f64>>,
     ctx_capacities: Vec<f64>,
     ctx_usable: Vec<bool>,
-    ctx_routable: Option<Vec<bool>>,
     ctx_carry: Vec<f64>,
 }
 
 impl EpochPlan {
-    /// The epoch this plan belongs to (1-based).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of planned selection steps (= planned admissions).
     pub fn num_steps(&self) -> usize {
         self.outcome.run.solution.routed.len()
     }
 
-    /// The per-step resume trace (`Some` for traced plans: overridden
-    /// contexts always, otherwise per the payment policy).
-    pub fn trace(&self) -> Option<&EpochResumeTrace> {
-        self.resume_trace.as_ref()
-    }
-
-    /// The allocation outcome as planned (before any truncation).
+    /// The allocation outcome as planned.
     pub fn outcome(&self) -> &EpochOutcome {
         &self.outcome
-    }
-
-    /// Admission indices (into [`Engine::admissions`]) released when
-    /// this epoch opened, in release order.
-    pub fn released_admissions(&self) -> &[usize] {
-        &self.released
-    }
-
-    /// The planned batch.
-    pub fn arrivals(&self) -> &[Arrival] {
-        &self.arrivals
     }
 
     /// The batch as the epoch's allocation instance (batch-local ids).
@@ -174,13 +165,8 @@ impl EpochPlan {
             capacities: &self.ctx_capacities,
             usable: &self.ctx_usable,
             carry: &self.ctx_carry,
-            routable: self.ctx_routable.as_deref(),
+            routable: None,
         }
-    }
-
-    /// First global request id assigned to this batch.
-    pub fn base_request_id(&self) -> u32 {
-        self.base
     }
 }
 
@@ -314,18 +300,29 @@ impl Engine {
     /// admissions, allocate with the monotone rule over the residual
     /// network, charge payments, commit routes.
     ///
-    /// Equivalent to [`Engine::plan_epoch`] (with no override) followed
-    /// by [`Engine::commit_epoch`] keeping every planned admission — the
-    /// split exists so an orchestrator (`ufp_shard`) can plan several
-    /// engines' epochs in parallel, reconcile them globally, and only
-    /// then commit each engine's surviving prefix.
+    /// Equivalent to [`Engine::open_epoch`], [`Engine::plan_epoch_in`]
+    /// and [`Engine::commit_epoch`] in turn, inside the recorder's
+    /// epoch bracket, followed by the auction-health tick.
     pub fn submit_batch(&mut self, arrivals: &[Arrival]) -> EpochReport {
+        self.submit_batch_with(arrivals, None)
+    }
+
+    /// [`Engine::submit_batch`] with the allocation decided by
+    /// `planner` instead of the engine's own run (see
+    /// [`EpochPlanner`]). Everything else — releases, the frozen
+    /// context, commit, events, metrics, gauges, the epoch bracket, the
+    /// regret oracle and the health tick — is the engine's own.
+    pub fn submit_batch_with(
+        &mut self,
+        arrivals: &[Arrival],
+        planner: Option<&mut dyn EpochPlanner>,
+    ) -> EpochReport {
         // Bracket the whole epoch for the profile table: open + plan +
         // commit partition this scope, so the recorded phase sum tracks
         // the bracket's wall time (the `--profile` coverage invariant).
         let obs = self.config.obs.clone();
         obs.epoch_begin(self.epoch + 1);
-        let plan = self.plan_epoch(arrivals, None);
+        let plan = self.plan_epoch(arrivals, planner);
         // Freeze the regret-oracle inputs (clones of the plan's epoch
         // context) before commit consumes the plan; the oracle itself
         // runs strictly after the epoch bracket closes, so its cost
@@ -360,38 +357,27 @@ impl Engine {
         report
     }
 
-    /// Open a new epoch and run its allocation **without committing**:
-    /// expired admissions are released, the batch is registered in the
-    /// global request registry, and the monotone allocation runs against
-    /// either the engine's own residual view (`overrides: None` — the
-    /// classic single-engine epoch) or an externally supplied context
-    /// (`overrides: Some` — a sharded orchestrator's global residuals,
-    /// usable mask, leased routable territory, and already-decayed
-    /// carry). Nothing is charged or committed until
-    /// [`Engine::commit_epoch`]; exactly one commit must follow each
-    /// plan.
-    ///
-    /// With an override the run is always traced (the orchestrator's
-    /// reconciliation replays the steps); without one, tracing follows
-    /// the payment policy as before.
+    /// Open a new epoch and plan it **without committing**: expired
+    /// admissions are released, the batch is registered in the global
+    /// request registry, and the allocation runs against the engine's
+    /// frozen residual view — by the engine's own monotone run
+    /// (`planner: None`) or by `planner`. Nothing is charged or
+    /// committed until [`Engine::commit_epoch`]; exactly one commit must
+    /// follow each plan.
     pub fn plan_epoch(
         &mut self,
         arrivals: &[Arrival],
-        overrides: Option<&EpochOverride<'_>>,
+        planner: Option<&mut dyn EpochPlanner>,
     ) -> EpochPlan {
         let released = self.open_epoch(arrivals.len());
-        self.plan_epoch_in(arrivals, released, overrides)
+        self.plan_epoch_in(arrivals, released, planner)
     }
 
     /// Open the next epoch without planning it: advance the epoch
     /// counter, log the `EpochStarted` event, and release expired
     /// admissions, returning their admission indices in release order.
-    ///
-    /// An orchestrator opens *every* engine's epoch first (so releases
-    /// across all shards are visible before any global residual view is
-    /// computed), then plans each engine with
-    /// [`Engine::plan_epoch_in`]. Exactly one `plan_epoch_in` must
-    /// follow each `open_epoch`.
+    /// Exactly one [`Engine::plan_epoch_in`] must follow each
+    /// `open_epoch`.
     pub fn open_epoch(&mut self, arrivals: usize) -> Vec<usize> {
         let obs = self.config.obs.clone();
         let _span = obs.span(Phase::EpochOpen);
@@ -419,7 +405,7 @@ impl Engine {
         &mut self,
         arrivals: &[Arrival],
         released: Vec<usize>,
-        overrides: Option<&EpochOverride<'_>>,
+        planner: Option<&mut dyn EpochPlanner>,
     ) -> EpochPlan {
         let obs = self.config.obs.clone();
         let _span = obs.span(Phase::EpochPlan);
@@ -430,7 +416,7 @@ impl Engine {
         let started = now.checked_sub(release_cost).unwrap_or(now);
         let epoch = self.epoch;
 
-        // 2. Register arrivals globally and build the epoch instance.
+        // Register arrivals globally and build the epoch instance.
         let base = self.requests.len() as u32;
         for a in arrivals {
             assert!(
@@ -442,63 +428,46 @@ impl Engine {
         let batch: Vec<Request> = arrivals.iter().map(|a| a.request).collect();
         let instance = UfpInstance::from_shared(Arc::clone(&self.graph), batch);
 
-        // 3. The epoch context, frozen for the whole epoch (allocation
-        //    and every payment probe see the same state). Own view:
-        //    residuals + decayed carry, as always. Override: the
-        //    orchestrator's slices verbatim — the engine's carry is NOT
-        //    decayed here (the orchestrator owns the global carry and
-        //    hands it in already decayed).
-        let (ctx_capacities, ctx_usable, ctx_routable, ctx_carry) = match overrides {
-            Some(o) => {
-                let m = self.graph.num_edges();
-                assert_eq!(o.capacities.len(), m, "override capacities length");
-                assert_eq!(o.usable.len(), m, "override usable length");
-                assert_eq!(o.carry.len(), m, "override carry length");
-                (
-                    o.capacities.to_vec(),
-                    o.usable.to_vec(),
-                    o.routable.map(<[bool]>::to_vec),
-                    o.carry.to_vec(),
-                )
-            }
-            None => {
-                for k in &mut self.carry {
-                    *k *= self.config.carry_decay;
-                }
-                let capacities = self.residual.residuals();
-                let mut usable = self.residual.usable_mask(self.floor);
-                // Dynamic topology: down links and drained endpoints
-                // accept no *new* admissions. The residual tracker
-                // already carries effective capacities (a down link's
-                // residual is 0), but the usable mask's empty-edge
-                // clause would re-open an unloaded down link without
-                // this AND.
-                if !self.topology.is_pristine() {
-                    for (e, u) in usable.iter_mut().enumerate() {
-                        *u = *u && self.topology.available(EdgeId(e as u32));
-                    }
-                }
-                (capacities, usable, None, self.carry.clone())
-            }
-        };
+        // The epoch context, frozen for the whole epoch (allocation and
+        // every payment pass see the same state): residuals, the usable
+        // rule, and the decayed carry.
+        for k in &mut self.carry {
+            *k *= self.config.carry_decay;
+        }
+        let ctx_capacities = self.residual.residuals();
+        let ctx_usable = self.usable_mask(&self.residual);
+        let ctx_carry = self.carry.clone();
         let ctx = EpochContext {
             capacities: &ctx_capacities,
             usable: &ctx_usable,
             carry: &ctx_carry,
-            routable: ctx_routable.as_deref(),
+            routable: None,
         };
 
-        // 4. The monotone allocation run — traced when payments will be
-        //    priced against it (each winner resumes from its selection
-        //    step) or when an orchestrator will replay it.
-        let traced =
-            overrides.is_some() || matches!(self.config.payments, PaymentPolicy::CriticalValue(_));
-        let (outcome, resume_trace) = if traced {
-            let (o, t) = bounded_ufp_epoch_traced(&instance, &self.allocator_config, Some(&ctx));
-            (o, Some(t))
-        } else {
-            let o = bounded_ufp_epoch(&instance, &self.allocator_config, Some(&ctx));
-            (o, None)
+        // The allocation: the planner's, or the engine's own monotone
+        // run — traced when payments will be priced against it (each
+        // winner resumes from its selection step).
+        let (outcome, resume_trace, payments) = match planner {
+            Some(planner) => {
+                let planned = planner.plan(self, &instance, &ctx);
+                assert_eq!(
+                    planned.payments.len(),
+                    arrivals.len(),
+                    "one payment slot per batch arrival"
+                );
+                assert_eq!(planned.outcome.carry.len(), ctx_carry.len(), "carry length");
+                (planned.outcome, None, Some(planned.payments))
+            }
+            None if matches!(self.config.payments, PaymentPolicy::CriticalValue(_)) => {
+                let (o, t) =
+                    bounded_ufp_epoch_traced(&instance, &self.allocator_config, Some(&ctx));
+                (o, Some(t), None)
+            }
+            None => (
+                bounded_ufp_epoch(&instance, &self.allocator_config, Some(&ctx)),
+                None,
+                None,
+            ),
         };
 
         EpochPlan {
@@ -510,61 +479,43 @@ impl Engine {
             released,
             outcome,
             resume_trace,
+            payments,
             ctx_capacities,
             ctx_usable,
-            ctx_routable,
             ctx_carry,
         }
     }
 
+    /// The engine's usable rule applied to `residual`: edges whose
+    /// residual clears the resolved floor (or that are effectively
+    /// empty), and — on a mutated topology — only available ones. Down
+    /// links and drained endpoints accept no *new* admissions: the
+    /// residual tracker already carries effective capacities (a down
+    /// link's residual is 0), but the mask's empty-edge clause would
+    /// re-open an unloaded down link without this AND.
+    pub fn usable_mask(&self, residual: &ResidualCaps) -> Vec<bool> {
+        let mut usable = residual.usable_mask(self.floor);
+        if !self.topology.is_pristine() {
+            for (e, u) in usable.iter_mut().enumerate() {
+                *u = *u && self.topology.available(EdgeId(e as u32));
+            }
+        }
+        usable
+    }
+
+    /// The resolved residual floor (see [`crate::config::ResidualFloor`]).
+    pub fn residual_floor(&self) -> f64 {
+        self.floor
+    }
+
     /// Commit a planned epoch: charge payments against the plan's frozen
-    /// context, commit the surviving routes (loads, admissions, TTL
-    /// index, events), and close the epoch's report and metrics.
+    /// context (or take the planner's), commit the routes (loads,
+    /// admissions, TTL index, events), and close the epoch's report and
+    /// metrics.
     ///
-    /// `keep: Some(k)` truncates the plan to its first `k` selection
-    /// steps before committing — the orchestrator's global guard tripped
-    /// mid-merge, so the shard's over-admissions past `k` are rejected
-    /// exactly as a globally-aware run would have rejected them (the
-    /// kept prefix is reconstructed bit-identically from the resume
-    /// trace). `None` commits every planned admission.
+    /// `keep` must be `None`: every planned admission is committed.
     pub fn commit_epoch(&mut self, plan: EpochPlan, keep: Option<usize>) -> EpochReport {
-        self.commit_epoch_inner(plan, keep, None)
-    }
-
-    /// [`Engine::commit_epoch`], but with the winners' payments supplied
-    /// by the caller instead of priced here against the shard-local
-    /// trace. This is the deferred-payment commit of a sharded
-    /// deployment: the orchestrator merges the shards' traces into the
-    /// global step order, prices every surviving winner against that
-    /// merged trace ([`Engine::price_winners_against_trace`]), and hands
-    /// each shard its slice — so admissions, events, revenue, and
-    /// metrics all carry the *global* critical values from the moment
-    /// they are recorded (nothing to patch up afterwards, nothing extra
-    /// to snapshot).
-    ///
-    /// `payments` is indexed by batch-local request index (the plan's
-    /// arrival order); entries for rejected or truncated requests are
-    /// ignored.
-    pub fn commit_epoch_with_payments(
-        &mut self,
-        plan: EpochPlan,
-        keep: Option<usize>,
-        payments: Vec<f64>,
-    ) -> EpochReport {
-        assert_eq!(
-            payments.len(),
-            plan.arrivals.len(),
-            "one payment slot per batch arrival"
-        );
-        self.commit_epoch_inner(plan, keep, Some(payments))
-    }
-
-    fn commit_epoch_inner(
-        &mut self,
-        plan: EpochPlan,
-        keep: Option<usize>,
-        supplied_payments: Option<Vec<f64>>,
-    ) -> EpochReport {
+        assert!(keep.is_none(), "commit_epoch commits the whole plan");
         let obs = self.config.obs.clone();
         let _span = obs.span(Phase::EpochCommit);
         let EpochPlan {
@@ -574,52 +525,35 @@ impl Engine {
             arrivals,
             base,
             released,
-            mut outcome,
+            outcome,
             resume_trace,
+            payments,
             ctx_capacities,
             ctx_usable,
-            ctx_routable,
             ctx_carry,
         } = plan;
         assert_eq!(
             epoch, self.epoch,
             "commit_epoch must consume the engine's own latest plan"
         );
-        let ctx = EpochContext {
-            capacities: &ctx_capacities,
-            usable: &ctx_usable,
-            carry: &ctx_carry,
-            routable: ctx_routable.as_deref(),
-        };
-
-        if let Some(k) = keep {
-            if k < outcome.run.solution.routed.len() {
-                let trace = resume_trace
-                    .as_ref()
-                    .expect("truncating commit requires a traced plan");
-                outcome = trace.prefix_outcome(
-                    &epoch_instance,
-                    &self.allocator_config,
-                    Some(&ctx),
-                    k,
-                    StopReason::Guard,
-                );
-            }
-        }
         let stop = outcome.run.trace.stop_reason;
 
-        // Payments against the frozen epoch state (truncated winners are
-        // simply absent from the solution and pay nothing), unless the
-        // caller already priced the winners globally.
-        let payments = match supplied_payments {
-            Some(p) => p,
-            None => self.compute_payments(
+        // Payments against the frozen epoch state, unless the planner
+        // already decided them.
+        let payments = payments.unwrap_or_else(|| {
+            let ctx = EpochContext {
+                capacities: &ctx_capacities,
+                usable: &ctx_usable,
+                carry: &ctx_carry,
+                routable: None,
+            };
+            self.compute_payments(
                 &epoch_instance,
                 &outcome.run.solution,
                 &ctx,
                 resume_trace.as_ref(),
-            ),
-        };
+            )
+        });
 
         // Commit.
         self.carry = outcome.carry;
@@ -766,7 +700,13 @@ impl Engine {
         );
         obs.gauge_set("engine.min_residual", self.residual.min_residual());
         obs.gauge_set("engine.events_dropped", self.events_dropped as f64);
-        obs.gauge_set("engine.active_admissions", self.admissions.len() as f64);
+        // Live admissions: every admission is released or evicted at
+        // most once, and these counters survive a restore.
+        let m = &self.metrics;
+        obs.gauge_set(
+            "engine.active_admissions",
+            (m.accepted - m.released - m.evicted) as f64,
+        );
         obs.histogram_record("engine.epoch_wall_us", elapsed.as_micros() as u64);
     }
 
@@ -860,35 +800,7 @@ impl Engine {
                 .expect("pre-validated event must apply");
         }
         let evict = self.select_evictions();
-        Ok(self.finish_repair(from_version, &evict, true))
-    }
-
-    /// [`Engine::apply_topology`] with the eviction decision supplied by
-    /// the caller instead of scanned locally — the sharded path, where
-    /// only the orchestrator sees the *global* per-edge loads (several
-    /// shards share a boundary edge) and directs each owner engine to
-    /// evict its share. `evict` holds local admission indices in
-    /// (admission-epoch, global-id) order; re-admission queueing is the
-    /// orchestrator's job (`queue_readmissions: false`) unless the
-    /// caller wants the engine-local queue filled.
-    pub fn apply_topology_directed(
-        &mut self,
-        events: &[TopologyEvent],
-        evict: &[usize],
-        queue_readmissions: bool,
-    ) -> Result<TopologyReport, TopologyError> {
-        let obs = self.config.obs.clone();
-        let _span = obs.span(Phase::TopologyApply);
-        let from_version = self.topology.version();
-        for &ev in events {
-            self.topology.validate(ev)?;
-        }
-        for &ev in events {
-            self.topology
-                .apply(ev)
-                .expect("pre-validated event must apply");
-        }
-        Ok(self.finish_repair(from_version, evict, queue_readmissions))
+        Ok(self.finish_repair(from_version, &evict))
     }
 
     /// Deterministic eviction scan over the post-mutation overlay:
@@ -943,15 +855,10 @@ impl Engine {
         evict
     }
 
-    /// Shared tail of both repair entry points: evict + refund, queue
-    /// re-admissions, rebuild the residual tracker over the effective
-    /// capacities, refresh the repair gauges, and report.
-    fn finish_repair(
-        &mut self,
-        from_version: u64,
-        evict: &[usize],
-        queue_readmissions: bool,
-    ) -> TopologyReport {
+    /// Tail of the repair pass: evict + refund, queue re-admissions,
+    /// rebuild the residual tracker over the effective capacities,
+    /// refresh the repair gauges, and report.
+    fn finish_repair(&mut self, from_version: u64, evict: &[usize]) -> TopologyReport {
         let obs = self.config.obs.clone();
         let epoch = self.epoch;
         let mut refunded = 0.0f64;
@@ -959,7 +866,7 @@ impl Engine {
             let _span = obs.span_attr(Phase::RepairEvict, "evictions", evict.len() as u64);
             for &i in evict {
                 let adm = &mut self.admissions[i];
-                debug_assert!(!adm.released, "directed eviction of a released admission");
+                debug_assert!(!adm.released, "eviction of a released admission");
                 adm.released = true;
                 adm.evicted = true;
                 // Purge the expiry index, or `release_expired` would
@@ -989,7 +896,7 @@ impl Engine {
         }
 
         let mut readmissions = 0usize;
-        if queue_readmissions {
+        {
             let _span = obs.span(Phase::RepairReadmit);
             let next_epoch = epoch + 1;
             for &i in evict {

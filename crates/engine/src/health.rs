@@ -44,7 +44,7 @@ use crate::engine::Arrival;
 /// commit (clones only — the live epoch state is never shared with the
 /// oracle).
 #[derive(Clone, Debug)]
-pub struct RegretContext {
+pub(crate) struct RegretContext {
     /// The epoch the snapshot belongs to.
     pub(crate) epoch: u64,
     /// Pre-epoch residual capacities, already masked by the epoch's
@@ -60,7 +60,7 @@ impl RegretContext {
     /// Capture a frozen oracle context from an epoch's plan data, or
     /// `None` when this epoch is not sampled (`regret_every` off, not a
     /// multiple, or the recorder disabled).
-    pub fn capture(
+    pub(crate) fn capture(
         cfg: &HealthConfig,
         obs: &Recorder,
         epoch: u64,
@@ -98,7 +98,7 @@ impl RegretContext {
 /// registry gauges/counters. Runs under [`Phase::HealthRegretOracle`],
 /// strictly outside the epoch bracket, with the solve dispatched onto
 /// the engine's worker pool.
-pub fn run_regret_oracle(
+pub(crate) fn run_regret_oracle(
     graph: &Graph,
     pool: &Pool,
     obs: &Recorder,
@@ -173,7 +173,7 @@ pub fn run_regret_oracle(
 /// (readmission ages restart at zero, the eviction window is empty) —
 /// health is telemetry about *this process's* run, not engine state.
 #[derive(Clone, Debug, Default)]
-pub struct HealthState {
+pub(crate) struct HealthState {
     /// Enqueue epoch per readmission-queue entry (parallel to the
     /// engine's `readmit_queue`; cleared together with it on drain).
     pub(crate) readmit_enqueued: Vec<u64>,
@@ -188,7 +188,7 @@ impl HealthState {
     /// A fresh state for an engine restored from a snapshot whose
     /// readmission queue holds `queued` entries: their true enqueue
     /// epochs were not persisted, so ages restart at the restore epoch.
-    pub fn restored(queued: usize, epoch: u64) -> Self {
+    pub(crate) fn restored(queued: usize, epoch: u64) -> Self {
         HealthState {
             readmit_enqueued: vec![epoch; queued],
             ..Default::default()
@@ -199,20 +199,20 @@ impl HealthState {
     /// (called by the repair pass; unconditional so the parallel vector
     /// stays in lockstep with the queue even while the recorder is
     /// off).
-    pub fn note_readmissions(&mut self, count: usize, epoch: u64) {
+    pub(crate) fn note_readmissions(&mut self, count: usize, epoch: u64) {
         self.readmit_enqueued
             .extend(std::iter::repeat_n(epoch, count));
     }
 
     /// The queue was drained into the next batch.
-    pub fn note_drain(&mut self) {
+    pub(crate) fn note_drain(&mut self) {
         self.readmit_enqueued.clear();
     }
 
     /// Per-epoch health tick, called after the epoch bracket closes:
     /// SLO accounting, starvation gauges, eviction-storm watermarks.
     /// No-op while the recorder is off.
-    pub fn epoch_tick(
+    pub(crate) fn epoch_tick(
         &mut self,
         cfg: &HealthConfig,
         obs: &Recorder,

@@ -122,7 +122,7 @@ pub use allocator::EpochAllocator;
 pub use codec::CodecError;
 pub use config::{EngineConfig, EventLevel, HealthConfig, PaymentPolicy, ResidualFloor};
 pub use engine::{
-    Admission, Arrival, Engine, EpochOverride, EpochPlan, EpochReport, TopologyReport,
+    Admission, Arrival, Engine, EpochPlan, EpochPlanner, EpochReport, PlannedEpoch, TopologyReport,
 };
 pub use event::EngineEvent;
 pub use metrics::EngineMetrics;

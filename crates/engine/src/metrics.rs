@@ -50,10 +50,8 @@ pub struct EngineMetrics {
 pub const LATENCY_WINDOW: usize = 4096;
 
 impl EngineMetrics {
-    /// Record one completed batch. Public so engine-compatible
-    /// orchestrators (the sharded engine) can keep their own aggregate
-    /// metrics in the same format the per-engine metrics use.
-    pub fn record_batch(
+    /// Record one completed batch.
+    pub(crate) fn record_batch(
         &mut self,
         arrivals: usize,
         accepted: usize,
@@ -90,11 +88,9 @@ impl EngineMetrics {
     /// latency view (it is a pure function of the ring buffer: the same
     /// multiset, ascending). Returns `None` when the fields violate a
     /// structural invariant, so the snapshot codec can surface a typed
-    /// error instead of panicking. Public for the same reason as
-    /// [`EngineMetrics::record_batch`]: orchestrator snapshots restore
-    /// their aggregate metrics through the identical validation.
+    /// error instead of panicking.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_snapshot(
+    pub(crate) fn from_snapshot(
         epochs: u64,
         arrivals: u64,
         accepted: u64,
@@ -178,20 +174,9 @@ impl EngineMetrics {
     }
 
     /// Lifetime sum of per-batch wall-clock latencies in microseconds —
-    /// the engine's total time spent inside epochs. Per-shard epoch
-    /// timing in sharded deployments reads this straight off each
-    /// shard's metrics (one subtraction per reporting interval) instead
-    /// of re-aggregating the ring buffer.
+    /// the engine's total time spent inside epochs.
     pub fn total_latency_us(&self) -> u64 {
         self.total_latency_us
-    }
-
-    /// The raw latency ring buffer in arrival order (at most
-    /// [`LATENCY_WINDOW`] entries) with its write cursor — the exact
-    /// pair [`EngineMetrics::from_snapshot`] takes back, for callers
-    /// that persist metrics outside the engine's own snapshot codec.
-    pub fn latency_ring(&self) -> (&[u64], usize) {
-        (&self.batch_latency_us, self.latency_cursor)
     }
 
     /// Wall-clock latency of the most recent batch in microseconds

@@ -107,7 +107,7 @@ fn graph_digest(graph: &Graph) -> u64 {
 /// entry is on disk, and callers prune their journal against the
 /// returned watermark, so `Ok` here must mean the snapshot survives
 /// power loss.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CodecError> {
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CodecError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
@@ -159,8 +159,8 @@ pub fn encode_engine(engine: &Engine, driver: &[u8]) -> Vec<u8> {
 }
 
 /// [`encode_engine`] appended in place to `w` — how composing snapshot
-/// layers (the sharded engine's) embed engine containers without
-/// building and copying them separately.
+/// layers (the sharded engine's) embed the engine container without
+/// building and copying it separately.
 pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     let container = w.begin_container();
 
@@ -315,10 +315,8 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     w.end_container(container);
 }
 
-/// Serialize one [`EngineEvent`] in the snapshot wire format. Public so
-/// composing snapshot layers (the sharded engine's) share one event
-/// codec instead of forking the tag assignments.
-pub fn encode_event(w: &mut Writer, e: &EngineEvent) {
+/// Serialize one [`EngineEvent`] in the snapshot wire format.
+fn encode_event(w: &mut Writer, e: &EngineEvent) {
     match *e {
         EngineEvent::EpochStarted { epoch, arrivals } => {
             w.put_u8(0);
@@ -378,9 +376,8 @@ pub fn encode_event(w: &mut Writer, e: &EngineEvent) {
     }
 }
 
-/// Serialize one [`TopologyEvent`] in the snapshot wire format (shared
-/// with the sharded snapshot layer, like [`encode_event`]).
-pub fn encode_topology_event(w: &mut Writer, e: &TopologyEvent) {
+/// Serialize one [`TopologyEvent`] in the snapshot wire format.
+fn encode_topology_event(w: &mut Writer, e: &TopologyEvent) {
     match *e {
         TopologyEvent::SetCapacity { edge, capacity } => {
             w.put_u8(0);
@@ -409,7 +406,7 @@ pub fn encode_topology_event(w: &mut Writer, e: &TopologyEvent) {
 /// Inverse of [`encode_topology_event`]. Range and value validation is
 /// left to [`Topology::replay`], which checks every event against the
 /// live base graph.
-pub fn decode_topology_event(s: &mut Reader<'_>) -> Result<TopologyEvent, CodecError> {
+fn decode_topology_event(s: &mut Reader<'_>) -> Result<TopologyEvent, CodecError> {
     Ok(match s.get_u8("topology event tag")? {
         0 => TopologyEvent::SetCapacity {
             edge: EdgeId(s.get_u32("topology event edge")?),
@@ -877,7 +874,7 @@ fn check_bits(stored: f64, provided: f64, context: &'static str) -> Result<(), C
 }
 
 /// Inverse of [`encode_event`].
-pub fn decode_event(s: &mut Reader<'_>) -> Result<EngineEvent, CodecError> {
+fn decode_event(s: &mut Reader<'_>) -> Result<EngineEvent, CodecError> {
     Ok(match s.get_u8("event tag")? {
         0 => EngineEvent::EpochStarted {
             epoch: s.get_u64("event epoch")?,

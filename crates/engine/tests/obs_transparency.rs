@@ -112,9 +112,30 @@ fn traced_run_is_bit_identical_to_untraced() {
         "core.dual_weight_max_ln_y",
         "engine.total_utilization",
         "engine.min_residual",
+        "engine.active_admissions",
     ] {
         assert!(gauge_names.contains(&expected), "missing gauge {expected}");
     }
+    // The gauges read the engine's live state: utilization as the
+    // residual tracker reports it, and the admissions still held (not
+    // every admission ever made — the churned replay releases some).
+    let gauge = |name: &str| {
+        snap.gauges
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+            .expect("gauge recorded")
+    };
+    assert_eq!(
+        gauge("engine.total_utilization").to_bits(),
+        traced.residual().total_utilization().to_bits()
+    );
+    let live = traced.admissions().iter().filter(|a| !a.released).count();
+    assert!(
+        live < traced.admissions().len(),
+        "fixture must release some"
+    );
+    assert_eq!(gauge("engine.active_admissions"), live as f64);
     // Every profile's epoch-stage coverage is a sane fraction.
     for p in &snap.profiles {
         let c = p.coverage();

@@ -6,28 +6,13 @@
 //! an epoch-stamping scheme so that consecutive queries pay O(touched)
 //! rather than O(n) reset cost, and zero allocations after warm-up.
 //!
-//! Two priority-queue backends are provided (see [`HeapKind`]):
-//!
-//! * [`HeapKind::Indexed4`] (the default) — the indexed 4-ary heap of
-//!   [`crate::heap`], one live entry per node, decrease-key instead of
-//!   duplicate pushes, no stale pops.
-//! * [`HeapKind::LazyBinary`] — the classic
-//!   `BinaryHeap<Reverse<(dist, node)>>` with lazy deletion, kept so the
-//!   two can be benchmarked against each other on real workloads
-//!   (`selection_benches`) and proptested for equivalence.
-//!
-//! Both order pending nodes by `(distance, node id)` and apply identical
-//! relaxations, so every observable output — settle order, distances,
-//! parent pointers, reconstructed paths — is **bit-identical** across
-//! backends. The default can therefore be switched by measurement alone.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The priority queue is the indexed 4-ary heap of [`crate::heap`]:
+//! one live entry per node, decrease-key instead of duplicate pushes,
+//! no stale pops. Pending nodes are ordered by `(distance, node id)`.
 
 use crate::graph::Graph;
 use crate::heap::IndexedMinHeap;
 use crate::ids::{EdgeId, NodeId};
-use crate::ordered::OrderedF64;
 use crate::path::Path;
 
 /// Which vertices a query must settle before it may stop.
@@ -50,61 +35,6 @@ pub struct ShortestPathResult {
     pub path: Path,
 }
 
-/// Priority-queue backend for [`Dijkstra`]. See the module docs; results
-/// are bit-identical either way, only the constant factors differ.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum HeapKind {
-    /// Indexed 4-ary heap with decrease-key (no stale entries). Default:
-    /// it won the `selection_benches` `dijkstra_heap` comparison.
-    #[default]
-    Indexed4,
-    /// Binary heap of `(dist, node)` tuples with lazy deletion — the
-    /// pre-PR-4 implementation, retained as the benchmark baseline.
-    LazyBinary,
-}
-
-/// The queue operations the main loop needs, so one generic loop serves
-/// both backends (monomorphized — no dispatch on the hot path).
-trait RelaxQueue {
-    fn reset(&mut self);
-    fn offer(&mut self, node: NodeId, dist: f64);
-    fn take_min(&mut self) -> Option<(NodeId, f64)>;
-}
-
-impl RelaxQueue for IndexedMinHeap {
-    #[inline]
-    fn reset(&mut self) {
-        self.clear();
-    }
-
-    #[inline]
-    fn offer(&mut self, node: NodeId, dist: f64) {
-        self.insert_or_decrease(node.0, dist);
-    }
-
-    #[inline]
-    fn take_min(&mut self) -> Option<(NodeId, f64)> {
-        self.pop().map(|(slot, key)| (NodeId(slot), key))
-    }
-}
-
-impl RelaxQueue for BinaryHeap<Reverse<(OrderedF64, NodeId)>> {
-    #[inline]
-    fn reset(&mut self) {
-        self.clear();
-    }
-
-    #[inline]
-    fn offer(&mut self, node: NodeId, dist: f64) {
-        self.push(Reverse((OrderedF64::new(dist), node)));
-    }
-
-    #[inline]
-    fn take_min(&mut self) -> Option<(NodeId, f64)> {
-        self.pop().map(|Reverse((d, v))| (v, d.get()))
-    }
-}
-
 const NO_PARENT: u32 = u32::MAX;
 
 /// Reusable Dijkstra workspace over graphs with at most the configured
@@ -120,21 +50,12 @@ pub struct Dijkstra {
     settled: Vec<u32>,
     target_stamp: Vec<u32>,
     epoch: u32,
-    kind: HeapKind,
-    indexed: IndexedMinHeap,
-    lazy: BinaryHeap<Reverse<(OrderedF64, NodeId)>>,
+    queue: IndexedMinHeap,
 }
 
 impl Dijkstra {
-    /// Create a workspace for graphs with `num_nodes` vertices, using
-    /// the default queue backend.
+    /// Create a workspace for graphs with `num_nodes` vertices.
     pub fn new(num_nodes: usize) -> Self {
-        Self::with_heap(num_nodes, HeapKind::default())
-    }
-
-    /// Create a workspace with an explicit queue backend (benchmarks and
-    /// equivalence tests; everything else should use [`Dijkstra::new`]).
-    pub fn with_heap(num_nodes: usize, kind: HeapKind) -> Self {
         Dijkstra {
             dist: vec![f64::INFINITY; num_nodes],
             parent_node: vec![NO_PARENT; num_nodes],
@@ -143,15 +64,8 @@ impl Dijkstra {
             settled: vec![0; num_nodes],
             target_stamp: vec![0; num_nodes],
             epoch: 0,
-            kind,
-            indexed: IndexedMinHeap::new(num_nodes),
-            lazy: BinaryHeap::new(),
+            queue: IndexedMinHeap::new(num_nodes),
         }
-    }
-
-    /// The queue backend this workspace runs on.
-    pub fn heap_kind(&self) -> HeapKind {
-        self.kind
     }
 
     fn begin_epoch(&mut self) {
@@ -181,40 +95,11 @@ impl Dijkstra {
     ) where
         F: Fn(EdgeId) -> bool,
     {
-        // Split the borrow: the queue is taken out of `self` for the
-        // duration of the loop so the generic body can borrow the scratch
-        // arrays mutably alongside it.
-        match self.kind {
-            HeapKind::Indexed4 => {
-                let mut queue = std::mem::replace(&mut self.indexed, IndexedMinHeap::new(0));
-                self.run_impl(graph, weights, src, targets, usable, &mut queue);
-                self.indexed = queue;
-            }
-            HeapKind::LazyBinary => {
-                let mut queue = std::mem::take(&mut self.lazy);
-                self.run_impl(graph, weights, src, targets, usable, &mut queue);
-                self.lazy = queue;
-            }
-        }
-    }
-
-    fn run_impl<F, Q>(
-        &mut self,
-        graph: &Graph,
-        weights: &[f64],
-        src: NodeId,
-        targets: Targets<'_>,
-        usable: F,
-        queue: &mut Q,
-    ) where
-        F: Fn(EdgeId) -> bool,
-        Q: RelaxQueue,
-    {
         debug_assert!(weights.len() >= graph.num_edges());
         debug_assert!(src.index() < graph.num_nodes());
         self.begin_epoch();
         let epoch = self.epoch;
-        queue.reset();
+        self.queue.clear();
 
         let mut remaining_targets = match targets {
             Targets::All => usize::MAX,
@@ -238,13 +123,12 @@ impl Dijkstra {
         self.parent_node[src.index()] = NO_PARENT;
         self.parent_edge[src.index()] = NO_PARENT;
         self.stamp[src.index()] = epoch;
-        queue.offer(src, 0.0);
+        self.queue.insert_or_decrease(src.0, 0.0);
 
-        while let Some((v, dv)) = queue.take_min() {
+        while let Some((slot, dv)) = self.queue.pop() {
+            let v = NodeId(slot);
             let vi = v.index();
-            if self.settled[vi] == epoch {
-                continue; // stale entry (lazy backend only)
-            }
+            debug_assert_ne!(self.settled[vi], epoch, "settled nodes are never re-queued");
             self.settled[vi] = epoch;
             debug_assert_eq!(dv, self.dist[vi]);
 
@@ -271,7 +155,7 @@ impl Dijkstra {
                     self.dist[ui] = cand;
                     self.parent_node[ui] = v.0;
                     self.parent_edge[ui] = adj.edge.0;
-                    queue.offer(adj.to, cand);
+                    self.queue.insert_or_decrease(adj.to.0, cand);
                 }
             }
         }
@@ -419,18 +303,16 @@ mod tests {
     fn workspace_reuse_across_queries() {
         let g = diamond();
         let w = vec![1.0, 10.0, 1.0, 0.5];
-        for kind in [HeapKind::Indexed4, HeapKind::LazyBinary] {
-            let mut d = Dijkstra::with_heap(g.num_nodes(), kind);
-            for _ in 0..100 {
-                let a = d
-                    .shortest_path(&g, &w, NodeId(0), NodeId(3), |_| true)
-                    .unwrap();
-                assert!((a.distance - 2.0).abs() < 1e-12);
-                let b = d
-                    .shortest_path(&g, &w, NodeId(1), NodeId(3), |_| true)
-                    .unwrap();
-                assert!((b.distance - 1.0).abs() < 1e-12);
-            }
+        let mut d = Dijkstra::new(g.num_nodes());
+        for _ in 0..100 {
+            let a = d
+                .shortest_path(&g, &w, NodeId(0), NodeId(3), |_| true)
+                .unwrap();
+            assert!((a.distance - 2.0).abs() < 1e-12);
+            let b = d
+                .shortest_path(&g, &w, NodeId(1), NodeId(3), |_| true)
+                .unwrap();
+            assert!((b.distance - 1.0).abs() < 1e-12);
         }
     }
 
@@ -486,34 +368,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.distance, 0.0);
         assert_eq!(r.path.len(), 2);
-    }
-
-    #[test]
-    fn heap_kinds_are_bit_identical() {
-        // Random-ish weighted graph: every distance, path, and settle
-        // verdict must match across backends, bit for bit.
-        let mut b = GraphBuilder::directed(12);
-        let mut w = Vec::new();
-        for i in 0..12u32 {
-            for j in 0..12u32 {
-                if i != j && (i * 7 + j * 3) % 4 != 0 {
-                    b.add_edge(NodeId(i), NodeId(j), 1.0);
-                    w.push(0.25 + (((i * 31 + j * 17) % 11) as f64) / 7.0);
-                }
-            }
-        }
-        let g = b.build();
-        let mut a = Dijkstra::with_heap(g.num_nodes(), HeapKind::Indexed4);
-        let mut l = Dijkstra::with_heap(g.num_nodes(), HeapKind::LazyBinary);
-        for src in 0..12u32 {
-            a.run(&g, &w, NodeId(src), Targets::All, |e| e.0 % 5 != 1);
-            l.run(&g, &w, NodeId(src), Targets::All, |e| e.0 % 5 != 1);
-            for v in 0..12u32 {
-                let (da, dl) = (a.distance(NodeId(v)), l.distance(NodeId(v)));
-                assert_eq!(da.map(f64::to_bits), dl.map(f64::to_bits));
-                assert_eq!(a.path_to(NodeId(v)), l.path_to(NodeId(v)));
-            }
-        }
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //! ~20% to pointer chasing). The 4-ary fan-out (children of `i` at
 //! `4i+1 ..= 4i+4`) halves the tree depth of a binary heap: more
 //! comparisons per level, fewer cache-missing levels. Measured on this
-//! workspace's Dijkstra (`selection_benches`, `dijkstra_heap/*`), this
-//! heap beats the lazy binary heap by 11–18% on full-tree queries and
-//! ties it on targeted early-exit queries — which is why it is
-//! [`crate::dijkstra::HeapKind`]'s default.
+//! workspace's Dijkstra, this heap beat a lazy-deletion binary heap by
+//! 11–18% on full-tree queries and tied it on targeted early-exit
+//! queries, which is why it is [`crate::dijkstra::Dijkstra`]'s queue.
 
 use crate::ordered::OrderedF64;
 

@@ -47,7 +47,7 @@ pub mod pathcache;
 pub mod residual;
 pub mod topology;
 
-pub use dijkstra::{Dijkstra, HeapKind, ShortestPathResult};
+pub use dijkstra::{Dijkstra, ShortestPathResult};
 pub use graph::{Edge, Graph, GraphBuilder, GraphKind};
 pub use heap::IndexedMinHeap;
 pub use ids::{EdgeId, NodeId};

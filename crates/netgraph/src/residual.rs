@@ -147,8 +147,8 @@ impl ResidualCaps {
     /// `floor`: an edge participates when it carries no committed
     /// traffic (up to [`LOAD_EPSILON`] of commit/release float residue)
     /// or its residual still clears the floor. Centralized here because
-    /// every consumer — the single engine, each shard's context, the
-    /// cross-shard reconciler — must apply the *identical* rule for the
+    /// every consumer — an epoch's frozen context and the sharded
+    /// cross-shard pass — must apply the *identical* rule for the
     /// sharded/single bit-identity contract to hold.
     pub fn usable_mask(&self, floor: f64) -> Vec<bool> {
         (0..self.caps.len())

@@ -37,6 +37,7 @@ proptest! {
     #[test]
     fn dijkstra_matches_bellman_ford((g, w) in arb_digraph()) {
         let mut dij = Dijkstra::new(g.num_nodes());
+        let mut buf = ufp_netgraph::path::Path::trivial(NodeId(0));
         for src in 0..g.num_nodes().min(4) {
             let src = NodeId(src as u32);
             let oracle = BellmanFord::run(&g, &w, src);
@@ -47,6 +48,10 @@ proptest! {
                         "distance mismatch at {v}: dijkstra {a} vs bellman {b}"),
                     (None, None) => {}
                     (a, b) => prop_assert!(false, "reachability mismatch at {v}: {a:?} vs {b:?}"),
+                }
+                // The reuse API writes the same bytes as the allocating one.
+                if dij.path_to_into(v, &mut buf) {
+                    prop_assert_eq!(Some(buf.clone()), dij.path_to(v));
                 }
             }
         }
@@ -136,44 +141,4 @@ fn builder_rejects_bad_graphs() {
         b.add_edge(NodeId(0), NodeId(1), -1.0);
     })
     .is_err());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// PR 4 contract: the indexed 4-ary decrease-key queue and the lazy
-    /// binary-heap queue are interchangeable — identical settle verdicts,
-    /// bit-identical distances, identical reconstructed paths — under
-    /// random graphs, weights, edge filters, and target modes. This is
-    /// what lets the default backend be chosen by benchmark alone.
-    #[test]
-    fn dijkstra_heap_backends_bit_identical((g, w) in arb_digraph()) {
-        use ufp_netgraph::dijkstra::HeapKind;
-        use ufp_netgraph::path::Path;
-        let mut idx = Dijkstra::with_heap(g.num_nodes(), HeapKind::Indexed4);
-        let mut lazy = Dijkstra::with_heap(g.num_nodes(), HeapKind::LazyBinary);
-        let mut buf = Path::trivial(NodeId(0));
-        for (qi, src) in (0..g.num_nodes().min(4)).enumerate() {
-            let src = NodeId(src as u32);
-            let filter = |e: ufp_netgraph::ids::EdgeId| (e.0 as usize + qi) % 5 != 1;
-            let targets = match qi {
-                0 => Targets::All,
-                1 => Targets::One(NodeId((g.num_nodes() as u32) - 1)),
-                _ => Targets::All,
-            };
-            idx.run(&g, &w, src, targets, filter);
-            lazy.run(&g, &w, src, targets, filter);
-            for v in g.node_ids() {
-                let (a, b) = (idx.distance(v), lazy.distance(v));
-                prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits),
-                    "distance diverged at {}", v);
-                let (pa, pb) = (idx.path_to(v), lazy.path_to(v));
-                prop_assert_eq!(&pa, &pb, "path diverged at {}", v);
-                // The reuse API writes the same bytes as the allocating one.
-                if idx.path_to_into(v, &mut buf) {
-                    prop_assert_eq!(Some(&buf), pa.as_ref());
-                }
-            }
-        }
-    }
 }

@@ -116,7 +116,6 @@ fn run_pair_and_assert_identical(
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(graph), cfg);
@@ -198,7 +197,6 @@ proptest! {
         let shard_config = ShardConfig {
             engine: cfg,
             lease_fraction: 0.5,
-            ..Default::default()
         };
         let plan = NodeBlocks.partition(&graph, shards);
         let mut unbroken =
@@ -229,7 +227,7 @@ proptest! {
         }
         let (au, ar) = (unbroken.admissions(), restored.admissions());
         prop_assert_eq!(au.len(), ar.len());
-        for (x, y) in au.iter().zip(&ar) {
+        for (x, y) in au.iter().zip(ar) {
             prop_assert_eq!(x.request, y.request);
             prop_assert_eq!(x.path.nodes(), y.path.nodes());
             prop_assert_eq!(x.payment.to_bits(), y.payment.to_bits());
@@ -258,7 +256,6 @@ proptest! {
             ShardConfig {
                 engine: cfg.clone(),
                 lease_fraction: 0.5,
-                ..Default::default()
             },
         );
         let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -345,7 +342,6 @@ proptest! {
             ShardConfig {
                 engine: cfg,
                 lease_fraction: 0.5,
-                ..Default::default()
             },
         );
         let split = (trace.len() / 2).max(1);
@@ -392,7 +388,6 @@ proptest! {
         let shard_config = ShardConfig {
             engine: cfg,
             lease_fraction: 0.5,
-            ..Default::default()
         };
         let plan = NodeBlocks.partition(&graph, shards);
         let mut unbroken =

@@ -15,7 +15,9 @@
 //! * general cross-shard traffic stays feasible, deterministic, and
 //!   respects the lease ledger;
 //! * snapshots restore and continue in lockstep, and refuse a changed
-//!   shard layout.
+//!   shard layout;
+//! * the recorder sees one deployment: engine and residual gauges equal
+//!   a single engine's bit for bit, with one epoch sample per epoch.
 
 use std::sync::Arc;
 
@@ -25,6 +27,7 @@ use rand::SeedableRng;
 use ufp_engine::{Arrival, Engine, EngineConfig, EngineEvent, EventLevel, PaymentPolicy};
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::Graph;
+use ufp_obs::{ObsSnapshot, Recorder};
 use ufp_shard::{NodeBlocks, Partitioner, ShardConfig, ShardedEngine};
 use ufp_workloads::arrivals::ArrivalProcess;
 use ufp_workloads::sharded::{block_shard_map, sharded_arrival_trace, ShardedTraceConfig};
@@ -121,7 +124,6 @@ fn zero_cross_traffic_matches_single_engine_with_payments_and_churn() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -152,6 +154,65 @@ fn zero_cross_traffic_matches_single_engine_with_payments_and_churn() {
 }
 
 #[test]
+fn recorder_gauges_match_single_engine() {
+    // A sharded deployment publishes its book's gauges: on a zero-cross
+    // stream they equal a single engine's bit for bit (utilization, live
+    // admissions, per-capacity-class pressure), and the epoch-wall
+    // histogram holds one sample per epoch, not one per shard.
+    let (graph, _, trace) = community_scenario(0, 0.0, 8, 11);
+    let run = |shards: Option<usize>| -> ObsSnapshot {
+        let obs = Recorder::enabled();
+        let cfg = engine_config(PaymentPolicy::critical_value()).with_obs(obs.clone());
+        match shards {
+            Some(k) => {
+                let mut sharded = ShardedEngine::new(
+                    Arc::clone(&graph),
+                    NodeBlocks.partition(&graph, k),
+                    ShardConfig {
+                        engine: cfg,
+                        lease_fraction: 0.5,
+                    },
+                );
+                for batch in &trace {
+                    sharded.submit_batch(batch);
+                }
+            }
+            None => {
+                let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
+                for batch in &trace {
+                    single.submit_batch(batch);
+                }
+            }
+        }
+        obs.snapshot().expect("enabled recorder snapshots")
+    };
+    let (sharded, single) = (run(Some(4)), run(None));
+    let book_gauges = |snap: &ObsSnapshot| -> Vec<(String, u64)> {
+        snap.gauges
+            .iter()
+            .filter(|(n, _)| n.starts_with("engine.") || n.starts_with("residual.util.c"))
+            .map(|(n, v)| (n.clone(), v.to_bits()))
+            .collect()
+    };
+    let expected = book_gauges(&single);
+    for name in ["engine.total_utilization", "engine.active_admissions"] {
+        assert!(
+            expected.iter().any(|(n, _)| n == name),
+            "missing gauge {name}"
+        );
+    }
+    assert_eq!(book_gauges(&sharded), expected);
+    for snap in [&sharded, &single] {
+        let wall = snap
+            .histograms
+            .iter()
+            .find(|h| h.0 == "engine.epoch_wall_us")
+            .expect("epoch wall histogram");
+        assert_eq!(wall.1, trace.len() as u64, "one sample per epoch");
+    }
+}
+
+#[test]
 fn single_shard_on_connected_graph_matches_single_engine() {
     // The degenerate partition: one shard owning everything, over a
     // connected G(n, m) network — exercises the merge/commit plumbing
@@ -179,7 +240,6 @@ fn single_shard_on_connected_graph_matches_single_engine() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -235,7 +295,6 @@ fn guard_pressure_truncates_exactly_like_a_single_engine() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -286,7 +345,6 @@ fn unroutable_cross_paid_traffic_matches_single_engine() {
         ShardConfig {
             engine: cfg.clone(),
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     let mut single = Engine::from_shared(Arc::clone(&graph), cfg);
@@ -321,7 +379,6 @@ fn cross_traffic_is_feasible_deterministic_and_leased() {
             ShardConfig {
                 engine: cfg.clone(),
                 lease_fraction: 0.6,
-                ..Default::default()
             },
         )
     };
@@ -376,7 +433,6 @@ fn zero_lease_fraction_starves_shards_of_boundary_edges() {
         ShardConfig {
             engine: cfg,
             lease_fraction: 0.0,
-            ..Default::default()
         },
     );
     for batch in &trace {
@@ -407,7 +463,6 @@ fn snapshot_restores_and_continues_in_lockstep() {
     let shard_config = ShardConfig {
         engine: cfg,
         lease_fraction: 0.5,
-        ..Default::default()
     };
     let plan = NodeBlocks.partition(&graph, 4);
     let mut unbroken = ShardedEngine::new(Arc::clone(&graph), plan.clone(), shard_config.clone());
@@ -435,7 +490,7 @@ fn snapshot_restores_and_continues_in_lockstep() {
     assert_eq!(unbroken.requests(), restored.requests());
     let (au, ar) = (unbroken.admissions(), restored.admissions());
     assert_eq!(au.len(), ar.len());
-    for (x, y) in au.iter().zip(&ar) {
+    for (x, y) in au.iter().zip(ar) {
         assert_eq!(x.request, y.request);
         assert_eq!(x.path.nodes(), y.path.nodes());
         assert_eq!(x.payment.to_bits(), y.payment.to_bits());
@@ -462,7 +517,6 @@ fn snapshot_refuses_changed_layout_or_lease() {
     let shard_config = ShardConfig {
         engine: cfg,
         lease_fraction: 0.5,
-        ..Default::default()
     };
     let plan = NodeBlocks.partition(&graph, 4);
     let mut engine = ShardedEngine::new(Arc::clone(&graph), plan.clone(), shard_config.clone());
@@ -522,7 +576,6 @@ fn event_log_shape_matches_engine_contract() {
         ShardConfig {
             engine: cfg,
             lease_fraction: 0.5,
-            ..Default::default()
         },
     );
     for batch in &trace {

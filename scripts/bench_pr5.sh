@@ -36,6 +36,11 @@
 # global merged-trace pass the default and prices its extra probe cost
 # separately in scripts/bench_pr8.sh. On these zero-cross, guard-free
 # traces both scopes are byte-identical to the single engine.
+#
+# History only: `--payment-scope` was removed with the per-shard
+# payment pass (the sharded engine now keeps one book and prices every
+# winner on the merged trace), so this script runs only on a revision
+# that still has the flag.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BIN=./target/release/engine_sim

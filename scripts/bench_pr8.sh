@@ -18,6 +18,11 @@
 #   * bulk: the BENCH_PR5-scale paid workload (1000 nodes, 5000 edges,
 #     4 communities, churned) — the headline cost ratio at scale.
 #
+# History only: the per-shard payment pass and `--payment-scope` were
+# removed when the sharded engine moved to one book with stateless
+# shard planners, so this script runs only on a revision that still
+# has them.
+#
 # In-script checks (all fatal), before any timing is trusted:
 #   * global scope at shards=4 is byte-identical to shards=1 on every
 #     deterministic field (payments INCLUDED — no zero-cross filter),

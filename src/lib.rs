@@ -50,7 +50,7 @@
 //! | [`ufp_mechanism`] | critical-value payments and truthfulness verification |
 //! | [`ufp_workloads`] | Figure 2/3/4 constructions, random workloads, arrival traces |
 //! | [`ufp_engine`] | streaming admission-control engine (epochs, residual capacities, payments, metrics) |
-//! | [`ufp_shard`] | sharded engine: partitioned parallel epochs, capacity leases, cross-shard reconciliation |
+//! | [`ufp_shard`] | sharded engine: one engine book, parallel shard planners, capacity leases, global-guard merge |
 
 pub use ufp_auction;
 pub use ufp_core;
