@@ -15,7 +15,7 @@
 //! critical value (one resumed pass per winner).
 //!
 //! Selection: `--selection incremental` (default) drives each epoch's
-//! argmin with the dirty-set path cache + lazy score heap;
+//! argmin with the route-class path cache + lazy score heap;
 //! `--selection fanout` re-queries every remaining request every
 //! iteration (the paper-literal loop). The two are bit-identical on
 //! every deterministic output — only the `"selection"` config field and

@@ -229,7 +229,8 @@ pub(crate) struct ResumeStep {
 /// Per-step checkpoint trace of an epoch run, produced by
 /// [`bounded_ufp_epoch_traced`]. From it, [`EpochResumeTrace::checkpoint`]
 /// reconstructs the run's exact state after any step prefix in
-/// `O(prefix · path length)` arithmetic — no shortest-path work — and
+/// `O(prefix · path length)` arithmetic on top of building the initial
+/// state (`O(requests + edges)`) — no shortest-path work — and
 /// [`bounded_ufp_epoch_resume`] continues the run from there.
 ///
 /// The point (Lemma 3.4's monotonicity made operational): when one
@@ -388,9 +389,17 @@ impl EpochResumeTrace {
         );
         validate_epoch_inputs(instance, config, ctx);
         let mut state = EpochRunState::init(instance, ctx);
-        for step in &self.steps[..steps] {
+        let prefix = &self.steps[..steps];
+        for step in prefix {
             state.replay(instance, step);
         }
+        // The prefix's selections leave the remaining set in one
+        // order-preserving pass, not one `retain` per step.
+        let mut selected = vec![false; instance.num_requests()];
+        for step in prefix {
+            selected[step.record.selected.index()] = true;
+        }
+        state.remaining.retain(|r| !selected[r.index()]);
         EpochCheckpoint { state }
     }
 }
@@ -451,9 +460,10 @@ impl EpochRunState {
     }
 
     /// Re-apply one recorded step: identical mutation order (record,
-    /// bumps, carry, residual, value, solution, remaining) and identical
-    /// arithmetic to the live loop, so the resulting state is
-    /// bit-identical to having executed the step.
+    /// bumps, carry, residual, value, solution) and identical arithmetic
+    /// to the live loop. The remaining set is left to the caller, which
+    /// removes a whole prefix's selections at once; with that done, the
+    /// state is bit-identical to having executed the steps.
     fn replay(&mut self, instance: &UfpInstance, step: &ResumeStep) {
         let req = *instance.request(step.record.selected);
         debug_assert_eq!(
@@ -472,8 +482,6 @@ impl EpochRunState {
         self.solution
             .routed
             .push((step.record.selected, step.path.clone()));
-        let selected = step.record.selected;
-        self.remaining.retain(|r| *r != selected);
         self.steps_done += 1;
     }
 }
@@ -573,9 +581,9 @@ pub(crate) fn run_epoch_loop(
     }
 }
 
-/// The shadow observer's view of the loop state at the top of an
-/// iteration (the same inputs the selector reads).
-pub(crate) fn shadow_inputs<'a>(
+/// The loop state as the incremental selector and the shadow observer
+/// read it at the top of an iteration.
+pub(crate) fn loop_inputs<'a>(
     instance: &'a UfpInstance,
     config: &'a BoundedUfpConfig,
     usable: Option<&'a [bool]>,
@@ -735,7 +743,7 @@ fn run_epoch_loop_fanout(
         let selected = findings[idx].request;
         if let Some(s) = shadow.as_deref_mut() {
             s.observe(
-                &shadow_inputs(instance, config, usable, state),
+                &loop_inputs(instance, config, usable, state),
                 selected,
                 score,
             );
@@ -786,7 +794,7 @@ fn last_routed(state: &EpochRunState) -> &Path {
         .1
 }
 
-/// The incremental loop: dirty-set path cache + lazy score heap (see
+/// The incremental loop: route-class path cache + lazy score heap (see
 /// [`crate::selection`]). Selector state is *derived* — rebuildable from
 /// the loop state at any point — so checkpoints, resume traces, exact
 /// pricing passes, and snapshots need no knowledge of it.
@@ -801,7 +809,10 @@ fn run_epoch_loop_incremental(
     mut record_steps: Option<&mut Vec<ResumeStep>>,
     mut shadow: Option<&mut Shadow>,
 ) -> StopReason {
-    let mut selector = IncrementalSelector::new(instance);
+    let mut selector = IncrementalSelector::new(
+        &state.remaining,
+        &loop_inputs(instance, config, usable, state),
+    );
     loop {
         if state.remaining.is_empty() {
             return StopReason::Exhausted;
@@ -811,24 +822,13 @@ fn run_epoch_loop_incremental(
             return StopReason::Guard;
         }
 
-        let selection = {
-            let inputs = SelectInputs {
-                instance,
-                weights: &state.weights,
-                residual: &state.residual,
-                usable,
-                respect_residual: config.respect_residual,
-                pool: &config.pool,
-                obs: &config.obs,
-            };
-            selector.select(&state.remaining, &inputs)
-        };
+        let selection = selector.select(&loop_inputs(instance, config, usable, state));
         let Some((selected, score)) = selection else {
             return StopReason::NoPath;
         };
         if let Some(s) = shadow.as_deref_mut() {
             s.observe(
-                &shadow_inputs(instance, config, usable, state),
+                &loop_inputs(instance, config, usable, state),
                 selected,
                 score,
             );

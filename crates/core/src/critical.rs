@@ -44,7 +44,7 @@ use ufp_netgraph::path::Path;
 use ufp_obs::Phase;
 
 use crate::bounded_ufp::{
-    epoch_bound_b, path_mask, run_epoch_loop, shadow_inputs, BoundedUfpConfig, EpochContext,
+    epoch_bound_b, loop_inputs, path_mask, run_epoch_loop, BoundedUfpConfig, EpochContext,
     EpochResumeTrace,
 };
 use crate::instance::UfpInstance;
@@ -89,7 +89,7 @@ pub fn critical_value_exact(
     // Where the `r`-absent run ends, `r` (still unselected) would face
     // the same checks the loop just made: exhaustion hands it the next
     // guard check, a path-less field hands it the argmin outright.
-    let inputs = shadow_inputs(instance, config, usable, &state);
+    let inputs = loop_inputs(instance, config, usable, &state);
     let free = match stop {
         // The epoch loop has no iteration cap; only the guard ends it
         // with the winner still priced by the steps it saw.

@@ -8,14 +8,14 @@
 //! `usable` mask never changes. Two consequences carry the whole module:
 //!
 //! 1. **Cached answers stay exact until touched.** If none of the edges
-//!    on request `r`'s cached shortest path changed, a fresh Dijkstra
-//!    would return the *bit-identical* distance and path: the cached
-//!    path's edge weights are unchanged, every alternative path only got
-//!    heavier (or vanished), and Dijkstra's `(distance, node-id)` pop
-//!    order together with its first-strict-improvement parent rule means
-//!    the set of nodes settling before any cached-path node can only
-//!    shrink — so the same parents are assigned by the same float
-//!    arithmetic. (See `crates/core/README.md` for the full argument.)
+//!    on a cached shortest path changed, a fresh Dijkstra would return
+//!    the *bit-identical* distance and path: the cached path's edge
+//!    weights are unchanged, every alternative path only got heavier (or
+//!    vanished), and Dijkstra's `(distance, node-id)` pop order together
+//!    with its first-strict-improvement parent rule means the set of
+//!    nodes settling before any cached-path node can only shrink — so
+//!    the same parents are assigned by the same float arithmetic. (See
+//!    `crates/core/README.md` for the full argument.)
 //! 2. **Stale scores are lower bounds.** A request's score
 //!    `density(r) · dist(r)` can only grow over time, so a score
 //!    computed at an earlier iteration under-estimates the current one.
@@ -25,18 +25,44 @@
 //!    the true argmin, with the heap's `(score, request-id)` order
 //!    reproducing the deterministic tie-break of the full fan-out.
 //!
-//! [`IncrementalSelector`] combines a [`PathCache`] (cached paths +
-//! edge→request interest index, so a winner's weight bumps dirty exactly
-//! the requests whose cached paths cross the bumped edges), an
-//! [`IndexedMinHeap`] over scores, and two refresh paths: lazy
-//! single-request re-queries for small dirty sets, and the `ufp_par`
-//! grouped fan-out for large ones (hotspot edges can dirty hundreds of
-//! same-source requests at once, which one shared Dijkstra answers).
-//! The one event that invalidates everything is a [`DualWeights`]
-//! re-centering: it rescales every materialized weight, so cached
-//! distances change *scale* and stale keys stop being lower bounds —
-//! the selector detects the shift change and refreshes every live
-//! request before the next selection.
+//! **Route classes.** A request's shortest-path query depends on the
+//! request only through its endpoints — and its demand when residual
+//! gating is on, since that is the one case where the edge filter reads
+//! the request. Requests sharing `(src, dst)` (plus the demand's bits
+//! under gating) form a *route class*: one query, one cached path and
+//! one distance `D` serve every member, and the member scores are
+//! `density · D`. The selector therefore caches, dirties, re-queries and
+//! heap-orders **classes**, not requests. Within a class, members are
+//! kept in `(density, id)` order; because `x ↦ x·D` is monotone under
+//! rounding, the members scoring the class minimum form a contiguous run
+//! at the front, and the class's *representative* is the lowest id in
+//! that run. The class's heap entry is `(score, representative)`, so the
+//! heap's `(key, slot)` order is exactly the fan-out's `(score, id)`
+//! argmin over all requests. With all-distinct pairs, classes are just
+//! requests.
+//!
+//! A *dirty* class's entry need not be exact, only a lexicographic lower
+//! bound on its true `(score, representative)` — then the lazy pop
+//! still reaches it before any entry it would lose to. The stale entry
+//! `(s, r)` stays such a bound with no heap work at all, the winner's
+//! own class included: the class's members only leave and its distance
+//! only grows, so its true minimum is at least `s`; and any member that
+//! scores exactly `s` now scored at most `s` before (the score is
+//! monotone in the distance), hence exactly `s`, so it sat in the tied
+//! run `r` was the lowest id of — its id is above `r`'s (strictly, if
+//! `r` was the winner and left).
+//!
+//! [`IncrementalSelector`] combines a [`PathCache`] over classes (cached
+//! paths + edge→class interest index, so a winner's weight bumps dirty
+//! exactly the classes whose cached paths cross the bumped edges), an
+//! [`IndexedMinHeap`] over request slots holding one entry per live
+//! class, and two refresh paths: lazy single-class re-queries for small
+//! dirty sets, and the `ufp_par` grouped fan-out for large ones (classes
+//! sharing a source share one Dijkstra). The one event that invalidates
+//! everything is a [`DualWeights`] re-centering: it rescales every
+//! materialized weight, so cached distances change *scale* and stale
+//! keys stop being lower bounds — the selector detects the shift change
+//! and refreshes every live class before the next selection.
 //!
 //! The output contract is strict: selections, scores, paths, iteration
 //! records, resume traces, and stop reasons are **bit-identical** to the
@@ -64,10 +90,13 @@ use crate::weights::DualWeights;
 /// keeps them in one config-fingerprint class).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
-    /// Dirty-set shortest-path cache + lazy score heap: per iteration,
-    /// only requests whose cached paths cross the previous winner's
-    /// edges are re-queried. The default — `O(iters · dirtied)` queries
-    /// instead of `O(iters · remaining)`.
+    /// Route-class path cache + lazy score heap: requests sharing a
+    /// shortest-path query (same endpoints, and same demand under
+    /// residual gating) share one cached path and one heap entry, and
+    /// per iteration only the classes whose cached paths cross the
+    /// previous winner's edges are re-queried. The default —
+    /// `O(iters · dirtied classes)` queries instead of
+    /// `O(iters · remaining)`.
     #[default]
     Incremental,
     /// The paper-literal full fan-out: every remaining request re-queried
@@ -76,12 +105,12 @@ pub enum SelectionStrategy {
     FanOut,
 }
 
-/// Dirty sets at or above this size are refreshed eagerly through the
-/// grouped `ufp_par` fan-out instead of lazily one-at-a-time at the heap
-/// top. Pure cost model: grouped refresh shares one Dijkstra among
-/// same-source requests and can use the worker pool; lazy refresh skips
-/// requests that never become competitive. Results are identical either
-/// way.
+/// Dirty sets of at least this many *classes* are refreshed eagerly
+/// through the grouped `ufp_par` fan-out instead of lazily one-at-a-time
+/// at the heap top. Pure cost model: grouped refresh shares one Dijkstra
+/// among same-source classes and can use the worker pool; lazy refresh
+/// skips classes that never become competitive. Results are identical
+/// either way.
 const EAGER_REFRESH_MIN: usize = 64;
 
 /// Below this many source groups, the grouped refresh stays on the
@@ -89,27 +118,64 @@ const EAGER_REFRESH_MIN: usize = 64;
 /// exceed the Dijkstra work.
 const PARALLEL_GROUP_FLOOR: usize = 4;
 
+/// "No heap entry".
+const NONE: u32 = u32::MAX;
+
+/// One route class: the live requests sharing one shortest-path query.
+struct RouteClass {
+    /// A member whose request poses the class's query (endpoints, and
+    /// demand under residual gating); it stays valid after it leaves.
+    query: RequestId,
+    /// First non-empty density group; `groups_end` once every member
+    /// left.
+    head: u32,
+    /// One past the class's last density group (a class's groups are
+    /// contiguous in density order).
+    groups_end: u32,
+    /// The group holding the representative (valid while clean).
+    rep_group: u32,
+    /// Heap slot of the class's entry, [`NONE`] while it has none.
+    entry: u32,
+    /// Has members and, as of its last query, a path.
+    alive: bool,
+    dirty: bool,
+}
+
+/// The members of one class sharing one density, ids ascending. A group
+/// is consumed from its front: a selected representative is always its
+/// group's lowest alive id, because every member of the group ties with
+/// it. A group past the head empties only when its members win on a
+/// tie with the head's score.
+struct DensityGroup {
+    density: f64,
+    /// Position in `members` of the group's first alive member.
+    cursor: u32,
+    end: u32,
+}
+
 /// The per-epoch incremental selection state. One instance lives for one
 /// `run_epoch_loop` call; it is derived state (rebuildable from the loop
 /// state at any point), which is what keeps checkpoints, resume traces,
 /// and snapshots entirely unaware of it.
 pub(crate) struct IncrementalSelector {
+    /// Cached `(distance, path)` per class.
     cache: PathCache,
-    /// Lazy min-heap over `(score, request-id)`.
+    /// Lazy min-heap over `(score, request-id)`: one entry per live class.
     heap: IndexedMinHeap,
-    /// Still in play: not selected, not proven unreachable.
-    alive: Vec<bool>,
-    dirty: Vec<bool>,
-    /// Slots flagged dirty since the last eager refresh (entries whose
+    classes: Vec<RouteClass>,
+    groups: Vec<DensityGroup>,
+    /// Every seeded request, class by class, each class in
+    /// `(density, id)` order.
+    members: Vec<RequestId>,
+    /// Class index per request id (for seeded requests).
+    class_of: Vec<u32>,
+    /// Classes flagged dirty since the last eager refresh (entries whose
     /// flag was cleared by a lazy refresh are skipped when drained).
     dirty_list: Vec<u32>,
     dirty_count: usize,
     /// Weight scale the cached distances were computed under; a shift
     /// change (re-centering) forces a full refresh.
     shift_seen: f64,
-    /// `true` until the first [`IncrementalSelector::select`] builds the
-    /// cache from the loop's current remaining set.
-    unseeded: bool,
     /// Forces the next refresh to be eager and complete (set by scale
     /// flushes, where stale keys are not lower bounds).
     must_refresh_all: bool,
@@ -117,8 +183,8 @@ pub(crate) struct IncrementalSelector {
     drain_buf: Vec<u32>,
 }
 
-/// One refreshed cache answer: the request's slot and, when it still
-/// has a path, the new `(distance, path)` pair.
+/// One refreshed cache answer: the class and, when it still has a path,
+/// the new `(distance, path)` pair.
 type Refreshed = (u32, Option<(f64, Path)>);
 
 /// Everything `select` needs from the surrounding loop, bundled so the
@@ -150,65 +216,158 @@ impl SelectInputs<'_> {
 }
 
 impl IncrementalSelector {
-    pub(crate) fn new(instance: &UfpInstance) -> Self {
+    /// A selector over the loop's current `remaining` set: partitions it
+    /// into route classes (numbered in `(src, dst, gate)` order, so
+    /// same-source classes are adjacent) and density groups, and flags
+    /// every class for the first selection's full refresh.
+    pub(crate) fn new(remaining: &[RequestId], inputs: &SelectInputs<'_>) -> Self {
+        let instance = inputs.instance;
+        let mut keyed: Vec<(NodeId, NodeId, u64, u64, RequestId)> = remaining
+            .iter()
+            .map(|&r| {
+                let q = instance.request(r);
+                let gate = if inputs.respect_residual {
+                    q.demand.to_bits()
+                } else {
+                    0
+                };
+                // Positive floats order like their bit patterns.
+                (q.src, q.dst, gate, q.density().to_bits(), r)
+            })
+            .collect();
+        keyed.sort_unstable();
+
         let n = instance.num_requests();
         let graph = instance.graph();
-        IncrementalSelector {
-            cache: PathCache::new(n, graph.num_edges()),
+        let mut selector = IncrementalSelector {
+            cache: PathCache::new(0, 0),
             heap: IndexedMinHeap::new(n),
-            alive: vec![false; n],
-            dirty: vec![false; n],
+            classes: Vec::new(),
+            groups: Vec::new(),
+            members: Vec::with_capacity(keyed.len()),
+            class_of: vec![NONE; n],
             dirty_list: Vec::new(),
             dirty_count: 0,
-            shift_seen: 0.0,
-            unseeded: true,
-            must_refresh_all: false,
+            shift_seen: inputs.weights.shift(),
+            must_refresh_all: true,
             scratch: Dijkstra::new(graph.num_nodes()),
             drain_buf: Vec::new(),
+        };
+        for (i, &(src, dst, gate, density, r)) in keyed.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|p| keyed[p]);
+            let same_class = prev.is_some_and(|p| (p.0, p.1, p.2) == (src, dst, gate));
+            if !same_class {
+                selector.classes.push(RouteClass {
+                    query: r,
+                    head: selector.groups.len() as u32,
+                    groups_end: selector.groups.len() as u32,
+                    rep_group: NONE,
+                    entry: NONE,
+                    alive: true,
+                    dirty: false,
+                });
+            }
+            if !same_class || prev.is_some_and(|p| p.3 != density) {
+                let at = selector.members.len() as u32;
+                selector.groups.push(DensityGroup {
+                    density: f64::from_bits(density),
+                    cursor: at,
+                    end: at,
+                });
+                selector.classes.last_mut().expect("open class").groups_end += 1;
+            }
+            selector.members.push(r);
+            selector.groups.last_mut().expect("open group").end += 1;
+            selector.class_of[r.index()] = selector.classes.len() as u32 - 1;
         }
+        selector.cache = PathCache::new(selector.classes.len(), graph.num_edges());
+        for c in 0..selector.classes.len() as u32 {
+            selector.mark_dirty(c);
+        }
+        selector
     }
 
     #[inline]
-    fn mark_dirty(&mut self, slot: u32) {
-        let s = slot as usize;
-        if self.alive[s] && !self.dirty[s] {
-            self.dirty[s] = true;
-            self.dirty_list.push(slot);
+    fn mark_dirty(&mut self, c: u32) {
+        let class = &mut self.classes[c as usize];
+        if class.alive && !class.dirty {
+            class.dirty = true;
+            self.dirty_list.push(c);
             self.dirty_count += 1;
         }
+    }
+
+    /// Point class `c`'s heap entry at `(key, slot)`, moving it if it
+    /// sat under another slot.
+    fn set_entry(&mut self, c: u32, slot: u32, key: f64) {
+        let class = &mut self.classes[c as usize];
+        if class.entry != slot && class.entry != NONE {
+            self.heap.remove(class.entry);
+        }
+        class.entry = slot;
+        self.heap.update(slot, key);
+    }
+
+    /// Take class `c` out of play: no members left, or no path.
+    fn retire(&mut self, c: u32) {
+        let class = &mut self.classes[c as usize];
+        debug_assert!(!class.dirty, "retired classes are clean");
+        class.alive = false;
+        if class.entry != NONE {
+            self.heap.remove(class.entry);
+            class.entry = NONE;
+        }
+        self.cache.evict(c);
+    }
+
+    /// Re-key a freshly queried class: find its representative under
+    /// distance `dist` and install the exact `(score, representative)`
+    /// entry.
+    fn rekey(&mut self, c: u32, dist: f64) {
+        let class = &mut self.classes[c as usize];
+        let head = &self.groups[class.head as usize];
+        let score = head.density * dist;
+        let mut rep = self.members[head.cursor as usize];
+        let mut rep_group = class.head;
+        // Later groups are denser, so they score at least `score`; the
+        // ones scoring exactly `score` follow the head contiguously.
+        for g in class.head + 1..class.groups_end {
+            let group = &self.groups[g as usize];
+            if group.cursor == group.end {
+                continue;
+            }
+            if group.density * dist != score {
+                break;
+            }
+            let m = self.members[group.cursor as usize];
+            if m < rep {
+                rep = m;
+                rep_group = g;
+            }
+        }
+        class.rep_group = rep_group;
+        self.set_entry(c, rep.0, score);
     }
 
     /// The argmin `(request, score)` under the current weights —
     /// bit-identical (selection, score, tie-break) to scanning a full
     /// fan-out's findings. `None` when no live request has a path
     /// (the fan-out's `NoPath` condition).
-    pub(crate) fn select(
-        &mut self,
-        remaining: &[RequestId],
-        inputs: &SelectInputs<'_>,
-    ) -> Option<(RequestId, f64)> {
-        if self.unseeded {
-            self.unseeded = false;
-            self.shift_seen = inputs.weights.shift();
-            for &r in remaining {
-                self.alive[r.index()] = true;
-                self.mark_dirty(r.0);
-            }
-            self.must_refresh_all = true;
-        }
+    pub(crate) fn select(&mut self, inputs: &SelectInputs<'_>) -> Option<(RequestId, f64)> {
         if self.dirty_count > 0 && (self.must_refresh_all || self.dirty_count >= EAGER_REFRESH_MIN)
         {
             self.refresh_eager(inputs);
             self.must_refresh_all = false;
         }
         // `selection.heap` covers the lazy pop loop (peeks, staleness
-        // checks, re-inserts); the per-request re-queries it triggers
+        // checks, re-inserts); the per-class re-queries it triggers
         // nest inside it as `selection.dijkstra` spans.
         let _heap = inputs.obs.span(Phase::SelectionHeap);
         loop {
             let (slot, key) = self.heap.peek()?;
-            if self.dirty[slot as usize] {
-                self.refresh_one(slot, inputs);
+            let c = self.class_of[slot as usize];
+            if self.classes[c as usize].dirty {
+                self.refresh_one(c, inputs);
                 continue;
             }
             return Some((RequestId(slot), key));
@@ -219,24 +378,36 @@ impl IncrementalSelector {
     /// after [`IncrementalSelector::select`] returned that request.
     pub(crate) fn winner_path(&self, r: RequestId) -> &Path {
         self.cache
-            .get(r.0)
+            .get(self.class_of[r.index()])
             .expect("winner must have a cached path")
             .1
     }
 
-    /// Account for an applied step: retire the winner, dirty the
-    /// requests whose cached paths cross its path's edges (their weights
+    /// Account for an applied step: retire the winner from its class
+    /// (dirtying the class, whose representative just left), dirty the
+    /// classes whose cached paths cross its path's edges (their weights
     /// were bumped and their residuals decremented), and detect weight
     /// re-centering (which invalidates every cached distance's scale).
     pub(crate) fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights) {
-        let s = selected.index();
-        self.alive[s] = false;
-        if self.dirty[s] {
-            self.dirty[s] = false;
-            self.dirty_count -= 1;
+        let c = self.class_of[selected.index()];
+        let class = &mut self.classes[c as usize];
+        let group = &mut self.groups[class.rep_group as usize];
+        debug_assert_eq!(self.members[group.cursor as usize], selected);
+        group.cursor += 1;
+        while class.head < class.groups_end {
+            let head = &self.groups[class.head as usize];
+            if head.cursor < head.end {
+                break;
+            }
+            class.head += 1;
         }
-        self.heap.remove(selected.0);
-        self.cache.evict(selected.0);
+        if class.head == class.groups_end {
+            self.retire(c);
+        } else {
+            // The winner's entry stays as the class's lower bound (see
+            // the module docs) until the refresh re-keys it.
+            self.mark_dirty(c);
+        }
 
         if weights.shift() != self.shift_seen {
             // Re-centering rescaled every materialized weight: cached
@@ -245,8 +416,8 @@ impl IncrementalSelector {
             // selection.
             self.shift_seen = weights.shift();
             self.must_refresh_all = true;
-            for slot in 0..self.alive.len() as u32 {
-                self.mark_dirty(slot);
+            for c in 0..self.classes.len() as u32 {
+                self.mark_dirty(c);
             }
             return;
         }
@@ -254,79 +425,78 @@ impl IncrementalSelector {
         for &e in path.edges() {
             buf.clear();
             self.cache.drain_interested(e, &mut buf);
-            for &slot in &buf {
-                self.mark_dirty(slot);
+            for &c in &buf {
+                self.mark_dirty(c);
             }
         }
         self.drain_buf = buf;
     }
 
-    /// Re-query one request at the heap top (the lazy path). Clears its
-    /// dirty flag; evicts it permanently if it no longer has a path
-    /// (monotonicity: paths never come back within an epoch).
-    fn refresh_one(&mut self, slot: u32, inputs: &SelectInputs<'_>) {
+    /// Re-query one class at the heap top (the lazy path). Clears its
+    /// dirty flag; retires it permanently — every member at once, since
+    /// they share the query — if it no longer has a path (monotonicity:
+    /// paths never come back within an epoch).
+    fn refresh_one(&mut self, c: u32, inputs: &SelectInputs<'_>) {
         let _span = inputs.obs.span(Phase::SelectionDijkstra);
-        let s = slot as usize;
-        debug_assert!(self.alive[s] && self.dirty[s]);
-        self.dirty[s] = false;
+        let class = &mut self.classes[c as usize];
+        debug_assert!(class.alive && class.dirty);
+        class.dirty = false;
         self.dirty_count -= 1;
-        let req = inputs.instance.request(RequestId(slot));
-        let graph = inputs.instance.graph();
+        let req = inputs.instance.request(class.query);
         self.scratch.run(
-            graph,
+            inputs.instance.graph(),
             inputs.weights.weights(),
             req.src,
             Targets::One(req.dst),
             |e| inputs.passable_for(e, req.demand),
         );
         match self.scratch.distance(req.dst) {
-            None => {
-                self.alive[s] = false;
-                self.heap.remove(slot);
-                self.cache.evict(slot);
-            }
+            None => self.retire(c),
             Some(dist) => {
                 let filled = self
                     .scratch
-                    .path_to_into(req.dst, self.cache.refresh_buffer(slot));
+                    .path_to_into(req.dst, self.cache.refresh_buffer(c));
                 debug_assert!(filled, "settled target must reconstruct");
-                self.cache.commit(slot, dist);
-                self.heap.update(slot, req.density() * dist);
+                self.cache.commit(c, dist);
+                self.rekey(c, dist);
             }
         }
     }
 
-    /// Refresh every dirty request through the grouped fan-out (the
+    /// Refresh every dirty class through the grouped fan-out (the
     /// large-dirty-set / post-flush path). Same queries as
-    /// [`IncrementalSelector::refresh_one`], batched: same-source
-    /// requests share one Dijkstra (unless residual-gated, where the
-    /// filter is per-request) and groups fan out over the worker pool.
+    /// [`IncrementalSelector::refresh_one`], batched: same-source classes
+    /// share one Dijkstra (unless residual-gated, where the filter
+    /// depends on the class's demand) and groups fan out over the worker
+    /// pool.
     fn refresh_eager(&mut self, inputs: &SelectInputs<'_>) {
         let _span = inputs.obs.span(Phase::SelectionDirtyRefresh);
-        let mut rids: Vec<RequestId> = Vec::with_capacity(self.dirty_count);
-        for slot in self.dirty_list.drain(..) {
-            if self.dirty[slot as usize] {
-                self.dirty[slot as usize] = false;
-                rids.push(RequestId(slot));
+        let mut dirty: Vec<u32> = Vec::with_capacity(self.dirty_count);
+        for c in self.dirty_list.drain(..) {
+            let class = &mut self.classes[c as usize];
+            if class.dirty {
+                class.dirty = false;
+                dirty.push(c);
             }
         }
         self.dirty_count = 0;
-        if rids.is_empty() {
+        if dirty.is_empty() {
             return;
         }
+        // Class numbers ascend with the source, so sorting groups them.
+        dirty.sort_unstable();
         let instance = inputs.instance;
         let graph = instance.graph();
         let w = inputs.weights.weights();
+        let query = |c: u32| instance.request(self.classes[c as usize].query);
 
         let refreshed: Vec<Refreshed> = if inputs.respect_residual {
-            // Per-request edge filter: no Dijkstra sharing possible.
-            rids.sort_unstable();
             inputs.pool.map_with_floor(
-                &rids,
+                &dirty,
                 EAGER_REFRESH_MIN,
                 || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
-                |(dij, pbuf), _, &r| {
-                    let req = instance.request(r);
+                |(dij, pbuf), _, &c| {
+                    let req = query(c);
                     dij.run(graph, w, req.src, Targets::One(req.dst), |e| {
                         inputs.passable_for(e, req.demand)
                     });
@@ -334,30 +504,36 @@ impl IncrementalSelector {
                         dij.path_to_into(req.dst, pbuf);
                         (dist, pbuf.clone())
                     });
-                    (r.0, found)
+                    (c, found)
                 },
             )
         } else {
-            let groups = crate::bounded_ufp::group_by_source(instance, &rids);
+            let mut groups: Vec<(NodeId, Vec<u32>)> = Vec::new();
+            for &c in &dirty {
+                let src = query(c).src;
+                match groups.last_mut() {
+                    Some((s, members)) if *s == src => members.push(c),
+                    _ => groups.push((src, vec![c])),
+                }
+            }
             let per_group: Vec<Vec<Refreshed>> = inputs.pool.map_with_floor(
                 &groups,
                 PARALLEL_GROUP_FLOOR,
                 || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
                 |(dij, pbuf), _, (src, members)| {
-                    let targets: Vec<_> =
-                        members.iter().map(|r| instance.request(*r).dst).collect();
+                    let targets: Vec<_> = members.iter().map(|&c| query(c).dst).collect();
                     dij.run(graph, w, *src, Targets::Set(&targets), |e| {
                         inputs.passable(e)
                     });
                     members
                         .iter()
-                        .map(|&r| {
-                            let dst = instance.request(r).dst;
+                        .zip(&targets)
+                        .map(|(&c, &dst)| {
                             let found = dij.distance(dst).map(|dist| {
                                 dij.path_to_into(dst, pbuf);
                                 (dist, pbuf.clone())
                             });
-                            (r.0, found)
+                            (c, found)
                         })
                         .collect()
                 },
@@ -365,19 +541,148 @@ impl IncrementalSelector {
             per_group.into_iter().flatten().collect()
         };
 
-        for (slot, found) in refreshed {
+        for (c, found) in refreshed {
             match found {
-                None => {
-                    self.alive[slot as usize] = false;
-                    self.heap.remove(slot);
-                    self.cache.evict(slot);
-                }
+                None => self.retire(c),
                 Some((dist, path)) => {
-                    self.cache.install(slot, dist, path);
-                    let score = instance.request(RequestId(slot)).density() * dist;
-                    self.heap.update(slot, score);
+                    self.cache.install(c, dist, path);
+                    self.rekey(c, dist);
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bounded_ufp::{bounded_ufp_epoch, BoundedUfpConfig};
+    use crate::request::Request;
+    use ufp_netgraph::graph::{Graph, GraphBuilder};
+
+    /// The selector's first pick on `inst` at its initial weights, with
+    /// the winner's path edges.
+    fn first_pick(inst: &UfpInstance, residual: Option<&[f64]>) -> (RequestId, f64, Vec<EdgeId>) {
+        let weights = DualWeights::new(inst.graph());
+        let caps: Vec<f64> = inst.graph().edges().iter().map(|e| e.capacity).collect();
+        let pool = Pool::sequential();
+        let obs = Recorder::off();
+        let inputs = SelectInputs {
+            instance: inst,
+            weights: &weights,
+            residual: residual.unwrap_or(&caps),
+            usable: None,
+            respect_residual: residual.is_some(),
+            pool: &pool,
+            obs: &obs,
+        };
+        let remaining: Vec<RequestId> = inst.request_ids().collect();
+        let mut selector = IncrementalSelector::new(&remaining, &inputs);
+        let (r, score) = selector.select(&inputs).expect("some request has a path");
+        (r, score, selector.winner_path(r).edges().to_vec())
+    }
+
+    /// Whole-run agreement with the fan-out reference.
+    fn assert_matches_fanout(inst: &UfpInstance) {
+        let run = |s| {
+            let cfg = BoundedUfpConfig::with_epsilon(0.9).with_selection(s);
+            bounded_ufp_epoch(inst, &cfg, None).run.solution.routed
+        };
+        let (inc, fan) = (
+            run(SelectionStrategy::Incremental),
+            run(SelectionStrategy::FanOut),
+        );
+        assert_eq!(inc.len(), fan.len());
+        for (x, y) in inc.iter().zip(&fan) {
+            assert_eq!(x.0, y.0);
+            assert_eq!(x.1.edges(), y.1.edges());
+        }
+    }
+
+    fn graph(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
+        let mut gb = GraphBuilder::directed(n);
+        for &(u, v, c) in edges {
+            gb.add_edge(NodeId(u), NodeId(v), c);
+        }
+        gb.build()
+    }
+
+    #[test]
+    fn cross_class_tie_goes_to_the_lower_id_in_either_class() {
+        // Two disjoint one-edge routes of equal weight, `0 → 1` and
+        // `2 → 3`; every request has density 1/4, so both classes share
+        // one score. The lowest id wins wherever it sits — first in the
+        // `2 → 3` class, then in the `0 → 1` class, each time ahead of
+        // a class whose members carry higher ids.
+        let routes = graph(4, &[(0, 1, 4.0), (2, 3, 4.0)]);
+        let a = |v| Request::new(NodeId(0), NodeId(1), 0.5, v);
+        let b = |v| Request::new(NodeId(2), NodeId(3), 0.5, v);
+        for (requests, expect) in [
+            (vec![b(2.0), a(2.0), a(2.0), b(2.0)], 0),
+            (vec![a(2.0), b(2.0), b(2.0), a(2.0)], 0),
+            // Id 0 bids half the value, so it scores twice as high and
+            // loses; the tie behind it goes to id 1 in either class.
+            (vec![b(1.0), b(2.0), a(2.0), a(2.0)], 1),
+            (vec![a(1.0), a(2.0), b(2.0), b(2.0)], 1),
+        ] {
+            let inst = UfpInstance::new(routes.clone(), requests);
+            let (picked, score, _) = first_pick(&inst, None);
+            assert_eq!(picked, RequestId(expect));
+            let dist: f64 = DualWeights::new(inst.graph()).weights()[0];
+            assert_eq!(score.to_bits(), (0.25 * dist).to_bits());
+            assert_matches_fanout(&inst);
+        }
+    }
+
+    #[test]
+    fn rounding_tie_across_densities_goes_to_the_lower_id() {
+        // A two-edge route, so the distance has a full mantissa. Find two
+        // adjacent densities whose scores round to the same float there:
+        // the denser request (id 0) sits in the class's second density
+        // group yet ties the first, and wins on its lower id.
+        let g = graph(3, &[(0, 1, 4.0), (1, 2, 3.0)]);
+        let w = DualWeights::new(&g).weights().to_vec();
+        let dist = 0.0 + w[0] + w[1];
+        let (sparse, dense) = (1..100_000)
+            .map(|i| {
+                let v = 1.0 + i as f64 * 1e-5;
+                (v, f64::from_bits(v.to_bits() - 1))
+            })
+            .find(|&(v, v_down)| {
+                let (a, b) = (1.0 / v, 1.0 / v_down);
+                a < b && a * dist == b * dist
+            })
+            .expect("some adjacent densities tie at this distance");
+        let req = |v| Request::new(NodeId(0), NodeId(2), 1.0, v);
+        let inst = UfpInstance::new(g, vec![req(dense), req(sparse)]);
+        let (picked, score, _) = first_pick(&inst, None);
+        assert_eq!(picked, RequestId(0));
+        assert_eq!(score.to_bits(), ((1.0 / sparse) * dist).to_bits());
+        assert_matches_fanout(&inst);
+    }
+
+    #[test]
+    fn residual_gate_splits_one_pair_by_demand() {
+        // `0 → 1` direct, or the long way round through 2 and 3. With
+        // 0.6 left on the direct edge, a unit demand must go the long
+        // way while a half demand still fits: under gating the pair is
+        // two classes, and the half demand wins on the short route even
+        // though the unit demand is the sparser bid.
+        let g = graph(4, &[(0, 1, 4.0), (0, 2, 4.0), (2, 3, 4.0), (3, 1, 4.0)]);
+        let inst = UfpInstance::new(
+            g,
+            vec![
+                Request::new(NodeId(0), NodeId(1), 1.0, 4.0),
+                Request::new(NodeId(0), NodeId(1), 0.5, 1.0),
+            ],
+        );
+        let residual = [0.6, 4.0, 4.0, 4.0];
+        let (picked, _, path) = first_pick(&inst, Some(&residual));
+        assert_eq!(picked, RequestId(1));
+        assert_eq!(path, vec![EdgeId(0)]);
+        // Ungated, the pair is one class and the sparser bid wins.
+        let (picked, _, path) = first_pick(&inst, None);
+        assert_eq!(picked, RequestId(0));
+        assert_eq!(path, vec![EdgeId(0)]);
     }
 }

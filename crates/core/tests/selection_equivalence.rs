@@ -10,16 +10,18 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use ufp_core::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
-    critical_value_exact, BoundedUfpConfig, EpochContext, EpochOutcome, Request, SelectionStrategy,
-    UfpInstance,
+    critical_value_exact, BoundedUfpConfig, EpochContext, EpochOutcome, EpochResumeTrace, Request,
+    SelectionStrategy, UfpInstance,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
 use ufp_netgraph::ids::NodeId;
+use ufp_obs::{Phase, Recorder};
 use ufp_par::Pool;
 
 /// Random instance with enough request mass that paths collide: a few
@@ -61,6 +63,78 @@ fn arb_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
             (UfpInstance::new(graph, reqs), eps)
         },
     )
+}
+
+/// Demand and value grids for the tie-heavy generator: many
+/// demand/value pairs share a density (0.5/1.0 = 0.25/0.5 = 0.75/1.5 …),
+/// so equal densities inside a route class are the common case.
+const DEMAND_GRID: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
+const VALUE_GRID: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 3.0];
+
+fn grid_request(rng: &mut StdRng, src: NodeId, dst: NodeId, demands: &[f64]) -> Request {
+    let demand = demands[rng.random_range(0..demands.len())];
+    let value = VALUE_GRID[rng.random_range(0..VALUE_GRID.len())];
+    Request::new(src, dst, demand, value)
+}
+
+/// Tie-heavy instance: one uniform capacity, so routes with equal hop
+/// counts weigh exactly the same and equal densities score exactly the
+/// same across route classes; 2–5 reachable `(src, dst)` pairs with 3–7
+/// requests each on the demand/value grids; ids shuffled so every class
+/// holds scattered ids.
+fn arb_tied_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
+    (4usize..9, 6usize..30, 2usize..6, any::<u64>(), 1usize..10).prop_map(
+        |(n, edges, num_pairs, seed, eps_decile)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = edges.min(n * (n - 1));
+            let cap = [3.0, 4.0, 6.0][(seed % 3) as usize];
+            let graph = generators::gnm_digraph(n, m, (cap, cap), &mut rng);
+            let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+            for _ in 0..400 {
+                if pairs.len() == num_pairs {
+                    break;
+                }
+                let src = NodeId(rng.random_range(0..n as u32));
+                let dst = NodeId(rng.random_range(0..n as u32));
+                if src != dst
+                    && !pairs.contains(&(src, dst))
+                    && ufp_netgraph::bfs::is_reachable(&graph, src, dst)
+                {
+                    pairs.push((src, dst));
+                }
+            }
+            let mut reqs = Vec::new();
+            for &(src, dst) in &pairs {
+                for _ in 0..rng.random_range(3..8) {
+                    reqs.push(grid_request(&mut rng, src, dst, &DEMAND_GRID));
+                }
+            }
+            reqs.shuffle(&mut rng);
+            (UfpInstance::new(graph, reqs), eps_decile as f64 / 10.0)
+        },
+    )
+}
+
+/// Fan-out and incremental runs of one traced epoch must agree bit for
+/// bit, and so must the exact critical value of every winner in `steps`
+/// (priced against the fan-out's trace).
+fn assert_strategies_agree(
+    inst: &UfpInstance,
+    fan_cfg: &BoundedUfpConfig,
+    inc_cfg: &BoundedUfpConfig,
+    ctx: Option<&EpochContext<'_>>,
+    steps: impl Fn(&EpochResumeTrace) -> Vec<usize>,
+) -> EpochOutcome {
+    let (fan, trace) = bounded_ufp_epoch_traced(inst, fan_cfg, ctx);
+    let (inc, inc_trace) = bounded_ufp_epoch_traced(inst, inc_cfg, ctx);
+    assert_outcomes_bit_identical(&fan, &inc);
+    assert_eq!(trace.num_steps(), inc_trace.num_steps());
+    for k in steps(&trace) {
+        let f = critical_value_exact(inst, fan_cfg, ctx, &trace, k, 1e-12);
+        let i = critical_value_exact(inst, inc_cfg, ctx, &trace, k, 1e-12);
+        assert_eq!(f.to_bits(), i.to_bits(), "step {k} priced {f} vs {i}");
+    }
+    fan
 }
 
 fn with_strategy(eps: f64, s: SelectionStrategy) -> BoundedUfpConfig {
@@ -210,6 +284,92 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn tie_heavy_runs_and_payments_bit_identical(
+        (inst, eps) in arb_tied_instance(),
+        seed in any::<u64>(),
+        gated in any::<bool>(),
+    ) {
+        // Equal densities inside classes and equal scores across them:
+        // every argmin is decided by the id tie-break, which the route
+        // classes' representatives must reproduce exactly — one-shot and
+        // under an epoch context whose grids keep the ties alive.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let caps: Vec<f64> = inst
+            .graph()
+            .edges()
+            .iter()
+            .map(|e| e.capacity * [0.5, 1.0][rng.random_range(0..2)])
+            .collect();
+        let usable: Vec<bool> = (0..caps.len())
+            .map(|_| rng.random_range(0..6u32) != 0)
+            .collect();
+        let carry: Vec<f64> = (0..caps.len())
+            .map(|_| [0.0, 0.5][rng.random_range(0..2)])
+            .collect();
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: None,
+        };
+        let mut fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
+        let mut inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
+        fan_cfg.respect_residual = gated;
+        inc_cfg.respect_residual = gated;
+        for ctx in [None, Some(&ctx)] {
+            let every = |t: &EpochResumeTrace| (0..t.num_steps()).collect();
+            assert_strategies_agree(&inst, &fan_cfg, &inc_cfg, ctx, every);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn tie_heavy_recenter_bit_identical(seed in any::<u64>(), gated in any::<bool>()) {
+        // Three sources funnel through one hub edge of capacity 2000 at
+        // ε = 1: each selection bumps it by its demand, so ~900 grid
+        // requests push its log-weight past the re-centering threshold
+        // (600) mid-run, under an epoch context. Winners before the
+        // re-center are priced by suffixes that cross it.
+        let mut gb = GraphBuilder::directed(5);
+        for src in 0..3 {
+            gb.add_edge(NodeId(src), NodeId(3), 2000.0);
+        }
+        gb.add_edge(NodeId(3), NodeId(4), 2000.0);
+        let graph = gb.build();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reqs: Vec<Request> = (0..900)
+            .map(|_| {
+                let src = NodeId(rng.random_range(0..3));
+                grid_request(&mut rng, src, NodeId(4), &[0.75, 1.0])
+            })
+            .collect();
+        let inst = UfpInstance::new(graph, reqs);
+        let caps: Vec<f64> = inst.graph().edges().iter().map(|e| e.capacity).collect();
+        let usable = vec![true; caps.len()];
+        let carry = vec![0.0; caps.len()];
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: None,
+        };
+        let mut fan_cfg = with_strategy(1.0, SelectionStrategy::FanOut);
+        let mut inc_cfg = with_strategy(1.0, SelectionStrategy::Incremental);
+        fan_cfg.respect_residual = gated;
+        inc_cfg.respect_residual = gated;
+        let sample = |t: &EpochResumeTrace| {
+            let n = t.num_steps();
+            vec![(seed % 97) as usize, n / 2, 2 * n / 3, n - 1]
+        };
+        let fan = assert_strategies_agree(&inst, &fan_cfg, &inc_cfg, Some(&ctx), sample);
+        // The carry holds each edge's total log-weight growth: past 600
+        // on the hub edge means the weights re-centered.
+        let growth = fan.carry.iter().copied().fold(0.0, f64::max);
+        prop_assert!(growth > 601.0, "no re-center (growth {})", growth);
+    }
+}
+
 /// Weight re-centering rescales every materialized Dijkstra weight,
 /// which invalidates the incremental cache's distance *scale*. Force
 /// hundreds of recenters in one run and require bit-identity throughout.
@@ -240,76 +400,123 @@ fn recentering_flush_preserves_bit_identity() {
     assert_outcomes_bit_identical(&fan, &inc);
 }
 
-/// A bottleneck shared by every request: each winner dirties *all*
-/// remaining requests, driving the selector through its eager grouped
-/// fan-out refresh (the large-dirty-set path) on every iteration.
-#[test]
-fn dirty_storm_takes_the_eager_path_bit_identically() {
+/// Ten sources funnel through one bottleneck `10 → 11` to eight sinks:
+/// 80 route classes, every cached path crossing the bottleneck, so each
+/// winner dirties every live class.
+fn bottleneck_storm(demand: impl Fn(usize) -> f64) -> UfpInstance {
+    let mut gb = GraphBuilder::directed(20);
+    for s in 0..10 {
+        gb.add_edge(NodeId(s), NodeId(10), 120.0);
+    }
+    gb.add_edge(NodeId(10), NodeId(11), 120.0);
+    for t in 12..20 {
+        gb.add_edge(NodeId(11), NodeId(t), 120.0);
+    }
+    let reqs = (0..160)
+        .map(|i| {
+            let (src, dst) = ((i % 10) as u32, 12 + ((i / 10) % 8) as u32);
+            let value = 0.7 + ((i * 11) % 17) as f64;
+            Request::new(NodeId(src), NodeId(dst), demand(i), value)
+        })
+        .collect();
+    UfpInstance::new(gb.build(), reqs)
+}
+
+/// Eager refreshes a run made, counting the seeding one.
+fn eager_refreshes(cfg: &BoundedUfpConfig) -> u64 {
+    let (_, hits) = cfg.obs.phase_totals().expect("recorder on");
+    hits[Phase::SelectionDirtyRefresh as usize]
+}
+
+/// The one-pair storm: 150 requests from `0` to `2` over one two-edge
+/// route, ten demands. It is a single route class with many density
+/// groups, so it runs the lazy path, consuming the class one member at
+/// a time.
+fn single_pair_storm() -> UfpInstance {
     let mut gb = GraphBuilder::directed(3);
     gb.add_edge(NodeId(0), NodeId(1), 120.0);
     gb.add_edge(NodeId(1), NodeId(2), 120.0);
-    let inst = UfpInstance::new(
-        gb.build(),
-        (0..150)
-            .map(|i| {
-                Request::new(
-                    NodeId(0),
-                    NodeId(2),
-                    0.5 + 0.05 * (i % 10) as f64,
-                    0.7 + ((i * 11) % 17) as f64,
-                )
-            })
-            .collect(),
-    );
-    for eps in [0.3, 0.8] {
-        let fan = bounded_ufp_epoch(&inst, &with_strategy(eps, SelectionStrategy::FanOut), None);
-        let inc = bounded_ufp_epoch(
-            &inst,
-            &with_strategy(eps, SelectionStrategy::Incremental),
-            None,
-        );
-        assert!(!fan.run.solution.routed.is_empty());
-        assert_outcomes_bit_identical(&fan, &inc);
-        // Parallel eager refresh changes nothing.
-        let inc_par = bounded_ufp_epoch(
-            &inst,
-            &with_strategy(eps, SelectionStrategy::Incremental).parallel(Pool::new(4)),
-            None,
-        );
-        assert_outcomes_bit_identical(&fan, &inc_par);
+    let reqs = (0..150)
+        .map(|i| {
+            let demand = 0.5 + 0.05 * (i % 10) as f64;
+            let value = 0.7 + ((i * 11) % 17) as f64;
+            Request::new(NodeId(0), NodeId(2), demand, value)
+        })
+        .collect();
+    UfpInstance::new(gb.build(), reqs)
+}
+
+/// A dirty storm drives the selector through its eager grouped fan-out
+/// refresh (the large-dirty-set path) while at least `EAGER_REFRESH_MIN`
+/// classes are dirty; the one-pair storm covers the same traffic as a
+/// single large class.
+#[test]
+fn dirty_storm_takes_the_eager_path_bit_identically() {
+    let many_classes = bottleneck_storm(|i| 0.5 + 0.05 * (i % 10) as f64);
+    for (inst, eager) in [(&many_classes, true), (&single_pair_storm(), false)] {
+        for eps in [0.3, 0.8] {
+            let fan = bounded_ufp_epoch(inst, &with_strategy(eps, SelectionStrategy::FanOut), None);
+            let inc_cfg =
+                with_strategy(eps, SelectionStrategy::Incremental).with_obs(Recorder::enabled());
+            let inc = bounded_ufp_epoch(inst, &inc_cfg, None);
+            assert!(!fan.run.solution.routed.is_empty());
+            if eager {
+                assert!(eager_refreshes(&inc_cfg) > 1, "storm never went eager");
+            }
+            assert_outcomes_bit_identical(&fan, &inc);
+            // Parallel eager refresh changes nothing.
+            let inc_par = bounded_ufp_epoch(
+                inst,
+                &with_strategy(eps, SelectionStrategy::Incremental).parallel(Pool::new(4)),
+                None,
+            );
+            assert_outcomes_bit_identical(&fan, &inc_par);
+        }
     }
 }
 
-/// Residual-gated search with a dirty storm: the per-request edge filter
-/// (demand vs residual) flows through the eager refresh too.
-#[test]
-fn residual_gate_dirty_storm_bit_identical() {
+/// A residual-gated diamond: 120 requests from `0` to `3` over two
+/// two-edge routes of capacities 40 and 45, ten demands, so each demand
+/// is a route class of its own.
+fn gated_diamond() -> UfpInstance {
     let mut gb = GraphBuilder::directed(4);
     gb.add_edge(NodeId(0), NodeId(1), 40.0);
     gb.add_edge(NodeId(1), NodeId(3), 40.0);
     gb.add_edge(NodeId(0), NodeId(2), 45.0);
     gb.add_edge(NodeId(2), NodeId(3), 45.0);
-    let inst = UfpInstance::new(
-        gb.build(),
-        (0..120)
-            .map(|i| {
-                Request::new(
-                    NodeId(0),
-                    NodeId(3),
-                    0.3 + 0.07 * (i % 10) as f64,
-                    0.5 + ((i * 7) % 19) as f64,
-                )
-            })
-            .collect(),
-    );
-    let mut fan_cfg = with_strategy(0.6, SelectionStrategy::FanOut);
-    fan_cfg.respect_residual = true;
-    let mut inc_cfg = with_strategy(0.6, SelectionStrategy::Incremental);
-    inc_cfg.respect_residual = true;
-    let fan = bounded_ufp_epoch(&inst, &fan_cfg, None);
-    let inc = bounded_ufp_epoch(&inst, &inc_cfg, None);
-    assert!(!fan.run.solution.routed.is_empty());
-    assert_outcomes_bit_identical(&fan, &inc);
+    let reqs = (0..120)
+        .map(|i| {
+            let demand = 0.3 + 0.07 * (i % 10) as f64;
+            let value = 0.5 + ((i * 7) % 19) as f64;
+            Request::new(NodeId(0), NodeId(3), demand, value)
+        })
+        .collect();
+    UfpInstance::new(gb.build(), reqs)
+}
+
+/// Residual-gated search with a dirty storm: the class's edge filter
+/// (its demand vs residual) flows through the eager refresh too, and
+/// through the lazy one on the diamond.
+#[test]
+fn residual_gate_dirty_storm_bit_identical() {
+    let many_classes = bottleneck_storm(|i| 0.3 + 0.07 * (i % 3) as f64);
+    for (inst, eager) in [(&many_classes, true), (&gated_diamond(), false)] {
+        let mut fan_cfg = with_strategy(0.6, SelectionStrategy::FanOut);
+        fan_cfg.respect_residual = true;
+        let mut inc_cfg =
+            with_strategy(0.6, SelectionStrategy::Incremental).with_obs(Recorder::enabled());
+        inc_cfg.respect_residual = true;
+        let fan = bounded_ufp_epoch(inst, &fan_cfg, None);
+        let inc = bounded_ufp_epoch(inst, &inc_cfg, None);
+        assert!(!fan.run.solution.routed.is_empty());
+        if eager {
+            assert!(eager_refreshes(&inc_cfg) > 1, "storm never went eager");
+        }
+        assert_outcomes_bit_identical(&fan, &inc);
+        // Parallel eager refresh changes nothing.
+        let inc_par = bounded_ufp_epoch(inst, &inc_cfg.clone().parallel(Pool::new(4)), None);
+        assert_outcomes_bit_identical(&fan, &inc_par);
+    }
 }
 
 /// `bounded_ufp` (the public one-shot entry) defaults to Incremental;

@@ -179,7 +179,7 @@ impl Dijkstra {
     /// [`Dijkstra::path_to`] returns — this is the allocation-free
     /// variant for hot loops that rematerialize paths into long-lived
     /// buffers (the winner re-derivation in `ufp-core`'s selection loop
-    /// and the per-request path cache refresh both use it).
+    /// and the route-class path cache refresh both use it).
     pub fn path_to_into(&self, v: NodeId, out: &mut Path) -> bool {
         if self.settled[v.index()] != self.epoch {
             return false;

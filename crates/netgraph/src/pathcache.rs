@@ -1,7 +1,8 @@
 //! Per-slot shortest-path cache with an edge→slot interest index.
 //!
-//! The incremental selection loop in `ufp-core` keeps, for every
-//! still-unrouted request, its last shortest path and distance. The
+//! The incremental selection loop in `ufp-core` keeps, for every route
+//! class (the still-unrouted requests sharing one shortest-path query),
+//! its last shortest path and distance. The
 //! monotone weight dynamics of Algorithm 1 (edge weights only grow,
 //! residuals only shrink within an epoch) guarantee that a cached answer
 //! stays **exact** until one of the edges *on the cached path* changes —
