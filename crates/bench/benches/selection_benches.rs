@@ -2,17 +2,18 @@
 //! full per-iteration fan-out, and the Dijkstra queries underneath them.
 //!
 //! * `selection_strategy/*` — one Bounded-UFP epoch at growing request
-//!   counts under both [`SelectionStrategy`] variants. The outputs are
+//!   counts on the incremental selector and on the fan-out reference
+//!   (`BoundedUfpConfig::fan_out_reference`). The outputs are
 //!   bit-identical (asserted here on the side); only wall time differs.
 //!   The headline trajectory at 10³/10⁴/10⁵-request epochs lives in
-//!   `BENCH_PR4.json` (regenerate with `scripts/bench_pr4.sh`).
+//!   `BENCH_PR4.json` (history).
 //! * `dijkstra_heap/*` — full shortest-path trees and targeted
 //!   early-exit queries on the indexed 4-ary decrease-key heap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ufp_core::{bounded_ufp, BoundedUfpConfig, SelectionStrategy};
+use ufp_core::{bounded_ufp, BoundedUfpConfig};
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::generators;
 use ufp_netgraph::ids::NodeId;
@@ -34,24 +35,16 @@ fn selection_strategy(c: &mut Criterion) {
             seed: 17,
             ..Default::default()
         });
-        for (label, strategy) in [
-            ("fanout", SelectionStrategy::FanOut),
-            ("incremental", SelectionStrategy::Incremental),
-        ] {
-            let cfg = BoundedUfpConfig::with_epsilon(0.4).with_selection(strategy);
+        let inc_cfg = BoundedUfpConfig::with_epsilon(0.4);
+        let fan_cfg = inc_cfg.clone().fan_out_reference();
+        for (label, cfg) in [("fanout", &fan_cfg), ("incremental", &inc_cfg)] {
             group.bench_with_input(BenchmarkId::new(label, requests), &inst, |b, inst| {
-                b.iter(|| black_box(bounded_ufp(inst, &cfg)))
+                b.iter(|| black_box(bounded_ufp(inst, cfg)))
             });
         }
-        // Side assertion (outside timing): strategies agree on this input.
-        let fan = bounded_ufp(
-            &inst,
-            &BoundedUfpConfig::with_epsilon(0.4).with_selection(SelectionStrategy::FanOut),
-        );
-        let inc = bounded_ufp(
-            &inst,
-            &BoundedUfpConfig::with_epsilon(0.4).with_selection(SelectionStrategy::Incremental),
-        );
+        // Side assertion (outside timing): both loops agree on this input.
+        let fan = bounded_ufp(&inst, &fan_cfg);
+        let inc = bounded_ufp(&inst, &inc_cfg);
         assert_eq!(fan.solution.routed.len(), inc.solution.routed.len());
         for (a, b) in fan.solution.routed.iter().zip(&inc.solution.routed) {
             assert_eq!(a.0, b.0);

@@ -14,13 +14,11 @@
 //! Payments: `--payments critical` prices every admission at its exact
 //! critical value (one resumed pass per winner).
 //!
-//! Selection: `--selection incremental` (default) drives each epoch's
-//! argmin with the route-class path cache + lazy score heap;
-//! `--selection fanout` re-queries every remaining request every
-//! iteration (the paper-literal loop). The two are bit-identical on
-//! every deterministic output — only the `"selection"` config field and
-//! the `"timing"` object differ between runs (`BENCH_PR4.json` records
-//! the speedups).
+//! Selection: each epoch's argmin comes from the route-class path cache
+//! and lazy score heap; there is no selection flag. Its bit-identity to
+//! the paper-literal fan-out is a test contract (the engine proptests
+//! replay this driver's churned paid trace through both loops), and
+//! `BENCH_PR4.json` (history) records the speedups.
 //!
 //! Observability: `--trace-out FILE` (span JSONL), `--trace-chrome
 //! FILE` (chrome://tracing), `--metrics-out FILE` (registry + epoch
@@ -83,8 +81,8 @@ use ufp_bench::table::{f2, Table};
 use ufp_core::StopReason;
 use ufp_engine::codec::{CodecError, Fnv64, Reader, Writer};
 use ufp_engine::{
-    Arrival, Engine, EngineConfig, EpochReport, EventLevel, PaymentPolicy, SelectionStrategy,
-    SnapshotStore, Topology, TopologyError, TopologyEvent, TopologyReport,
+    Arrival, Engine, EngineConfig, EpochReport, EventLevel, PaymentPolicy, SnapshotStore, Topology,
+    TopologyError, TopologyEvent, TopologyReport,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::Graph;
@@ -109,7 +107,6 @@ struct Options {
     process: String,
     churn: Option<(u32, u32)>,
     payments: String,
-    selection: String,
     json: bool,
     threads: usize,
     snapshot_every: Option<usize>,
@@ -151,7 +148,6 @@ impl Default for Options {
             process: "poisson".to_string(),
             churn: None,
             payments: "none".to_string(),
-            selection: "incremental".to_string(),
             json: false,
             threads: 1,
             snapshot_every: None,
@@ -439,7 +435,6 @@ fn parse_options() -> Result<Options, String> {
             "--seed" => options.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--process" => options.process = value("--process")?,
             "--payments" => options.payments = value("--payments")?,
-            "--selection" => options.selection = value("--selection")?,
             "--json" => options.json = true,
             "--threads" => {
                 options.threads = value("--threads")?.parse().map_err(|e| format!("{e}"))?
@@ -716,14 +711,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let selection = match options.selection.as_str() {
-        "incremental" => SelectionStrategy::Incremental,
-        "fanout" => SelectionStrategy::FanOut,
-        other => {
-            eprintln!("engine_sim: unknown selection {other} (incremental|fanout)");
-            return ExitCode::FAILURE;
-        }
-    };
     // Observability: any of the export/profile/health flags turns the
     // recorder on. Strictly out-of-band — the deterministic stdout
     // document is byte-identical with it on or off (enforced in CI).
@@ -758,7 +745,6 @@ fn main() -> ExitCode {
     let engine_config = EngineConfig {
         events: EventLevel::Epoch,
         payments: payment_policy,
-        selection,
         obs: obs.clone(),
         health,
         ..EngineConfig::with_epsilon(options.epsilon).parallel(Pool::new(options.threads))
@@ -1107,11 +1093,11 @@ fn main() -> ExitCode {
         println!(
             "  \"config\": {{\"nodes\": {}, \"edges\": {}, \"epochs\": {}, \"mean\": {}, \
              \"hotspots\": {}, \"eps\": {}, \"seed\": {}, \"process\": \"{}\", \
-             \"churn\": {}, \"payments\": \"{}\", \"selection\": \"{}\", \"threads\": {}, \
+             \"churn\": {}, \"payments\": \"{}\", \"threads\": {}, \
              \"shards\": {}, \"partitioner\": \"{}\", \"communities\": {}, \
              \"inter_edges\": {}, \"cross_fraction\": {}, \"cross_unroutable\": {}, \
              \"lease_fraction\": {}, \
-             \"selection_strategy\": \"{:?}\", \"fail_seed\": {}, \"flap_rate\": {}, \
+             \"fail_seed\": {}, \"flap_rate\": {}, \
              \"resize_rate\": {}, \"outage_rate\": {}, \"drains\": {}}},",
             options.nodes,
             options.edges,
@@ -1123,7 +1109,6 @@ fn main() -> ExitCode {
             options.process,
             churn,
             options.payments,
-            options.selection,
             options.threads,
             options.shards,
             options.partitioner,
@@ -1132,7 +1117,6 @@ fn main() -> ExitCode {
             options.cross_fraction,
             options.cross_unroutable,
             options.lease_fraction,
-            selection,
             options
                 .fail_seed
                 .map_or("null".to_string(), |s| s.to_string()),
@@ -1321,7 +1305,6 @@ fn main() -> ExitCode {
     );
     kv(&mut summary, "value admitted", f2(metrics.value_admitted));
     kv(&mut summary, "payments", options.payments.clone());
-    kv(&mut summary, "selection", options.selection.clone());
     kv(&mut summary, "revenue", f2(metrics.revenue));
     kv(
         &mut summary,

@@ -15,11 +15,11 @@
 //!    d. route `r̂` on `p_{r̂}`.
 //!
 //! Production details beyond the pseudocode: log-space weights so small
-//! ε cannot overflow (see [`crate::weights`]), per-iteration parallel
-//! shortest-path fan-out grouped by source vertex or the incremental
-//! selector (see [`crate::selection`] and `crates/core/README.md`), and
-//! the Claim 3.6 dual certificate recorded per iteration so every run
-//! carries a certified bound on its own approximation ratio.
+//! ε cannot overflow (see [`crate::weights`]), the incremental
+//! route-class selector in place of the per-iteration fan-out (see
+//! [`crate::selection`] and `crates/core/README.md`), and the Claim 3.6
+//! dual certificate recorded per iteration so every run carries a
+//! certified bound on its own approximation ratio.
 
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::ids::NodeId;
@@ -30,7 +30,7 @@ use ufp_par::Pool;
 use crate::critical::Shadow;
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
-use crate::selection::{IncrementalSelector, SelectInputs, SelectionStrategy};
+use crate::selection::{IncrementalSelector, SelectInputs};
 use crate::solution::UfpSolution;
 use crate::trace::{Certificate, IterationRecord, RunTrace, StopReason};
 use crate::weights::DualWeights;
@@ -42,23 +42,16 @@ pub struct BoundedUfpConfig {
     /// with `ε/6` to obtain a `(1+ε)·e/(e−1)` guarantee when
     /// `B ≥ ln(m)/ε²`.
     pub epsilon: f64,
-    /// Parallelism for the per-iteration shortest-path fan-out.
+    /// Parallelism for the selector's grouped shortest-path refreshes.
     pub pool: Pool,
-    /// Extension (not in the paper): restrict path search to edges with
-    /// residual capacity ≥ the request's demand. Feasibility then holds
-    /// by construction instead of by the guard, but the Claim 3.6 dual
-    /// certificate no longer applies (`α` may be inflated). Monotonicity
-    /// is preserved: lowering one's demand only enlarges one's own path
-    /// set. Used by the E10/E11 ablations.
-    pub respect_residual: bool,
-    /// How each iteration's argmin is found. Both strategies are
-    /// bit-identical in every output; see [`SelectionStrategy`].
-    pub selection: SelectionStrategy,
     /// Observability recorder (off by default). Strictly out-of-band:
     /// it sees guard slack, dual-weight growth, and selection phases,
     /// and feeds nothing back — runs are bit-identical with it on or
     /// off.
     pub obs: Recorder,
+    /// Run the paper-literal fan-out loop instead of the incremental
+    /// selector (see [`BoundedUfpConfig::fan_out_reference`]).
+    fan_out: bool,
 }
 
 impl Default for BoundedUfpConfig {
@@ -66,9 +59,8 @@ impl Default for BoundedUfpConfig {
         BoundedUfpConfig {
             epsilon: 0.1,
             pool: Pool::sequential(),
-            respect_residual: false,
-            selection: SelectionStrategy::default(),
             obs: Recorder::off(),
+            fan_out: false,
         }
     }
 }
@@ -92,15 +84,20 @@ impl BoundedUfpConfig {
         self
     }
 
-    /// Same configuration with the given selection strategy.
-    pub fn with_selection(mut self, selection: SelectionStrategy) -> Self {
-        self.selection = selection;
-        self
-    }
-
     /// Same configuration with an observability recorder attached.
     pub fn with_obs(mut self, obs: Recorder) -> Self {
         self.obs = obs;
+        self
+    }
+
+    /// Same configuration driving the paper-literal loop: one
+    /// shortest-path query per remaining request, every iteration. Its
+    /// outputs are bit-identical to the incremental selector's; it
+    /// exists only as the reference the equivalence tests and
+    /// `selection_benches` compare against.
+    #[doc(hidden)]
+    pub fn fan_out_reference(mut self) -> Self {
+        self.fan_out = true;
         self
     }
 }
@@ -167,6 +164,11 @@ struct PathFinding {
 /// on that. The only difference: epoch runs never carry a Claim 3.6
 /// certificate (`dual_upper_bound()` is `None`), because the claim's
 /// premise does not survive masked edges or carried weights.
+///
+/// Path search never checks an edge's remaining capacity against the
+/// demand: the guard alone keeps every usable edge at least `c_e/B ≥ 1`
+/// free before each selection (`crates/core/README.md`, "Feasibility
+/// without a residual gate").
 #[derive(Clone, Copy, Debug)]
 pub struct EpochContext<'a> {
     /// Effective (residual) capacity per edge; replaces `c_e` in the
@@ -361,13 +363,7 @@ impl EpochResumeTrace {
         let checkpoint = self.checkpoint(instance, config, ctx, steps);
         let b = epoch_bound_b(instance, ctx);
         let ln_guard = config.epsilon * (b - 1.0);
-        finish_outcome(
-            config,
-            ctx.is_some(),
-            checkpoint.state,
-            stop_reason,
-            ln_guard,
-        )
+        finish_outcome(ctx.is_some(), checkpoint.state, stop_reason, ln_guard)
     }
 
     /// Reconstruct the run state after the first `steps` selections, by
@@ -425,7 +421,6 @@ pub(crate) struct EpochRunState {
     pub(crate) weights: DualWeights,
     carry: Option<Vec<f64>>,
     pub(crate) remaining: Vec<RequestId>,
-    residual: Vec<f64>,
     solution: UfpSolution,
     routed_value: f64,
     records: Vec<IterationRecord>,
@@ -442,16 +437,11 @@ impl EpochRunState {
         };
         let carry: Option<Vec<f64>> = ctx.map(|c| c.carry.to_vec());
         let remaining: Vec<RequestId> = instance.request_ids().collect();
-        let residual: Vec<f64> = match ctx {
-            None => graph.edges().iter().map(|e| e.capacity).collect(),
-            Some(c) => c.capacities.to_vec(),
-        };
         let n = remaining.len();
         EpochRunState {
             weights,
             carry,
             remaining,
-            residual,
             solution: UfpSolution::empty(),
             routed_value: 0.0,
             records: Vec::with_capacity(n),
@@ -460,7 +450,7 @@ impl EpochRunState {
     }
 
     /// Re-apply one recorded step: identical mutation order (record,
-    /// bumps, carry, residual, value, solution) and identical arithmetic
+    /// bumps, carry, value, solution) and identical arithmetic
     /// to the live loop. The remaining set is left to the caller, which
     /// removes a whole prefix's selections at once; with that done, the
     /// state is bit-identical to having executed the steps.
@@ -476,7 +466,6 @@ impl EpochRunState {
             if let Some(k) = self.carry.as_mut() {
                 k[e.index()] += exponent;
             }
-            self.residual[e.index()] -= req.demand;
         }
         self.routed_value += req.value;
         self.solution
@@ -534,10 +523,11 @@ pub(crate) fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_
     }
 }
 
-/// The Algorithm 1 main loop over an [`EpochRunState`], dispatching on
-/// the configured [`SelectionStrategy`]. Both bodies drive the same
+/// The Algorithm 1 main loop over an [`EpochRunState`]: the incremental
+/// selector, or the fan-out reference under
+/// [`BoundedUfpConfig::fan_out_reference`]. Both bodies drive the same
 /// [`apply_step`], and their selections are bit-identical by the
-/// monotonicity contract (proptested) — strategy choice changes cost,
+/// monotonicity contract (proptested) — the reference changes cost,
 /// never results.
 ///
 /// * `record_steps` — when set, every executed step is appended as a
@@ -557,28 +547,21 @@ pub(crate) fn run_epoch_loop(
     record_steps: Option<&mut Vec<ResumeStep>>,
     shadow: Option<&mut Shadow>,
 ) -> StopReason {
-    match config.selection {
-        SelectionStrategy::FanOut => run_epoch_loop_fanout(
-            instance,
-            config,
-            usable,
-            b,
-            ln_guard,
-            state,
-            record_steps,
-            shadow,
-        ),
-        SelectionStrategy::Incremental => run_epoch_loop_incremental(
-            instance,
-            config,
-            usable,
-            b,
-            ln_guard,
-            state,
-            record_steps,
-            shadow,
-        ),
-    }
+    let body = if config.fan_out {
+        run_epoch_loop_fanout
+    } else {
+        run_epoch_loop_incremental
+    };
+    body(
+        instance,
+        config,
+        usable,
+        b,
+        ln_guard,
+        state,
+        record_steps,
+        shadow,
+    )
 }
 
 /// The loop state as the incremental selector and the shadow observer
@@ -592,20 +575,18 @@ pub(crate) fn loop_inputs<'a>(
     SelectInputs {
         instance,
         weights: &state.weights,
-        residual: &state.residual,
         usable,
-        respect_residual: config.respect_residual,
         pool: &config.pool,
         obs: &config.obs,
     }
 }
 
 /// Apply one selected step to the loop state: the iteration record, the
-/// line-10 weight bumps, carry, residuals, routed value, the remaining
-/// set, and the solution/trace appends — in exactly this order, which
+/// line-10 weight bumps, carry, routed value, the remaining set, and
+/// the solution/trace appends — in exactly this order, which
 /// [`EpochRunState::replay`] reproduces for bit-identical resumes. Both
-/// selection strategies funnel through here so the mutation sequence
-/// cannot diverge between them.
+/// loop bodies funnel through here so the mutation sequence cannot
+/// diverge between them.
 #[allow(clippy::too_many_arguments)] // internal: the loop bodies are the only callers
 fn apply_step(
     instance: &UfpInstance,
@@ -647,7 +628,6 @@ fn apply_step(
         if let Some(k) = state.carry.as_mut() {
             k[e.index()] += exponent;
         }
-        state.residual[e.index()] -= req.demand;
         if let Some(bs) = bumps.as_mut() {
             bs.push(exponent);
         }
@@ -669,7 +649,9 @@ fn apply_step(
     }
 }
 
-/// The paper-literal loop: full shortest-path fan-out every iteration.
+/// The paper-literal loop: full shortest-path fan-out every iteration,
+/// grouped by source vertex. The reference the incremental loop is
+/// proptested against.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_loop_fanout(
     instance: &UfpInstance,
@@ -695,31 +677,18 @@ fn run_epoch_loop_fanout(
         // Cost model only — results are identical either way (see
         // `PathFinding`): below one path-reconstruction per node, the
         // fan-out collects paths inline; above it, distances only plus
-        // one targeted re-run for the winner. Both fan-out variants
-        // (grouped and residual-gated) follow the same model.
+        // one targeted re-run for the winner.
         let collect_paths = state.remaining.len() < instance.graph().num_nodes();
         let (findings, mut paths) = {
             let _span = config.obs.span(Phase::SelectionDijkstra);
-            if config.respect_residual {
-                shortest_findings_residual(
-                    instance,
-                    &state.remaining,
-                    &state.weights,
-                    &state.residual,
-                    usable,
-                    &config.pool,
-                    collect_paths,
-                )
-            } else {
-                shortest_findings_grouped(
-                    instance,
-                    &state.remaining,
-                    &state.weights,
-                    usable,
-                    &config.pool,
-                    collect_paths,
-                )
-            }
+            shortest_findings_grouped(
+                instance,
+                &state.remaining,
+                &state.weights,
+                usable,
+                &config.pool,
+                collect_paths,
+            )
         };
 
         // Select r̂ minimizing (d/v)·|p| — deterministic tie-break on
@@ -757,7 +726,6 @@ fn run_epoch_loop_fanout(
                 &mut path_buf,
                 instance,
                 &state.weights,
-                config.respect_residual.then_some(state.residual.as_slice()),
                 usable,
                 selected,
             );
@@ -858,7 +826,6 @@ fn run_epoch_loop_incremental(
 
 /// Package a finished run state into an [`EpochOutcome`].
 fn finish_outcome(
-    config: &BoundedUfpConfig,
     had_ctx: bool,
     state: EpochRunState,
     stop_reason: StopReason,
@@ -868,7 +835,7 @@ fn finish_outcome(
         records: state.records,
         ln_guard_threshold: ln_guard,
         stop_reason,
-        certificate: if config.respect_residual || had_ctx {
+        certificate: if had_ctx {
             Certificate::None
         } else {
             Certificate::Claim36
@@ -950,7 +917,7 @@ fn run_epoch(
         obs.counter_add("core.epoch_runs", 1);
         obs.counter_add("core.steps_applied", state.steps_done as u64);
     }
-    finish_outcome(config, ctx.is_some(), state, stop_reason, ln_guard)
+    finish_outcome(ctx.is_some(), state, stop_reason, ln_guard)
 }
 
 /// Resume an epoch run from `checkpoint` and drive it to completion.
@@ -976,7 +943,7 @@ pub fn bounded_ufp_epoch_resume(
     let stop_reason = run_epoch_loop(
         instance, config, usable, b, ln_guard, &mut state, None, None,
     );
-    finish_outcome(config, ctx.is_some(), state, stop_reason, ln_guard)
+    finish_outcome(ctx.is_some(), state, stop_reason, ln_guard)
 }
 
 /// Shortest-path *distances* for all remaining requests, one Dijkstra
@@ -1088,53 +1055,6 @@ pub(crate) fn shortest_paths_grouped_for_repeat(
     per_group.into_iter().flatten().collect()
 }
 
-/// Residual-capacity variant: the edge filter depends on each request's
-/// demand, so requests are queried individually. Follows the same
-/// `collect_paths` cost model as [`shortest_findings_grouped`]: below
-/// the one-reconstruction-per-node threshold the realizing paths come
-/// back inline (second vector, index-aligned with the findings) and the
-/// caller skips the winner's targeted re-derivation.
-#[allow(clippy::too_many_arguments)]
-fn shortest_findings_residual(
-    instance: &UfpInstance,
-    remaining: &[RequestId],
-    weights: &DualWeights,
-    residual: &[f64],
-    usable: Option<&[bool]>,
-    pool: &Pool,
-    collect_paths: bool,
-) -> (Vec<PathFinding>, Vec<Path>) {
-    let graph = instance.graph();
-    let w = weights.weights();
-    let mut sorted: Vec<RequestId> = remaining.to_vec();
-    sorted.sort_unstable();
-    let results: Vec<Option<(PathFinding, Option<Path>)>> = pool.map_with(
-        &sorted,
-        || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
-        |(dij, pbuf), _, &r| {
-            let req = instance.request(r);
-            dij.run(graph, w, req.src, Targets::One(req.dst), |e| {
-                usable.is_none_or(|u| u[e.index()]) && residual[e.index()] >= req.demand - 1e-12
-            });
-            let dist = dij.distance(req.dst)?;
-            let path = collect_paths.then(|| {
-                assert!(dij.path_to_into(req.dst, pbuf), "settled target");
-                pbuf.clone()
-            });
-            Some((PathFinding { request: r, dist }, path))
-        },
-    );
-    let mut findings = Vec::new();
-    let mut paths = Vec::new();
-    for (finding, path) in results.into_iter().flatten() {
-        findings.push(finding);
-        if let Some(p) = path {
-            paths.push(p);
-        }
-    }
-    (findings, paths)
-}
-
 /// Re-derive the selected request's path with one targeted Dijkstra,
 /// into a reusable buffer (allocation-free after warm-up). Bit-identical
 /// to the path the fan-out would have reconstructed: pop order and
@@ -1146,7 +1066,6 @@ fn chosen_path_into(
     out: &mut Path,
     instance: &UfpInstance,
     weights: &DualWeights,
-    residual_gate: Option<&[f64]>,
     usable: Option<&[bool]>,
     r: RequestId,
 ) {
@@ -1155,7 +1074,6 @@ fn chosen_path_into(
     let w = weights.weights();
     scratch.run(graph, w, req.src, Targets::One(req.dst), |e| {
         usable.is_none_or(|u| u[e.index()])
-            && residual_gate.is_none_or(|res| res[e.index()] >= req.demand - 1e-12)
     });
     let found = scratch.path_to_into(req.dst, out);
     assert!(
@@ -1322,22 +1240,6 @@ mod tests {
         let res = bounded_ufp(&inst, &BoundedUfpConfig::default());
         assert!(res.solution.is_empty());
         assert_eq!(res.trace.stop_reason, StopReason::NoPath);
-    }
-
-    #[test]
-    fn residual_mode_is_feasible_and_certificate_free() {
-        let mut gb = GraphBuilder::directed(2);
-        gb.add_edge(n(0), n(1), 3.0);
-        let inst = UfpInstance::new(
-            gb.build(),
-            (0..9).map(|_| Request::new(n(0), n(1), 1.0, 1.0)).collect(),
-        );
-        let mut cfg = BoundedUfpConfig::with_epsilon(0.5);
-        cfg.respect_residual = true;
-        let res = bounded_ufp(&inst, &cfg);
-        assert!(res.solution.check_feasible(&inst, false).is_ok());
-        assert_eq!(res.solution.len(), 3);
-        assert!(res.dual_upper_bound().is_none());
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //! Steps before `r`'s own selection step are shared with the real run (a
 //! lower value only raises `r`'s score), so [`critical_value_exact`]
 //! prices `r` with **one** resume from the trace checkpoint at that
-//! step, with `r` masked out of the remaining set. A [`Shadow`] observer
-//! rides along inside the ordinary loop — either selection strategy, so
-//! there is no second loop to keep in sync — and tracks `r`'s distance
-//! incrementally: it re-runs Dijkstra only when an applied path crosses
-//! `r`'s cached path or the weights re-center, the same cache invariant
-//! the incremental selector rests on (`crates/core/README.md`).
+//! step, with `r` masked out of the remaining set. A `Shadow` observer
+//! rides along inside the ordinary loop — the incremental selector or
+//! the fan-out reference, so there is no second loop to keep in sync —
+//! and tracks `r`'s distance incrementally: it re-runs Dijkstra only
+//! when an applied path crosses `r`'s cached path or the weights
+//! re-center, the same cache invariant the incremental selector rests
+//! on (`crates/core/README.md`).
 //!
 //! **Contract with bisection.** Critical-value bisection over full
 //! re-runs (`ufp_mechanism::critical_value`, relative tolerance `tol`)
@@ -157,7 +158,7 @@ impl Shadow {
                 inputs.weights.weights(),
                 req.src,
                 Targets::One(req.dst),
-                |e| inputs.passable_for(e, req.demand),
+                |e| inputs.passable(e),
             );
             self.dist = self.scratch.distance(req.dst);
             if self.dist.is_some() {
@@ -188,8 +189,8 @@ impl Shadow {
         self.threshold = self.threshold.min(wins_above);
     }
 
-    /// A step routed `applied`: its weight bumps and residual decrements
-    /// touch exactly its edges, so only a crossing invalidates the cache.
+    /// A step routed `applied`: its weight bumps touch exactly its edges,
+    /// so only a crossing invalidates the cache.
     pub(crate) fn after_step(&mut self, applied: &Path) {
         if self.stale || self.dist.is_none() {
             return;
@@ -206,7 +207,6 @@ mod tests {
         bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced, EpochOutcome,
     };
     use crate::request::Request;
-    use crate::selection::SelectionStrategy;
     use ufp_netgraph::graph::{Graph, GraphBuilder};
 
     fn n(i: u32) -> NodeId {
@@ -328,8 +328,8 @@ mod tests {
     #[test]
     fn exact_critical_value_matches_scratch_bisection() {
         let inst = congested();
-        for selection in [SelectionStrategy::Incremental, SelectionStrategy::FanOut] {
-            let cfg = BoundedUfpConfig::with_epsilon(0.4).with_selection(selection);
+        let inc = BoundedUfpConfig::with_epsilon(0.4);
+        for cfg in [inc.clone(), inc.fan_out_reference()] {
             let (full, exact) = check_all_winners(&inst, &cfg, None);
             assert_eq!(full.run.trace.stop_reason, StopReason::Guard);
             assert!(
@@ -337,7 +337,7 @@ mod tests {
                 "contention prices: {exact:?}"
             );
         }
-        // And under an epoch context: scaled residuals, carried weights.
+        // And under an epoch context: carried weights.
         let caps: Vec<f64> = inst.graph().edges().iter().map(|e| e.capacity).collect();
         let usable = vec![true; caps.len()];
         let carry = vec![0.3, 0.0, 0.1, 0.2, 0.0, 0.4];
@@ -445,26 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_gated_paths_close_without_losing_the_threshold() {
-        // Residual gating closes the top route mid-suffix; the shadow
-        // must notice the closure through its cached path's edges.
-        let mut gb = GraphBuilder::directed(4);
-        gb.add_edge(n(0), n(1), 3.0);
-        gb.add_edge(n(1), n(3), 3.0);
-        gb.add_edge(n(0), n(2), 4.0);
-        gb.add_edge(n(2), n(3), 4.0);
-        let inst = UfpInstance::new(
-            gb.build(),
-            (0..12)
-                .map(|i| Request::new(n(0), n(3), 0.5 + 0.04 * i as f64, 1.0 + (i % 5) as f64))
-                .collect(),
-        );
-        let mut cfg = BoundedUfpConfig::with_epsilon(0.7);
-        cfg.respect_residual = true;
-        check_all_winners(&inst, &cfg, None);
-    }
-
-    #[test]
     fn recenter_mid_suffix_keeps_the_exact_threshold() {
         // One link of capacity 610 at ε = 1: every selection bumps
         // ln y by exactly 1 past the initial scale, so the weights
@@ -479,8 +459,8 @@ mod tests {
                 .map(|i| Request::new(n(0), n(1), 1.0, 1.0 + (i % 13) as f64 + 0.01 * i as f64))
                 .collect(),
         );
-        let fan = BoundedUfpConfig::with_epsilon(1.0).with_selection(SelectionStrategy::FanOut);
         let inc = BoundedUfpConfig::with_epsilon(1.0);
+        let fan = inc.clone().fan_out_reference();
         let (full, trace) = bounded_ufp_epoch_traced(&inst, &inc, None);
         assert_eq!(full.run.trace.stop_reason, StopReason::Guard);
         assert!(trace.num_steps() > 601, "steps {}", trace.num_steps());

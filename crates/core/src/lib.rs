@@ -64,7 +64,6 @@ pub use reasonable::{
 };
 pub use repeat::{bounded_ufp_repeat, RepeatConfig, RepeatRunResult};
 pub use request::{Request, RequestId};
-pub use selection::SelectionStrategy;
 pub use solution::{FeasibilityError, UfpSolution};
 pub use trace::{Certificate, IterationRecord, RunTrace, StopReason};
 pub use weights::{DualWeights, DualWeightsState};

@@ -2,16 +2,15 @@
 //!
 //! The paper's pseudocode re-solves one shortest-path query per
 //! still-unrouted request on *every* iteration, yet each iteration only
-//! bumps dual weights (and decrements residuals) along the single
-//! winner's path. Within an epoch the dynamics are **monotone**: edge
-//! weights never decrease, residual capacities never increase, the
+//! bumps dual weights along the single winner's path. Within an epoch
+//! the dynamics are **monotone**: edge weights never decrease and the
 //! `usable` mask never changes. Two consequences carry the whole module:
 //!
 //! 1. **Cached answers stay exact until touched.** If none of the edges
 //!    on a cached shortest path changed, a fresh Dijkstra would return
 //!    the *bit-identical* distance and path: the cached path's edge
-//!    weights are unchanged, every alternative path only got heavier (or
-//!    vanished), and Dijkstra's `(distance, node-id)` pop order together
+//!    weights are unchanged, every alternative path only got heavier,
+//!    and Dijkstra's `(distance, node-id)` pop order together
 //!    with its first-strict-improvement parent rule means the set of
 //!    nodes settling before any cached-path node can only shrink — so
 //!    the same parents are assigned by the same float arithmetic. (See
@@ -26,11 +25,10 @@
 //!    reproducing the deterministic tie-break of the full fan-out.
 //!
 //! **Route classes.** A request's shortest-path query depends on the
-//! request only through its endpoints — and its demand when residual
-//! gating is on, since that is the one case where the edge filter reads
-//! the request. Requests sharing `(src, dst)` (plus the demand's bits
-//! under gating) form a *route class*: one query, one cached path and
-//! one distance `D` serve every member, and the member scores are
+//! request only through its endpoints: the edge filter (`usable`, fixed
+//! for the epoch) never reads the request. Requests sharing `(src, dst)`
+//! form a *route class*: one query, one cached path and one distance
+//! `D` serve every member, and the member scores are
 //! `density · D`. The selector therefore caches, dirties, re-queries and
 //! heap-orders **classes**, not requests. Within a class, members are
 //! kept in `(density, id)` order; because `x ↦ x·D` is monotone under
@@ -52,7 +50,7 @@
 //! run `r` was the lowest id of — its id is above `r`'s (strictly, if
 //! `r` was the winner and left).
 //!
-//! [`IncrementalSelector`] combines a [`PathCache`] over classes (cached
+//! `IncrementalSelector` combines a [`PathCache`] over classes (cached
 //! paths + edge→class interest index, so a winner's weight bumps dirty
 //! exactly the classes whose cached paths cross the bumped edges), an
 //! [`IndexedMinHeap`] over request slots holding one entry per live
@@ -66,8 +64,9 @@
 //!
 //! The output contract is strict: selections, scores, paths, iteration
 //! records, resume traces, and stop reasons are **bit-identical** to the
-//! full per-iteration fan-out ([`SelectionStrategy::FanOut`]), proptested
-//! in `tests/selection_equivalence.rs`.
+//! paper-literal per-iteration fan-out, which survives only as the test
+//! reference (`BoundedUfpConfig::fan_out_reference`) and is proptested
+//! against in `tests/selection_equivalence.rs`.
 
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::heap::IndexedMinHeap;
@@ -80,30 +79,6 @@ use ufp_par::Pool;
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
 use crate::weights::DualWeights;
-
-/// How the main loop finds each iteration's argmin request.
-///
-/// Both strategies produce **bit-identical** runs — same selections,
-/// same paths, same [`crate::IterationRecord`]s, same resume traces and
-/// exact critical values — so the choice is purely a performance knob,
-/// and snapshots taken under one restore under the other (the engine
-/// keeps them in one config-fingerprint class).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SelectionStrategy {
-    /// Route-class path cache + lazy score heap: requests sharing a
-    /// shortest-path query (same endpoints, and same demand under
-    /// residual gating) share one cached path and one heap entry, and
-    /// per iteration only the classes whose cached paths cross the
-    /// previous winner's edges are re-queried. The default —
-    /// `O(iters · dirtied classes)` queries instead of
-    /// `O(iters · remaining)`.
-    #[default]
-    Incremental,
-    /// The paper-literal full fan-out: every remaining request re-queried
-    /// every iteration. Kept as the reference for equivalence tests and
-    /// speedup benchmarks (`BENCH_PR4.json`).
-    FanOut,
-}
 
 /// Dirty sets of at least this many *classes* are refreshed eagerly
 /// through the grouped `ufp_par` fan-out instead of lazily one-at-a-time
@@ -123,8 +98,8 @@ const NONE: u32 = u32::MAX;
 
 /// One route class: the live requests sharing one shortest-path query.
 struct RouteClass {
-    /// A member whose request poses the class's query (endpoints, and
-    /// demand under residual gating); it stays valid after it leaves.
+    /// A member whose request poses the class's query (its endpoints);
+    /// it stays valid after it leaves.
     query: RequestId,
     /// First non-empty density group; `groups_end` once every member
     /// left.
@@ -192,47 +167,33 @@ type Refreshed = (u32, Option<(f64, Path)>);
 pub(crate) struct SelectInputs<'a> {
     pub instance: &'a UfpInstance,
     pub weights: &'a DualWeights,
-    /// Residual capacities (consulted only when `respect_residual`).
-    pub residual: &'a [f64],
     pub usable: Option<&'a [bool]>,
-    pub respect_residual: bool,
     pub pool: &'a Pool,
     /// Observability handle (off by default; never affects selection).
     pub obs: &'a Recorder,
 }
 
 impl SelectInputs<'_> {
-    /// The edge filter for request-independent queries.
+    /// The edge filter every query shares.
     #[inline]
-    fn passable(&self, e: EdgeId) -> bool {
+    pub(crate) fn passable(&self, e: EdgeId) -> bool {
         self.usable.is_none_or(|u| u[e.index()])
-    }
-
-    /// The edge filter for `r`'s queries (residual-gated when enabled).
-    #[inline]
-    pub(crate) fn passable_for(&self, e: EdgeId, demand: f64) -> bool {
-        self.passable(e) && (!self.respect_residual || self.residual[e.index()] >= demand - 1e-12)
     }
 }
 
 impl IncrementalSelector {
     /// A selector over the loop's current `remaining` set: partitions it
-    /// into route classes (numbered in `(src, dst, gate)` order, so
+    /// into route classes (numbered in `(src, dst)` order, so
     /// same-source classes are adjacent) and density groups, and flags
     /// every class for the first selection's full refresh.
     pub(crate) fn new(remaining: &[RequestId], inputs: &SelectInputs<'_>) -> Self {
         let instance = inputs.instance;
-        let mut keyed: Vec<(NodeId, NodeId, u64, u64, RequestId)> = remaining
+        let mut keyed: Vec<(NodeId, NodeId, u64, RequestId)> = remaining
             .iter()
             .map(|&r| {
                 let q = instance.request(r);
-                let gate = if inputs.respect_residual {
-                    q.demand.to_bits()
-                } else {
-                    0
-                };
                 // Positive floats order like their bit patterns.
-                (q.src, q.dst, gate, q.density().to_bits(), r)
+                (q.src, q.dst, q.density().to_bits(), r)
             })
             .collect();
         keyed.sort_unstable();
@@ -253,9 +214,9 @@ impl IncrementalSelector {
             scratch: Dijkstra::new(graph.num_nodes()),
             drain_buf: Vec::new(),
         };
-        for (i, &(src, dst, gate, density, r)) in keyed.iter().enumerate() {
+        for (i, &(src, dst, density, r)) in keyed.iter().enumerate() {
             let prev = i.checked_sub(1).map(|p| keyed[p]);
-            let same_class = prev.is_some_and(|p| (p.0, p.1, p.2) == (src, dst, gate));
+            let same_class = prev.is_some_and(|p| (p.0, p.1) == (src, dst));
             if !same_class {
                 selector.classes.push(RouteClass {
                     query: r,
@@ -267,7 +228,7 @@ impl IncrementalSelector {
                     dirty: false,
                 });
             }
-            if !same_class || prev.is_some_and(|p| p.3 != density) {
+            if !same_class || prev.is_some_and(|p| p.2 != density) {
                 let at = selector.members.len() as u32;
                 selector.groups.push(DensityGroup {
                     density: f64::from_bits(density),
@@ -386,7 +347,7 @@ impl IncrementalSelector {
     /// Account for an applied step: retire the winner from its class
     /// (dirtying the class, whose representative just left), dirty the
     /// classes whose cached paths cross its path's edges (their weights
-    /// were bumped and their residuals decremented), and detect weight
+    /// were bumped), and detect weight
     /// re-centering (which invalidates every cached distance's scale).
     pub(crate) fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights) {
         let c = self.class_of[selected.index()];
@@ -448,7 +409,7 @@ impl IncrementalSelector {
             inputs.weights.weights(),
             req.src,
             Targets::One(req.dst),
-            |e| inputs.passable_for(e, req.demand),
+            |e| inputs.passable(e),
         );
         match self.scratch.distance(req.dst) {
             None => self.retire(c),
@@ -466,9 +427,7 @@ impl IncrementalSelector {
     /// Refresh every dirty class through the grouped fan-out (the
     /// large-dirty-set / post-flush path). Same queries as
     /// [`IncrementalSelector::refresh_one`], batched: same-source classes
-    /// share one Dijkstra (unless residual-gated, where the filter
-    /// depends on the class's demand) and groups fan out over the worker
-    /// pool.
+    /// share one Dijkstra and groups fan out over the worker pool.
     fn refresh_eager(&mut self, inputs: &SelectInputs<'_>) {
         let _span = inputs.obs.span(Phase::SelectionDirtyRefresh);
         let mut dirty: Vec<u32> = Vec::with_capacity(self.dirty_count);
@@ -490,58 +449,38 @@ impl IncrementalSelector {
         let w = inputs.weights.weights();
         let query = |c: u32| instance.request(self.classes[c as usize].query);
 
-        let refreshed: Vec<Refreshed> = if inputs.respect_residual {
-            inputs.pool.map_with_floor(
-                &dirty,
-                EAGER_REFRESH_MIN,
-                || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
-                |(dij, pbuf), _, &c| {
-                    let req = query(c);
-                    dij.run(graph, w, req.src, Targets::One(req.dst), |e| {
-                        inputs.passable_for(e, req.demand)
-                    });
-                    let found = dij.distance(req.dst).map(|dist| {
-                        dij.path_to_into(req.dst, pbuf);
-                        (dist, pbuf.clone())
-                    });
-                    (c, found)
-                },
-            )
-        } else {
-            let mut groups: Vec<(NodeId, Vec<u32>)> = Vec::new();
-            for &c in &dirty {
-                let src = query(c).src;
-                match groups.last_mut() {
-                    Some((s, members)) if *s == src => members.push(c),
-                    _ => groups.push((src, vec![c])),
-                }
+        let mut groups: Vec<(NodeId, Vec<u32>)> = Vec::new();
+        for &c in &dirty {
+            let src = query(c).src;
+            match groups.last_mut() {
+                Some((s, members)) if *s == src => members.push(c),
+                _ => groups.push((src, vec![c])),
             }
-            let per_group: Vec<Vec<Refreshed>> = inputs.pool.map_with_floor(
-                &groups,
-                PARALLEL_GROUP_FLOOR,
-                || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
-                |(dij, pbuf), _, (src, members)| {
-                    let targets: Vec<_> = members.iter().map(|&c| query(c).dst).collect();
-                    dij.run(graph, w, *src, Targets::Set(&targets), |e| {
-                        inputs.passable(e)
-                    });
-                    members
-                        .iter()
-                        .zip(&targets)
-                        .map(|(&c, &dst)| {
-                            let found = dij.distance(dst).map(|dist| {
-                                dij.path_to_into(dst, pbuf);
-                                (dist, pbuf.clone())
-                            });
-                            (c, found)
-                        })
-                        .collect()
-                },
-            );
-            per_group.into_iter().flatten().collect()
-        };
+        }
+        let refreshed: Vec<Vec<Refreshed>> = inputs.pool.map_with_floor(
+            &groups,
+            PARALLEL_GROUP_FLOOR,
+            || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
+            |(dij, pbuf), _, (src, members)| {
+                let targets: Vec<_> = members.iter().map(|&c| query(c).dst).collect();
+                dij.run(graph, w, *src, Targets::Set(&targets), |e| {
+                    inputs.passable(e)
+                });
+                members
+                    .iter()
+                    .zip(&targets)
+                    .map(|(&c, &dst)| {
+                        let found = dij.distance(dst).map(|dist| {
+                            dij.path_to_into(dst, pbuf);
+                            (dist, pbuf.clone())
+                        });
+                        (c, found)
+                    })
+                    .collect()
+            },
+        );
 
-        for (c, found) in refreshed {
+        for (c, found) in refreshed.into_iter().flatten() {
             match found {
                 None => self.retire(c),
                 Some((dist, path)) => {
@@ -560,38 +499,28 @@ mod tests {
     use crate::request::Request;
     use ufp_netgraph::graph::{Graph, GraphBuilder};
 
-    /// The selector's first pick on `inst` at its initial weights, with
-    /// the winner's path edges.
-    fn first_pick(inst: &UfpInstance, residual: Option<&[f64]>) -> (RequestId, f64, Vec<EdgeId>) {
+    /// The selector's first pick on `inst` at its initial weights.
+    fn first_pick(inst: &UfpInstance) -> (RequestId, f64) {
         let weights = DualWeights::new(inst.graph());
-        let caps: Vec<f64> = inst.graph().edges().iter().map(|e| e.capacity).collect();
         let pool = Pool::sequential();
         let obs = Recorder::off();
         let inputs = SelectInputs {
             instance: inst,
             weights: &weights,
-            residual: residual.unwrap_or(&caps),
             usable: None,
-            respect_residual: residual.is_some(),
             pool: &pool,
             obs: &obs,
         };
         let remaining: Vec<RequestId> = inst.request_ids().collect();
         let mut selector = IncrementalSelector::new(&remaining, &inputs);
-        let (r, score) = selector.select(&inputs).expect("some request has a path");
-        (r, score, selector.winner_path(r).edges().to_vec())
+        selector.select(&inputs).expect("some request has a path")
     }
 
     /// Whole-run agreement with the fan-out reference.
     fn assert_matches_fanout(inst: &UfpInstance) {
-        let run = |s| {
-            let cfg = BoundedUfpConfig::with_epsilon(0.9).with_selection(s);
-            bounded_ufp_epoch(inst, &cfg, None).run.solution.routed
-        };
-        let (inc, fan) = (
-            run(SelectionStrategy::Incremental),
-            run(SelectionStrategy::FanOut),
-        );
+        let run = |cfg: BoundedUfpConfig| bounded_ufp_epoch(inst, &cfg, None).run.solution.routed;
+        let cfg = BoundedUfpConfig::with_epsilon(0.9);
+        let (inc, fan) = (run(cfg.clone()), run(cfg.fan_out_reference()));
         assert_eq!(inc.len(), fan.len());
         for (x, y) in inc.iter().zip(&fan) {
             assert_eq!(x.0, y.0);
@@ -626,7 +555,7 @@ mod tests {
             (vec![a(1.0), a(2.0), b(2.0), b(2.0)], 1),
         ] {
             let inst = UfpInstance::new(routes.clone(), requests);
-            let (picked, score, _) = first_pick(&inst, None);
+            let (picked, score) = first_pick(&inst);
             assert_eq!(picked, RequestId(expect));
             let dist: f64 = DualWeights::new(inst.graph()).weights()[0];
             assert_eq!(score.to_bits(), (0.25 * dist).to_bits());
@@ -655,34 +584,9 @@ mod tests {
             .expect("some adjacent densities tie at this distance");
         let req = |v| Request::new(NodeId(0), NodeId(2), 1.0, v);
         let inst = UfpInstance::new(g, vec![req(dense), req(sparse)]);
-        let (picked, score, _) = first_pick(&inst, None);
+        let (picked, score) = first_pick(&inst);
         assert_eq!(picked, RequestId(0));
         assert_eq!(score.to_bits(), ((1.0 / sparse) * dist).to_bits());
         assert_matches_fanout(&inst);
-    }
-
-    #[test]
-    fn residual_gate_splits_one_pair_by_demand() {
-        // `0 → 1` direct, or the long way round through 2 and 3. With
-        // 0.6 left on the direct edge, a unit demand must go the long
-        // way while a half demand still fits: under gating the pair is
-        // two classes, and the half demand wins on the short route even
-        // though the unit demand is the sparser bid.
-        let g = graph(4, &[(0, 1, 4.0), (0, 2, 4.0), (2, 3, 4.0), (3, 1, 4.0)]);
-        let inst = UfpInstance::new(
-            g,
-            vec![
-                Request::new(NodeId(0), NodeId(1), 1.0, 4.0),
-                Request::new(NodeId(0), NodeId(1), 0.5, 1.0),
-            ],
-        );
-        let residual = [0.6, 4.0, 4.0, 4.0];
-        let (picked, _, path) = first_pick(&inst, Some(&residual));
-        assert_eq!(picked, RequestId(1));
-        assert_eq!(path, vec![EdgeId(0)]);
-        // Ungated, the pair is one class and the sparser bid wins.
-        let (picked, _, path) = first_pick(&inst, None);
-        assert_eq!(picked, RequestId(0));
-        assert_eq!(path, vec![EdgeId(0)]);
     }
 }

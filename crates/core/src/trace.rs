@@ -27,7 +27,7 @@ pub enum StopReason {
     /// The dual guard tripped: `Σ c_e y_e > e^{ε(B−1)}`.
     Guard,
     /// No remaining request has a usable path (disconnected terminals, or
-    /// no residual-feasible path in residual mode).
+    /// every route crosses an edge masked out of the epoch).
     NoPath,
     /// Iteration cap hit (only possible for the repetitions variant).
     IterationCap,
@@ -62,8 +62,8 @@ pub enum Certificate {
     Claim36,
     /// Claim 5.2 (repetitions): `D ≤ D(i)/α(i)` (no `z` terms).
     Claim52,
-    /// No valid certificate (e.g. residual-restricted path selection,
-    /// which can inflate `α(i)` past the claim's premise).
+    /// No valid certificate: epoch runs, whose masked edges and carried
+    /// weights break the claim's premise.
     None,
 }
 

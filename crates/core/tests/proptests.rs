@@ -9,6 +9,9 @@
 //! * **Monotonicity (Lemma 3.4)** — raising a winner's value or lowering
 //!   its demand never evicts it (the theorem the whole mechanism stands
 //!   on, probed across random instances rather than fixtures).
+//! * **Guard headroom** — before every selection, every usable edge
+//!   still has `c_e/B ≥ 1` capacity free, so no demand can overflow it
+//!   and path search needs no residual gate.
 //! * **Consistency** — the engine's `PrimalDualScore` agrees with the
 //!   closed form `h(p)` the paper assigns to Algorithm 1.
 
@@ -17,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ufp_core::{
-    bounded_ufp, exact_optimum, iterative_path_minimizer, BoundedUfpConfig, EngineConfig,
-    ExactConfig, PrimalDualScore, Request, UfpInstance,
+    bounded_ufp, bounded_ufp_epoch, exact_optimum, iterative_path_minimizer, BoundedUfpConfig,
+    EngineConfig, EpochContext, ExactConfig, PrimalDualScore, Request, UfpInstance,
 };
 use ufp_lp::solve_ufp_lp_exact;
 use ufp_netgraph::generators;
@@ -56,6 +59,118 @@ fn arb_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
             (UfpInstance::new(graph, reqs), eps)
         },
     )
+}
+
+/// Contended instance for the guard property: a sparse graph, so one
+/// edge can dominate the dual sum `D₁`, and 10–59 requests over at most
+/// three reachable pairs, so runs end on the guard.
+fn arb_contended_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
+    (3usize..7, 0usize..6, 10usize..60, any::<u64>(), 1usize..11).prop_map(
+        |(n, extra_edges, requests, seed, eps_decile)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = (n + extra_edges).min(n * (n - 1));
+            let cap = 2.0 + (seed % 7) as f64;
+            let graph = generators::gnm_digraph(n, m, (cap, cap * 1.5), &mut rng);
+            let mut pairs = Vec::new();
+            for _ in 0..200 {
+                let src = NodeId(rng.random_range(0..n as u32));
+                let dst = NodeId(rng.random_range(0..n as u32));
+                if pairs.len() < 3
+                    && src != dst
+                    && ufp_netgraph::bfs::is_reachable(&graph, src, dst)
+                {
+                    pairs.push((src, dst));
+                }
+            }
+            let reqs = if pairs.is_empty() {
+                Vec::new()
+            } else {
+                (0..requests)
+                    .map(|_| {
+                        let (src, dst) = pairs[rng.random_range(0..pairs.len())];
+                        let demand = rng.random_range(0.1..=1.0);
+                        Request::new(src, dst, demand, rng.random_range(0.1..=3.0))
+                    })
+                    .collect()
+            };
+            (UfpInstance::new(graph, reqs), eps_decile as f64 / 10.0)
+        },
+    )
+}
+
+/// Random epoch context over `inst`'s graph: scaled capacities, dead
+/// links (unusable, zero capacity), carried exponents, and optionally a
+/// routable mask.
+fn random_context(
+    inst: &UfpInstance,
+    seed: u64,
+) -> (Vec<f64>, Vec<bool>, Vec<f64>, Option<Vec<bool>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let m = inst.graph().num_edges();
+    let usable: Vec<bool> = (0..m).map(|_| rng.random_range(0..5u32) != 0).collect();
+    let caps: Vec<f64> = inst
+        .graph()
+        .edges()
+        .iter()
+        .zip(&usable)
+        .map(|(e, &u)| {
+            if u {
+                e.capacity * rng.random_range(0.5..=1.0)
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let carry: Vec<f64> = (0..m).map(|_| rng.random_range(0.0..1.5)).collect();
+    let routable = rng
+        .random_bool(0.5)
+        .then(|| (0..m).map(|_| rng.random_range(0..4u32) != 0).collect());
+    (caps, usable, carry, routable)
+}
+
+/// Replay the run's routed paths in order against the capacities it ran
+/// under (`caps`, with `usable` edges in play) and check, before every
+/// selection, that each usable edge has `c_e − load_e ≥ c_e/B ≥ 1 ≥ d`
+/// for every demand `d` (relative tolerance 1e-9 on the first bound).
+fn check_guard_headroom(
+    inst: &UfpInstance,
+    eps: f64,
+    ctx: Option<&EpochContext<'_>>,
+    caps: &[f64],
+    usable: &[bool],
+) -> Result<(), TestCaseError> {
+    let b = caps
+        .iter()
+        .zip(usable)
+        .filter(|&(_, &u)| u)
+        .map(|(&c, _)| c)
+        .fold(f64::INFINITY, f64::min);
+    let max_demand = inst
+        .request_ids()
+        .map(|r| inst.request(r).demand)
+        .fold(0.0, f64::max);
+    prop_assert!(max_demand <= 1.0);
+    let run = bounded_ufp_epoch(inst, &BoundedUfpConfig::with_epsilon(eps), ctx).run;
+    let mut load = vec![0.0f64; caps.len()];
+    for (step, (rid, path)) in run.solution.routed.iter().enumerate() {
+        for (e, &c) in caps.iter().enumerate() {
+            if !usable[e] {
+                continue;
+            }
+            prop_assert!(c / b >= 1.0);
+            let free = c - load[e];
+            prop_assert!(
+                free >= (c / b) * (1.0 - 1e-9),
+                "step {step}: edge {e} has {free} of {c} free, below c/B = {}",
+                c / b
+            );
+        }
+        let d = inst.request(*rid).demand;
+        for e in path.edges() {
+            load[e.index()] += d;
+        }
+    }
+    Ok(())
 }
 
 fn prop_assume_nonempty(reqs: &[Request]) {
@@ -119,6 +234,27 @@ proptest! {
             prop_assert!(run.solution.contains(rid),
                 "winner {rid} evicted by an improved declaration");
         }
+    }
+
+    /// The guard `D₁ ≤ e^{ε(B−1)}` alone keeps every usable edge at
+    /// least `c_e/B` free before each selection: `c_e·y_e ≤ D₁` gives
+    /// `ε·B·load_e/c_e ≤ ε(B−1)`, i.e. `load_e ≤ c_e(B−1)/B`. One-shot
+    /// runs, and epoch runs with carry, dead links and routable masks.
+    #[test]
+    fn guard_leaves_every_usable_edge_headroom(
+        (inst, eps) in arb_contended_instance(),
+        seed in any::<u64>(),
+    ) {
+        let graph_caps: Vec<f64> = inst.graph().edges().iter().map(|e| e.capacity).collect();
+        check_guard_headroom(&inst, eps, None, &graph_caps, &vec![true; graph_caps.len()])?;
+        let (caps, usable, carry, routable) = random_context(&inst, seed);
+        let ctx = EpochContext {
+            capacities: &caps,
+            usable: &usable,
+            carry: &carry,
+            routable: routable.as_deref(),
+        };
+        check_guard_headroom(&inst, eps, Some(&ctx), &caps, &usable)?;
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! PR 4's load-bearing contract: [`SelectionStrategy::Incremental`] and
-//! [`SelectionStrategy::FanOut`] are **bit-identical** in every
-//! observable output — selections, paths, [`IterationRecord`]s (every
-//! float compared by bits), stop reasons, carried dual exponents, resume
-//! traces, checkpoints, and exact critical values — across random graphs, epoch
-//! contexts (masked edges, scaled residuals, carried weights),
-//! residual-gated path search, and weight re-centering. Everything PR 2
-//! (prefix-resumed payments) and PR 3 (snapshots) built on the fan-out
-//! loop must keep working unchanged on top of the incremental one.
+//! PR 4's load-bearing contract: the incremental selection loop and the
+//! paper-literal fan-out (kept only as this reference, behind
+//! [`BoundedUfpConfig::fan_out_reference`]) are **bit-identical** in
+//! every observable output — selections, paths, `IterationRecord`s
+//! (every float compared by bits), stop reasons, carried dual exponents,
+//! resume traces, checkpoints, and exact critical values — across random
+//! graphs, epoch contexts (masked edges, scaled capacities, carried
+//! weights), and weight re-centering. Everything PR 2 (prefix-resumed
+//! payments) and PR 3 (snapshots) built on the fan-out loop must keep
+//! working unchanged on top of the incremental one.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use ufp_core::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
     critical_value_exact, BoundedUfpConfig, EpochContext, EpochOutcome, EpochResumeTrace, Request,
-    SelectionStrategy, UfpInstance,
+    UfpInstance,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
@@ -115,16 +116,16 @@ fn arb_tied_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
     )
 }
 
-/// Fan-out and incremental runs of one traced epoch must agree bit for
-/// bit, and so must the exact critical value of every winner in `steps`
-/// (priced against the fan-out's trace).
-fn assert_strategies_agree(
+/// Fan-out and incremental runs of one traced epoch at `eps` must agree
+/// bit for bit, and so must the exact critical value of every winner in
+/// `steps` (priced against the fan-out's trace).
+fn assert_loops_agree(
     inst: &UfpInstance,
-    fan_cfg: &BoundedUfpConfig,
-    inc_cfg: &BoundedUfpConfig,
+    eps: f64,
     ctx: Option<&EpochContext<'_>>,
     steps: impl Fn(&EpochResumeTrace) -> Vec<usize>,
 ) -> EpochOutcome {
+    let (fan_cfg, inc_cfg) = (&fan_out(eps), &incremental(eps));
     let (fan, trace) = bounded_ufp_epoch_traced(inst, fan_cfg, ctx);
     let (inc, inc_trace) = bounded_ufp_epoch_traced(inst, inc_cfg, ctx);
     assert_outcomes_bit_identical(&fan, &inc);
@@ -137,8 +138,14 @@ fn assert_strategies_agree(
     fan
 }
 
-fn with_strategy(eps: f64, s: SelectionStrategy) -> BoundedUfpConfig {
-    BoundedUfpConfig::with_epsilon(eps).with_selection(s)
+/// The production configuration: the incremental loop.
+fn incremental(eps: f64) -> BoundedUfpConfig {
+    BoundedUfpConfig::with_epsilon(eps)
+}
+
+/// The fan-out reference at the same ε.
+fn fan_out(eps: f64) -> BoundedUfpConfig {
+    incremental(eps).fan_out_reference()
 }
 
 /// Bit-level equality of two epoch outcomes.
@@ -170,7 +177,7 @@ fn assert_outcomes_bit_identical(a: &EpochOutcome, b: &EpochOutcome) {
     }
 }
 
-/// A context exercising masks, scaled residuals, and carried weights,
+/// A context exercising masks, scaled capacities, and carried weights,
 /// derived deterministically from the seed.
 fn context_vectors(inst: &UfpInstance, seed: u64) -> (Vec<f64>, Vec<bool>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
@@ -195,15 +202,10 @@ proptest! {
 
     #[test]
     fn one_shot_runs_bit_identical((inst, eps) in arb_instance()) {
-        let fan = bounded_ufp_epoch(&inst, &with_strategy(eps, SelectionStrategy::FanOut), None);
-        let inc = bounded_ufp_epoch(&inst, &with_strategy(eps, SelectionStrategy::Incremental), None);
-        assert_outcomes_bit_identical(&fan, &inc);
+        let fan = bounded_ufp_epoch(&inst, &fan_out(eps), None);
+        assert_outcomes_bit_identical(&fan, &bounded_ufp_epoch(&inst, &incremental(eps), None));
         // Parallel pools change nothing either.
-        let inc_par = bounded_ufp_epoch(
-            &inst,
-            &with_strategy(eps, SelectionStrategy::Incremental).parallel(Pool::new(4)),
-            None,
-        );
+        let inc_par = bounded_ufp_epoch(&inst, &incremental(eps).parallel(Pool::new(4)), None);
         assert_outcomes_bit_identical(&fan, &inc_par);
     }
 
@@ -213,36 +215,24 @@ proptest! {
         let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
             routable: None,
         };
-        let fan = bounded_ufp_epoch(&inst, &with_strategy(eps, SelectionStrategy::FanOut), Some(&ctx));
-        let inc = bounded_ufp_epoch(&inst, &with_strategy(eps, SelectionStrategy::Incremental), Some(&ctx));
-        assert_outcomes_bit_identical(&fan, &inc);
-    }
-
-    #[test]
-    fn respect_residual_runs_bit_identical((inst, eps) in arb_instance()) {
-        let mut fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
-        fan_cfg.respect_residual = true;
-        let mut inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
-        inc_cfg.respect_residual = true;
-        let fan = bounded_ufp_epoch(&inst, &fan_cfg, None);
-        let inc = bounded_ufp_epoch(&inst, &inc_cfg, None);
+        let fan = bounded_ufp_epoch(&inst, &fan_out(eps), Some(&ctx));
+        let inc = bounded_ufp_epoch(&inst, &incremental(eps), Some(&ctx));
         assert_outcomes_bit_identical(&fan, &inc);
     }
 
     #[test]
     fn traces_and_resumes_cross_strategies((inst, eps) in arb_instance(), seed in any::<u64>()) {
-        // A trace recorded under one strategy must checkpoint and resume
+        // A trace recorded under one loop must checkpoint and resume
         // bit-identically under the other — this is what lets PR 2's
         // resumed payments and PR 3's snapshots run unchanged on top.
-        let fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
-        let inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
+        let (fan_cfg, inc_cfg) = (fan_out(eps), incremental(eps));
         let (fan_full, fan_trace) = bounded_ufp_epoch_traced(&inst, &fan_cfg, None);
         let (inc_full, inc_trace) = bounded_ufp_epoch_traced(&inst, &inc_cfg, None);
         assert_outcomes_bit_identical(&fan_full, &inc_full);
         prop_assert_eq!(fan_trace.num_steps(), inc_trace.num_steps());
         if fan_trace.num_steps() > 0 {
             let prefix = (seed as usize) % (fan_trace.num_steps() + 1);
-            // FanOut-recorded trace, resumed incrementally...
+            // Fan-out-recorded trace, resumed incrementally...
             let ckpt = fan_trace.checkpoint(&inst, &inc_cfg, None, prefix);
             let resumed = bounded_ufp_epoch_resume(&inst, &inc_cfg, None, ckpt);
             assert_outcomes_bit_identical(&fan_full, &resumed);
@@ -257,20 +247,16 @@ proptest! {
     fn exact_payments_agree_across_strategies(
         (inst, eps) in arb_instance(),
         seed in any::<u64>(),
-        gated in any::<bool>(),
     ) {
         // The exact critical-value pass resumes each winner's selection
         // step with the winner masked out and shadows it through either
-        // loop body: payments must match bit for bit across strategies,
-        // under an epoch context and with residual-gated search.
+        // loop body: payments must match bit for bit across the loops,
+        // one-shot and under an epoch context.
         let (caps, usable, carry) = context_vectors(&inst, seed);
         let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
             routable: None,
         };
-        let mut fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
-        let mut inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
-        fan_cfg.respect_residual = gated;
-        inc_cfg.respect_residual = gated;
+        let (fan_cfg, inc_cfg) = (fan_out(eps), incremental(eps));
         for ctx in [None, Some(&ctx)] {
             let (_, trace) = bounded_ufp_epoch_traced(&inst, &fan_cfg, ctx);
             for k in 0..trace.num_steps() {
@@ -291,7 +277,6 @@ proptest! {
     fn tie_heavy_runs_and_payments_bit_identical(
         (inst, eps) in arb_tied_instance(),
         seed in any::<u64>(),
-        gated in any::<bool>(),
     ) {
         // Equal densities inside classes and equal scores across them:
         // every argmin is decided by the id tie-break, which the route
@@ -313,13 +298,9 @@ proptest! {
         let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
             routable: None,
         };
-        let mut fan_cfg = with_strategy(eps, SelectionStrategy::FanOut);
-        let mut inc_cfg = with_strategy(eps, SelectionStrategy::Incremental);
-        fan_cfg.respect_residual = gated;
-        inc_cfg.respect_residual = gated;
         for ctx in [None, Some(&ctx)] {
             let every = |t: &EpochResumeTrace| (0..t.num_steps()).collect();
-            assert_strategies_agree(&inst, &fan_cfg, &inc_cfg, ctx, every);
+            assert_loops_agree(&inst, eps, ctx, every);
         }
     }
 }
@@ -328,7 +309,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn tie_heavy_recenter_bit_identical(seed in any::<u64>(), gated in any::<bool>()) {
+    fn tie_heavy_recenter_bit_identical(seed in any::<u64>()) {
         // Three sources funnel through one hub edge of capacity 2000 at
         // ε = 1: each selection bumps it by its demand, so ~900 grid
         // requests push its log-weight past the re-centering threshold
@@ -354,15 +335,11 @@ proptest! {
         let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
             routable: None,
         };
-        let mut fan_cfg = with_strategy(1.0, SelectionStrategy::FanOut);
-        let mut inc_cfg = with_strategy(1.0, SelectionStrategy::Incremental);
-        fan_cfg.respect_residual = gated;
-        inc_cfg.respect_residual = gated;
         let sample = |t: &EpochResumeTrace| {
             let n = t.num_steps();
             vec![(seed % 97) as usize, n / 2, 2 * n / 3, n - 1]
         };
-        let fan = assert_strategies_agree(&inst, &fan_cfg, &inc_cfg, Some(&ctx), sample);
+        let fan = assert_loops_agree(&inst, 1.0, Some(&ctx), sample);
         // The carry holds each edge's total log-weight growth: past 600
         // on the hub edge means the weights re-centered.
         let growth = fan.carry.iter().copied().fold(0.0, f64::max);
@@ -386,12 +363,8 @@ fn recentering_flush_preserves_bit_identity() {
             .map(|i| Request::new(NodeId(0), NodeId(1), 1.0, 1.0 + (i % 13) as f64))
             .collect(),
     );
-    let fan = bounded_ufp_epoch(&inst, &with_strategy(1.0, SelectionStrategy::FanOut), None);
-    let inc = bounded_ufp_epoch(
-        &inst,
-        &with_strategy(1.0, SelectionStrategy::Incremental),
-        None,
-    );
+    let fan = bounded_ufp_epoch(&inst, &fan_out(1.0), None);
+    let inc = bounded_ufp_epoch(&inst, &incremental(1.0), None);
     assert!(
         fan.run.solution.routed.len() > 600,
         "fixture must cross the recenter threshold (routed {})",
@@ -402,7 +375,7 @@ fn recentering_flush_preserves_bit_identity() {
 
 /// Ten sources funnel through one bottleneck `10 → 11` to eight sinks:
 /// 80 route classes, every cached path crossing the bottleneck, so each
-/// winner dirties every live class.
+/// winner dirties every live class. Request `i` asks for `demand(i)`.
 fn bottleneck_storm(demand: impl Fn(usize) -> f64) -> UfpInstance {
     let mut gb = GraphBuilder::directed(20);
     for s in 0..10 {
@@ -446,39 +419,10 @@ fn single_pair_storm() -> UfpInstance {
     UfpInstance::new(gb.build(), reqs)
 }
 
-/// A dirty storm drives the selector through its eager grouped fan-out
-/// refresh (the large-dirty-set path) while at least `EAGER_REFRESH_MIN`
-/// classes are dirty; the one-pair storm covers the same traffic as a
-/// single large class.
-#[test]
-fn dirty_storm_takes_the_eager_path_bit_identically() {
-    let many_classes = bottleneck_storm(|i| 0.5 + 0.05 * (i % 10) as f64);
-    for (inst, eager) in [(&many_classes, true), (&single_pair_storm(), false)] {
-        for eps in [0.3, 0.8] {
-            let fan = bounded_ufp_epoch(inst, &with_strategy(eps, SelectionStrategy::FanOut), None);
-            let inc_cfg =
-                with_strategy(eps, SelectionStrategy::Incremental).with_obs(Recorder::enabled());
-            let inc = bounded_ufp_epoch(inst, &inc_cfg, None);
-            assert!(!fan.run.solution.routed.is_empty());
-            if eager {
-                assert!(eager_refreshes(&inc_cfg) > 1, "storm never went eager");
-            }
-            assert_outcomes_bit_identical(&fan, &inc);
-            // Parallel eager refresh changes nothing.
-            let inc_par = bounded_ufp_epoch(
-                inst,
-                &with_strategy(eps, SelectionStrategy::Incremental).parallel(Pool::new(4)),
-                None,
-            );
-            assert_outcomes_bit_identical(&fan, &inc_par);
-        }
-    }
-}
-
-/// A residual-gated diamond: 120 requests from `0` to `3` over two
-/// two-edge routes of capacities 40 and 45, ten demands, so each demand
-/// is a route class of its own.
-fn gated_diamond() -> UfpInstance {
+/// A two-route diamond: 120 requests from `0` to `3` over two two-edge
+/// routes of capacities 40 and 45, ten demands — one route class, on
+/// the lazy path.
+fn two_route_diamond() -> UfpInstance {
     let mut gb = GraphBuilder::directed(4);
     gb.add_edge(NodeId(0), NodeId(1), 40.0);
     gb.add_edge(NodeId(1), NodeId(3), 40.0);
@@ -494,39 +438,58 @@ fn gated_diamond() -> UfpInstance {
     UfpInstance::new(gb.build(), reqs)
 }
 
-/// Residual-gated search with a dirty storm: the class's edge filter
-/// (its demand vs residual) flows through the eager refresh too, and
-/// through the lazy one on the diamond.
+/// Runs `inst` on the fan-out reference and on the incremental
+/// selector, sequential and on `Pool::new(4)`, and demands bit-identical
+/// outcomes; `eager` further demands the storm went eager.
+fn assert_storm_bit_identical(inst: &UfpInstance, eps: f64, eager: bool) {
+    let fan = bounded_ufp_epoch(inst, &fan_out(eps), None);
+    let inc_cfg = incremental(eps).with_obs(Recorder::enabled());
+    let inc = bounded_ufp_epoch(inst, &inc_cfg, None);
+    assert!(!fan.run.solution.routed.is_empty());
+    if eager {
+        assert!(eager_refreshes(&inc_cfg) > 1, "storm never went eager");
+    }
+    assert_outcomes_bit_identical(&fan, &inc);
+    // Parallel eager refresh changes nothing.
+    let inc_par = bounded_ufp_epoch(inst, &incremental(eps).parallel(Pool::new(4)), None);
+    assert_outcomes_bit_identical(&fan, &inc_par);
+}
+
+/// A dirty storm drives the selector through its eager grouped fan-out
+/// refresh (the large-dirty-set path) while at least `EAGER_REFRESH_MIN`
+/// classes are dirty; the one-pair storm covers the same traffic as a
+/// single large class.
 #[test]
-fn residual_gate_dirty_storm_bit_identical() {
-    let many_classes = bottleneck_storm(|i| 0.3 + 0.07 * (i % 3) as f64);
-    for (inst, eager) in [(&many_classes, true), (&gated_diamond(), false)] {
-        let mut fan_cfg = with_strategy(0.6, SelectionStrategy::FanOut);
-        fan_cfg.respect_residual = true;
-        let mut inc_cfg =
-            with_strategy(0.6, SelectionStrategy::Incremental).with_obs(Recorder::enabled());
-        inc_cfg.respect_residual = true;
-        let fan = bounded_ufp_epoch(inst, &fan_cfg, None);
-        let inc = bounded_ufp_epoch(inst, &inc_cfg, None);
-        assert!(!fan.run.solution.routed.is_empty());
-        if eager {
-            assert!(eager_refreshes(&inc_cfg) > 1, "storm never went eager");
+fn dirty_storm_takes_the_eager_path_bit_identically() {
+    let many_classes = bottleneck_storm(|i| 0.5 + 0.05 * (i % 10) as f64);
+    for (inst, eager) in [(&many_classes, true), (&single_pair_storm(), false)] {
+        for eps in [0.3, 0.8] {
+            assert_storm_bit_identical(inst, eps, eager);
         }
-        assert_outcomes_bit_identical(&fan, &inc);
-        // Parallel eager refresh changes nothing.
-        let inc_par = bounded_ufp_epoch(inst, &inc_cfg.clone().parallel(Pool::new(4)), None);
-        assert_outcomes_bit_identical(&fan, &inc_par);
     }
 }
 
-/// `bounded_ufp` (the public one-shot entry) defaults to Incremental;
-/// explicit FanOut must agree on the classic fixtures.
+/// The storm fixtures that once ran residual-gated, now run on the one
+/// search there is: a three-demand bottleneck storm through the eager
+/// refresh, and the two-route diamond (one class) through the lazy one.
+#[test]
+fn residual_gate_dirty_storm_bit_identical() {
+    let many_classes = bottleneck_storm(|i| 0.3 + 0.07 * (i % 3) as f64);
+    for (inst, eager) in [(&many_classes, true), (&two_route_diamond(), false)] {
+        assert_storm_bit_identical(inst, 0.6, eager);
+    }
+}
+
+/// `bounded_ufp` (the public one-shot entry) runs the incremental loop —
+/// only it records selection-heap spans — and the fan-out reference
+/// must agree with it on the classic fixtures.
 #[test]
 fn default_strategy_is_incremental_and_equivalent() {
-    assert_eq!(
-        BoundedUfpConfig::default().selection,
-        SelectionStrategy::Incremental
-    );
+    let heap_spans = |cfg: BoundedUfpConfig, inst: &UfpInstance| {
+        let cfg = cfg.with_obs(Recorder::enabled());
+        bounded_ufp(inst, &cfg);
+        cfg.obs.phase_totals().expect("recorder on").1[Phase::SelectionHeap as usize]
+    };
     let mut gb = GraphBuilder::directed(4);
     gb.add_edge(NodeId(0), NodeId(1), 20.0);
     gb.add_edge(NodeId(1), NodeId(3), 20.0);
@@ -538,11 +501,10 @@ fn default_strategy_is_incremental_and_equivalent() {
             .map(|i| Request::new(NodeId(0), NodeId(3), 1.0, 1.0 + (i % 5) as f64))
             .collect(),
     );
+    assert!(heap_spans(BoundedUfpConfig::default(), &inst) > 0);
+    assert_eq!(heap_spans(fan_out(0.5), &inst), 0);
     let default_run = bounded_ufp(&inst, &BoundedUfpConfig::with_epsilon(0.5));
-    let fan_run = bounded_ufp(
-        &inst,
-        &BoundedUfpConfig::with_epsilon(0.5).with_selection(SelectionStrategy::FanOut),
-    );
+    let fan_run = bounded_ufp(&inst, &fan_out(0.5));
     assert_eq!(
         default_run.solution.routed.len(),
         fan_run.solution.routed.len()

@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use ufp_core::{BoundedUfpConfig, SelectionStrategy};
+use ufp_core::BoundedUfpConfig;
 use ufp_mechanism::PaymentConfig;
 use ufp_obs::Recorder;
 use ufp_par::Pool;
@@ -190,7 +190,8 @@ pub enum EventLevel {
 pub struct EngineConfig {
     /// Accuracy parameter handed to the per-epoch Bounded-UFP run.
     pub epsilon: f64,
-    /// Parallelism for the per-iteration shortest-path fan-out.
+    /// Parallelism for the allocator's grouped shortest-path refreshes
+    /// and the per-winner payment passes.
     pub pool: Pool,
     /// Multiplier applied to the carried dual exponents at the start of
     /// every epoch, in `[0, 1]`: `0.0` forgets congestion each epoch,
@@ -203,14 +204,6 @@ pub struct EngineConfig {
     pub residual_floor: ResidualFloor,
     /// Payment computation.
     pub payments: PaymentPolicy,
-    /// How each epoch's allocation loop finds its per-iteration argmin.
-    /// [`SelectionStrategy::Incremental`] (the default) and
-    /// [`SelectionStrategy::FanOut`] are bit-identical in every output —
-    /// admissions, records, payments, snapshots — so this is purely a
-    /// performance knob, and the snapshot config fingerprint keeps the
-    /// two in **one class** (a snapshot taken under either restores
-    /// under the other).
-    pub selection: SelectionStrategy,
     /// Event-log granularity.
     pub events: EventLevel,
     /// Retention cap for the in-engine event log. When the log reaches
@@ -243,7 +236,6 @@ impl Default for EngineConfig {
             carry_decay: 0.5,
             residual_floor: ResidualFloor::Regime,
             payments: PaymentPolicy::None,
-            selection: SelectionStrategy::default(),
             events: EventLevel::Epoch,
             event_capacity: 1 << 16,
             obs: Recorder::off(),
@@ -277,12 +269,6 @@ impl EngineConfig {
         self
     }
 
-    /// Same configuration with the given selection strategy.
-    pub fn with_selection(mut self, selection: SelectionStrategy) -> Self {
-        self.selection = selection;
-        self
-    }
-
     /// Same configuration with an observability recorder attached.
     pub fn with_obs(mut self, obs: Recorder) -> Self {
         self.obs = obs;
@@ -299,7 +285,6 @@ impl EngineConfig {
     pub fn allocator_config(&self) -> BoundedUfpConfig {
         let mut cfg = BoundedUfpConfig::with_epsilon(self.epsilon);
         cfg.pool = self.pool;
-        cfg.selection = self.selection;
         cfg.obs = self.obs.clone();
         cfg
     }
@@ -433,19 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn allocator_config_inherits_epsilon_pool_and_selection() {
-        let cfg = EngineConfig::with_epsilon(0.7)
-            .parallel(Pool::new(3))
-            .with_selection(SelectionStrategy::FanOut);
+    fn allocator_config_inherits_epsilon_and_pool() {
+        let cfg = EngineConfig::with_epsilon(0.7).parallel(Pool::new(3));
         let a = cfg.allocator_config();
         assert_eq!(a.epsilon, 0.7);
         assert_eq!(a.pool.threads(), 3);
-        assert!(!a.respect_residual);
-        assert_eq!(a.selection, SelectionStrategy::FanOut);
-        // The engine default follows the allocator default: incremental.
-        assert_eq!(
-            EngineConfig::default().selection,
-            SelectionStrategy::Incremental
-        );
     }
 }

@@ -283,6 +283,16 @@ impl Engine {
         }
     }
 
+    /// The same engine with every later epoch (and its pricing passes)
+    /// run on the paper-literal fan-out loop instead of the incremental
+    /// selector. Outputs are bit-identical; this exists only as the
+    /// reference the engine equivalence tests compare against.
+    #[doc(hidden)]
+    pub fn fan_out_reference(mut self) -> Self {
+        self.allocator_config = self.allocator_config.fan_out_reference();
+        self
+    }
+
     /// Append an event, enforcing the retention cap: at
     /// [`EngineConfig::event_capacity`] entries, the oldest half is
     /// rotated out in one amortized-O(1) drain and counted in

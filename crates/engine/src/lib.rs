@@ -26,7 +26,7 @@
 //!    rule as the paper's algorithm*, initialized from the residual view
 //!    and the carried weights. Within a fresh network and a single epoch
 //!    this produces the identical allocation and payments as one-shot
-//!    [`ufp_core::bounded_ufp`] (only the Claim 3.6 certificate is
+//!    [`ufp_core::bounded_ufp()`] (only the Claim 3.6 certificate is
 //!    withheld in epoch mode), which
 //!    is what makes the engine's truthfulness story inherit from
 //!    Theorem 2.3: per-epoch the allocation is value-monotone, and
@@ -127,5 +127,4 @@ pub use engine::{
 pub use event::EngineEvent;
 pub use metrics::EngineMetrics;
 pub use snapshot::{Recovered, SnapshotStore, TopologyMigration};
-pub use ufp_core::SelectionStrategy;
 pub use ufp_netgraph::topology::{Topology, TopologyError, TopologyEvent};

@@ -168,11 +168,9 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     // share for continuation to stay bit-identical. The worker pool is
     // deliberately absent — parallel and sequential fan-outs produce
     // identical results by `ufp_par`'s ordered reduction, so a snapshot
-    // may be restored under a different thread count. The selection
-    // strategy is deliberately absent too: `SelectionStrategy::
-    // Incremental` and `::FanOut` are bit-identical by contract
-    // (proptested in ufp-core's selection_equivalence suite), so they
-    // form one fingerprint class and snapshots restore across the pair.
+    // may be restored under a different thread count. There is no
+    // selection field to pin: the allocator runs one selection loop,
+    // and nothing about it is configurable.
     let section = begin_section(w, SEC_CONFIG);
     let cfg = &engine.config;
     w.put_f64(cfg.epsilon);

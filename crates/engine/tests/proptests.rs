@@ -23,6 +23,8 @@ use ufp_mechanism::{brackets_exact, CriticalValueMechanism, PaymentConfig, UfpAl
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::{bfs, generators};
+use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
+use ufp_workloads::random_ufp::required_b;
 
 mod common;
 
@@ -203,11 +205,9 @@ proptest! {
         }
     }
 
-    /// PR 4: the incremental (dirty-set) selection loop and the full
-    /// fan-out produce bit-identical *engines* over whole churned
-    /// streams — every epoch report, admission path, critical-value
-    /// payment, and metrics counter — including the shadowed winner
-    /// inside every exact pricing pass.
+    /// The incremental selection loop and the fan-out reference produce
+    /// bit-identical engines over whole churned streams (see
+    /// [`assert_fan_out_reference_agrees`]).
     #[test]
     fn incremental_selection_bit_identical_across_churned_epochs(
         (graph, requests, epsilon) in arb_scenario(),
@@ -215,53 +215,28 @@ proptest! {
         ttl in 1u32..4,
         decay in 0.0..=1.0f64,
     ) {
-        use ufp_engine::SelectionStrategy;
-        let build = |selection: SelectionStrategy, graph: Graph| {
-            Engine::new(graph, EngineConfig {
-                carry_decay: decay,
-                residual_floor: ResidualFloor::Permissive,
-                selection,
-                ..EngineConfig::with_epsilon(epsilon)
-                    .with_payments(PaymentPolicy::critical_value())
-            })
+        let config = EngineConfig {
+            carry_decay: decay,
+            residual_floor: ResidualFloor::Permissive,
+            ..EngineConfig::with_epsilon(epsilon).with_payments(PaymentPolicy::critical_value())
         };
-        let mut inc = build(SelectionStrategy::Incremental, graph.clone());
-        let mut fan = build(SelectionStrategy::FanOut, graph);
         let chunk = requests.len().div_ceil(batches).max(1);
-        for (i, batch) in requests.chunks(chunk).enumerate() {
-            let arrivals: Vec<Arrival> = batch
-                .iter()
-                .enumerate()
-                .map(|(j, &r)| if (i + j) % 2 == 0 {
-                    Arrival::with_ttl(r, ttl)
-                } else {
-                    Arrival::permanent(r)
-                })
-                .collect();
-            let ri = inc.submit_batch(&arrivals);
-            let rf = fan.submit_batch(&arrivals);
-            prop_assert_eq!(ri.accepted, rf.accepted, "epoch {} allocations diverged", i + 1);
-            prop_assert_eq!(ri.stop, rf.stop, "epoch {} stop reasons diverged", i + 1);
-            prop_assert_eq!(
-                ri.revenue.to_bits(), rf.revenue.to_bits(),
-                "epoch {} revenue diverged: {} vs {}", i + 1, ri.revenue, rf.revenue
-            );
-            prop_assert_eq!(ri.min_residual.to_bits(), rf.min_residual.to_bits());
-        }
-        prop_assert_eq!(inc.admissions().len(), fan.admissions().len());
-        for (a, b) in inc.admissions().iter().zip(fan.admissions()) {
-            prop_assert_eq!(a.request, b.request);
-            prop_assert_eq!(a.path.nodes(), b.path.nodes());
-            prop_assert_eq!(a.released, b.released);
-            prop_assert_eq!(
-                a.payment.to_bits(), b.payment.to_bits(),
-                "payment diverged for {:?}: {} vs {}", a.request, a.payment, b.payment
-            );
-        }
-        prop_assert_eq!(
-            inc.metrics().revenue.to_bits(),
-            fan.metrics().revenue.to_bits()
-        );
+        let stream: Vec<Vec<Arrival>> = requests
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, batch)| {
+                batch
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &r)| if (i + j) % 2 == 0 {
+                        Arrival::with_ttl(r, ttl)
+                    } else {
+                        Arrival::permanent(r)
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_fan_out_reference_agrees(graph, config, &stream);
     }
 
     /// Regression: holding the graph behind a shared `Arc` (and keeping
@@ -323,6 +298,89 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// Replay `stream` through an engine on the incremental selector and
+/// through one on the fan-out reference ([`Engine::fan_out_reference`]):
+/// every epoch report, admission path, critical-value payment and the
+/// revenue counter must match bit for bit, including the shadowed
+/// winner inside every exact pricing pass. Returns the incremental
+/// engine.
+fn assert_fan_out_reference_agrees(
+    graph: Graph,
+    config: EngineConfig,
+    stream: &[Vec<Arrival>],
+) -> Engine {
+    let mut inc = Engine::new(graph.clone(), config.clone());
+    let mut fan = Engine::new(graph, config).fan_out_reference();
+    for (i, arrivals) in stream.iter().enumerate() {
+        let ri = inc.submit_batch(arrivals);
+        let rf = fan.submit_batch(arrivals);
+        let epoch = i + 1;
+        assert_eq!(
+            ri.accepted, rf.accepted,
+            "epoch {epoch} allocations diverged"
+        );
+        assert_eq!(ri.stop, rf.stop, "epoch {epoch} stop reasons diverged");
+        assert_eq!(
+            ri.revenue.to_bits(),
+            rf.revenue.to_bits(),
+            "epoch {epoch} revenue diverged: {} vs {}",
+            ri.revenue,
+            rf.revenue
+        );
+        assert_eq!(ri.min_residual.to_bits(), rf.min_residual.to_bits());
+    }
+    assert_eq!(inc.admissions().len(), fan.admissions().len());
+    for (a, b) in inc.admissions().iter().zip(fan.admissions()) {
+        assert_eq!(a.request, b.request);
+        assert_eq!(a.path.nodes(), b.path.nodes());
+        assert_eq!(a.released, b.released);
+        assert_eq!(
+            a.payment.to_bits(),
+            b.payment.to_bits(),
+            "payment diverged for {:?}: {} vs {}",
+            a.request,
+            a.payment,
+            b.payment
+        );
+    }
+    assert_eq!(
+        inc.metrics().revenue.to_bits(),
+        fan.metrics().revenue.to_bits()
+    );
+    inc
+}
+
+/// The churned, paid `engine_sim` trace (`--nodes 60 --edges 240 --eps
+/// 0.7 --hotspots 2 --epochs 5 --mean 120 --churn 1,3 --payments
+/// critical`, seed 7), rebuilt the way `engine_sim` builds it, as a
+/// fixed input to the incremental == fan-out check.
+#[test]
+fn incremental_selection_bit_identical_on_the_churned_paid_sim_trace() {
+    let (nodes, edges, epsilon, seed) = (60, 240, 0.7, 7);
+    let b = required_b(edges, epsilon).ceil();
+    let graph =
+        generators::gnm_digraph(nodes, edges, (b, 2.0 * b), &mut StdRng::seed_from_u64(seed));
+    let stream = arrival_trace(
+        &graph,
+        &ArrivalTraceConfig {
+            epochs: 5,
+            process: ArrivalProcess::Poisson { mean: 120.0 },
+            hotspot_pairs: Some(2),
+            demand_range: (0.2, 1.0),
+            ttl_range: Some((1, 3)),
+            seed,
+            ..Default::default()
+        },
+    );
+    let config = EngineConfig::with_epsilon(epsilon).with_payments(PaymentPolicy::critical_value());
+    let engine = assert_fan_out_reference_agrees(graph, config, &stream);
+    // The trace must reach what it is here for: contention that
+    // charges winners, and TTL releases between epochs.
+    let metrics = engine.metrics();
+    assert!(metrics.revenue > 0.0, "no winner was charged");
+    assert!(metrics.released > 0, "no admission was released");
 }
 
 /// Global request ids survive multi-epoch submission: the engine's

@@ -241,66 +241,3 @@ fn restore_refuses_mismatched_graph_and_config() {
         "got {err}"
     );
 }
-
-/// PR 4: `SelectionStrategy::Incremental` and `::FanOut` share one
-/// config-fingerprint class (their outputs are bit-identical by
-/// contract), so a snapshot taken under either strategy restores under
-/// the other and the continued run is byte-identical to an unbroken run
-/// under either.
-#[test]
-fn snapshots_restore_across_selection_strategies() {
-    use ufp_engine::SelectionStrategy;
-    let (graph, trace) = scenario();
-    let with = |s: SelectionStrategy| EngineConfig {
-        selection: s,
-        ..config()
-    };
-
-    // Unbroken reference under the default (incremental) strategy.
-    let mut reference =
-        Engine::from_shared(Arc::clone(&graph), with(SelectionStrategy::Incremental));
-    for batch in &trace {
-        reference.submit_batch(batch);
-    }
-
-    let k = 5usize;
-    // Crash a fan-out engine at epoch k...
-    let mut victim = Engine::from_shared(Arc::clone(&graph), with(SelectionStrategy::FanOut));
-    for batch in &trace[..k] {
-        victim.submit_batch(batch);
-    }
-    let bytes = victim.snapshot_bytes();
-    // ...and restore it under the incremental strategy.
-    let mut restored = Engine::restore_from_bytes(
-        &bytes,
-        Arc::clone(&graph),
-        with(SelectionStrategy::Incremental),
-    )
-    .expect("snapshot must restore across the strategy pair");
-    for batch in trace.iter().skip(k) {
-        restored.submit_batch(batch);
-    }
-    assert_eq!(
-        observable_state(&restored),
-        observable_state(&reference),
-        "cross-strategy restore diverged"
-    );
-
-    // And the reverse direction: incremental snapshot, fan-out restore.
-    let mut victim = Engine::from_shared(Arc::clone(&graph), with(SelectionStrategy::Incremental));
-    for batch in &trace[..k] {
-        victim.submit_batch(batch);
-    }
-    let bytes = victim.snapshot_bytes();
-    let mut restored =
-        Engine::restore_from_bytes(&bytes, Arc::clone(&graph), with(SelectionStrategy::FanOut))
-            .expect("snapshot must restore across the strategy pair");
-    for batch in trace.iter().skip(k) {
-        restored.submit_batch(batch);
-    }
-    assert_eq!(
-        observable_state(&restored),
-        observable_state(&reference),
-        "cross-strategy restore diverged (reverse direction)"
-    );
-}

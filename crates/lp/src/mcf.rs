@@ -300,11 +300,10 @@ pub fn sanitize_commodities(raw: &[Commodity]) -> (Vec<Commodity>, Vec<usize>) {
 /// the restricted LP over exactly the returned flows (all `m` edge
 /// capacity rows in graph order — dead edges get `b_i = 0` — followed
 /// by one selection row per commodity), then price the primal flows
-/// against the solution's dual vector via
-/// [`weak_duality_gap`](crate::duality::weak_duality_gap). The result
-/// is `upper_bound − value` recomputed through the generic checker
-/// (non-negative up to tolerance); `None` when the solve produced no
-/// dual certificate (nothing was ever routable).
+/// against the solution's dual vector via [`weak_duality_gap`]. The
+/// result is `upper_bound − value` recomputed through the generic
+/// checker (non-negative up to tolerance); `None` when the solve
+/// produced no dual certificate (nothing was ever routable).
 pub fn certified_duality_gap(
     graph: &Graph,
     capacities: &[f64],

@@ -1,4 +1,4 @@
-//! Serializers for [`ObsSnapshot`](crate::ObsSnapshot): span JSONL, a
+//! Serializers for [`ObsSnapshot`]: span JSONL, a
 //! chrome://tracing-compatible trace file, a metrics-registry JSON
 //! dump, and a Prometheus text exposition. All output is **out-of-band
 //! telemetry** — none of it may be embedded in a deterministic report

@@ -349,7 +349,7 @@ impl Pool {
     /// input order. This is the per-shard dispatch primitive — a sharded
     /// engine runs one epoch per shard concurrently, each shard mutating
     /// its own engine — and it composes with nested dispatch: `f` may
-    /// itself fan out on any [`Pool`] (see [`Latch::wait_helping`]).
+    /// itself fan out on any [`Pool`] (see `Latch::wait_helping`).
     pub fn map_mut<T, U, F>(&self, items: &mut [T], f: F) -> Vec<U>
     where
         T: Send,

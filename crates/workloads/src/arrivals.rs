@@ -1,6 +1,6 @@
 //! Streaming arrival-process traces for the admission-control engine.
 //!
-//! Where [`crate::random_ufp`] builds one-shot batch instances, this
+//! Where [`crate::random_ufp()`] builds one-shot batch instances, this
 //! module builds *time series*: per-epoch batches of
 //! [`ufp_engine::Arrival`]s following classic traffic shapes —
 //! homogeneous Poisson, diurnal sinusoid, flash-crowd bursts, and churn

@@ -19,7 +19,7 @@
 //!
 //! Every generator is a deterministic function of its seed, every
 //! emitted event is valid against the base graph by construction
-//! (replaying the whole trace through [`Topology::replay`] succeeds),
+//! (replaying the whole trace through [`ufp_netgraph::topology::Topology::replay`] succeeds),
 //! and failure/recovery events are *paired*: a link is never downed
 //! twice without an intervening recovery, so the trace applies cleanly
 //! to any engine mirroring the same overlay.
