@@ -135,24 +135,6 @@ impl UfpRunResult {
     }
 }
 
-/// Per-request shortest-path query result within one iteration.
-///
-/// The argmin selection needs every remaining request's distance, but
-/// only the *selected* request's path is ever used. For large remaining
-/// sets the fan-out therefore skips the `O(remaining · hops)` path
-/// reconstructions (`path: None`) and the main loop re-derives the one
-/// chosen path with a single targeted Dijkstra — bit-identical, since
-/// pop order and parent pointers do not depend on the target set. For
-/// small remaining sets (fewer than the graph has nodes) the
-/// reconstructions are cheaper than an extra Dijkstra, so the fan-out
-/// keeps collecting paths. Either mode yields identical results; the
-/// switch is purely a cost model.
-struct PathFinding {
-    request: RequestId,
-    /// Distance in *materialized* (shifted) weight scale.
-    dist: f64,
-}
-
 /// Residual-epoch inputs that let `ufp-engine` reuse Algorithm 1
 /// incrementally across streaming batches. All three slices are indexed
 /// by edge id of the instance graph.
@@ -663,8 +645,6 @@ fn run_epoch_loop_fanout(
     mut record_steps: Option<&mut Vec<ResumeStep>>,
     mut shadow: Option<&mut Shadow>,
 ) -> StopReason {
-    let mut path_scratch = Dijkstra::new(instance.graph().num_nodes());
-    let mut path_buf = Path::trivial(NodeId(0));
     loop {
         if state.remaining.is_empty() {
             return StopReason::Exhausted;
@@ -674,33 +654,27 @@ fn run_epoch_loop_fanout(
             return StopReason::Guard;
         }
 
-        // Cost model only — results are identical either way (see
-        // `PathFinding`): below one path-reconstruction per node, the
-        // fan-out collects paths inline; above it, distances only plus
-        // one targeted re-run for the winner.
-        let collect_paths = state.remaining.len() < instance.graph().num_nodes();
-        let (findings, mut paths) = {
+        let mut findings = {
             let _span = config.obs.span(Phase::SelectionDijkstra);
-            shortest_findings_grouped(
+            shortest_paths_grouped(
                 instance,
                 &state.remaining,
                 &state.weights,
                 usable,
                 &config.pool,
-                collect_paths,
             )
         };
 
         // Select r̂ minimizing (d/v)·|p| — deterministic tie-break on
         // request id (`<` keeps the first minimum among equal scores,
-        // and every fan-out yields findings in an order where explicit
-        // id comparison resolves ties identically).
+        // and the fan-out yields findings in `(src, id)` order, where
+        // explicit id comparison resolves ties identically).
         let mut best: Option<(f64, usize)> = None;
-        for (i, f) in findings.iter().enumerate() {
-            let score = instance.request(f.request).density() * f.dist;
+        for (i, (request, dist, _)) in findings.iter().enumerate() {
+            let score = instance.request(*request).density() * dist;
             let better = match best {
                 None => true,
-                Some((bs, bi)) => score < bs || (score == bs && f.request < findings[bi].request),
+                Some((bs, bi)) => score < bs || (score == bs && *request < findings[bi].0),
             };
             if better {
                 best = Some((score, i));
@@ -709,7 +683,7 @@ fn run_epoch_loop_fanout(
         let Some((score, idx)) = best else {
             return StopReason::NoPath;
         };
-        let selected = findings[idx].request;
+        let selected = findings[idx].0;
         if let Some(s) = shadow.as_deref_mut() {
             s.observe(
                 &loop_inputs(instance, config, usable, state),
@@ -717,23 +691,8 @@ fn run_epoch_loop_fanout(
                 score,
             );
         }
-        // Materialize only the winner's path: taken from the fan-out if
-        // it collected paths, re-derived with one targeted query into
-        // the reusable buffer if not.
-        let path = if paths.is_empty() {
-            chosen_path_into(
-                &mut path_scratch,
-                &mut path_buf,
-                instance,
-                &state.weights,
-                usable,
-                selected,
-            );
-            path_buf.clone()
-        } else {
-            // Index-aligned with findings; order is dead after this read.
-            paths.swap_remove(idx)
-        };
+        // Findings order is dead after the argmin.
+        let path = findings.swap_remove(idx).2;
 
         apply_step(
             instance,
@@ -972,65 +931,16 @@ pub(crate) fn group_by_source(
     groups
 }
 
-/// When `collect_paths` is set, the second vector holds the realizing
-/// path of each finding, index-aligned with the first; otherwise it is
-/// empty and the caller re-derives the one path it needs. Keeping paths
-/// out of [`PathFinding`] keeps the per-iteration findings rebuild at
-/// 16 bytes per remaining request in the (large-epoch) distances-only
-/// mode.
-fn shortest_findings_grouped(
+/// One shortest-path query per source vertex over the `usable` edges
+/// (all edges when `None`), answering every remaining request from it:
+/// `(request, distance, path)` for each request with a path, in
+/// `(src, id)` order. The fan-out reference loop takes its argmin from
+/// these findings; the repetitions algorithm routes every one of them.
+pub(crate) fn shortest_paths_grouped(
     instance: &UfpInstance,
     remaining: &[RequestId],
     weights: &DualWeights,
     usable: Option<&[bool]>,
-    pool: &Pool,
-    collect_paths: bool,
-) -> (Vec<PathFinding>, Vec<Path>) {
-    let graph = instance.graph();
-    let groups = group_by_source(instance, remaining);
-    let w = weights.weights();
-    let per_group: Vec<(Vec<PathFinding>, Vec<Path>)> = pool.map_with(
-        &groups,
-        || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
-        |(dij, pbuf), _, (src, members)| {
-            let targets: Vec<NodeId> = members.iter().map(|r| instance.request(*r).dst).collect();
-            dij.run(graph, w, *src, Targets::Set(&targets), |e| {
-                usable.is_none_or(|u| u[e.index()])
-            });
-            let mut findings = Vec::with_capacity(members.len());
-            let mut paths = Vec::new();
-            for &r in members.iter() {
-                let dst = instance.request(r).dst;
-                let Some(dist) = dij.distance(dst) else {
-                    continue;
-                };
-                if collect_paths {
-                    // Reconstruct into the worker's reusable buffer,
-                    // then clone exact-sized into the result.
-                    assert!(dij.path_to_into(dst, pbuf), "settled target has a path");
-                    paths.push(pbuf.clone());
-                }
-                findings.push(PathFinding { request: r, dist });
-            }
-            (findings, paths)
-        },
-    );
-    let mut findings = Vec::new();
-    let mut paths = Vec::new();
-    for (f, p) in per_group {
-        findings.extend(f);
-        paths.extend(p);
-    }
-    (findings, paths)
-}
-
-/// Full paths-for-everyone variant, shared with the repetitions
-/// algorithm (which routes *every* queried request, so it really does
-/// need all the paths).
-pub(crate) fn shortest_paths_grouped_for_repeat(
-    instance: &UfpInstance,
-    remaining: &[RequestId],
-    weights: &DualWeights,
     pool: &Pool,
 ) -> Vec<(RequestId, f64, Path)> {
     let graph = instance.graph();
@@ -1041,7 +951,9 @@ pub(crate) fn shortest_paths_grouped_for_repeat(
         || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
         |(dij, pbuf), _, (src, members)| {
             let targets: Vec<NodeId> = members.iter().map(|r| instance.request(*r).dst).collect();
-            dij.run(graph, w, *src, Targets::Set(&targets), |_| true);
+            dij.run(graph, w, *src, Targets::Set(&targets), |e| {
+                usable.is_none_or(|u| u[e.index()])
+            });
             members
                 .iter()
                 .filter_map(|&r| {
@@ -1053,33 +965,6 @@ pub(crate) fn shortest_paths_grouped_for_repeat(
         },
     );
     per_group.into_iter().flatten().collect()
-}
-
-/// Re-derive the selected request's path with one targeted Dijkstra,
-/// into a reusable buffer (allocation-free after warm-up). Bit-identical
-/// to the path the fan-out would have reconstructed: pop order and
-/// parent pointers depend only on (graph, weights, source, filter),
-/// never on the target set, and every ancestor of the target is settled
-/// before it.
-fn chosen_path_into(
-    scratch: &mut Dijkstra,
-    out: &mut Path,
-    instance: &UfpInstance,
-    weights: &DualWeights,
-    usable: Option<&[bool]>,
-    r: RequestId,
-) {
-    let graph = instance.graph();
-    let req = instance.request(r);
-    let w = weights.weights();
-    scratch.run(graph, w, req.src, Targets::One(req.dst), |e| {
-        usable.is_none_or(|u| u[e.index()])
-    });
-    let found = scratch.path_to_into(req.dst, out);
-    assert!(
-        found,
-        "argmin request must have a path under the query weights"
-    );
 }
 
 #[cfg(test)]
@@ -1545,8 +1430,8 @@ mod tests {
                 let resumed = bounded_ufp_epoch_resume(&probe, &cfg, None, ckpt);
                 assert_outcomes_identical(&scratch, &resumed);
             }
-            let recorded = crate::critical_value_exact(&inst, &cfg, None, &trace, k, 1e-12);
-            let pushed = crate::critical_value_exact(&inst, &cfg, None, &rebuilt, k, 1e-12);
+            let recorded = crate::critical_value_exact(&inst, &cfg, None, &trace, k);
+            let pushed = crate::critical_value_exact(&inst, &cfg, None, &rebuilt, k);
             assert_eq!(recorded.to_bits(), pushed.to_bits());
         }
     }

@@ -53,20 +53,24 @@ use crate::request::RequestId;
 use crate::selection::SelectInputs;
 use crate::trace::StopReason;
 
+/// Critical values below this are charged as 0: the winner wins at any
+/// bid worth pricing. Bisection (`ufp_mechanism::PaymentConfig`) stops
+/// its downward bracketing at the same floor.
+pub const VALUE_FLOOR: f64 = 1e-12;
+
 /// The exact critical value of the request selected at `step` of
 /// `trace` (see the module docs for the formula and its edge rules).
 ///
 /// `instance`, `config` and `ctx` must be the ones `trace` was recorded
 /// (or, for merged traces, assembled) under. The result lies in
-/// `[0, v_r]`; thresholds below `value_floor` are reported as 0, the way
-/// bisection reports a winner that wins at every bid it tries.
+/// `[0, v_r]`; thresholds below [`VALUE_FLOOR`] are reported as 0, the
+/// way bisection reports a winner that wins at every bid it tries.
 pub fn critical_value_exact(
     instance: &UfpInstance,
     config: &BoundedUfpConfig,
     ctx: Option<&EpochContext<'_>>,
     trace: &EpochResumeTrace,
     step: usize,
-    value_floor: f64,
 ) -> f64 {
     let winner = trace.step(step).selected;
     let b = epoch_bound_b(instance, ctx);
@@ -105,7 +109,7 @@ pub fn critical_value_exact(
     } else {
         shadow.threshold.min(instance.request(winner).value)
     };
-    if threshold < value_floor {
+    if threshold < VALUE_FLOOR {
         0.0
     } else {
         threshold
@@ -214,7 +218,6 @@ mod tests {
     }
 
     const TOL: f64 = 1e-9;
-    const FLOOR: f64 = 1e-12;
 
     /// Critical-value bisection (exponential bracketing, then bisection
     /// to `TOL`) over the membership predicate `selected_at(v)` — the
@@ -224,7 +227,7 @@ mod tests {
         let (mut hi, mut lo) = (declared, declared);
         loop {
             lo /= 2.0;
-            if lo < FLOOR {
+            if lo < VALUE_FLOOR {
                 return 0.0;
             }
             if !selected_at(lo) {
@@ -266,7 +269,7 @@ mod tests {
     /// `p ≤ p_bisect ≤ p·(1+tol)`, with a few ulps for the quotient's
     /// rounding and twice the floor for bisection's last halving step.
     fn assert_contract(exact: f64, bisected: f64, what: &str) {
-        let slack = 4.0 * f64::EPSILON * exact + 2.0 * FLOOR;
+        let slack = 4.0 * f64::EPSILON * exact + 2.0 * VALUE_FLOOR;
         assert!(
             bisected >= exact - slack && bisected <= exact + TOL * bisected + slack,
             "{what}: exact {exact:e} vs bisection {bisected:e}"
@@ -283,7 +286,7 @@ mod tests {
         let (full, trace) = bounded_ufp_epoch_traced(inst, cfg, ctx);
         let exact: Vec<f64> = (0..trace.num_steps())
             .map(|k| {
-                let p = critical_value_exact(inst, cfg, ctx, &trace, k, FLOOR);
+                let p = critical_value_exact(inst, cfg, ctx, &trace, k);
                 let r = trace.step(k).selected;
                 assert!(
                     (0.0..=inst.request(r).value).contains(&p),
@@ -473,8 +476,8 @@ mod tests {
         };
         assert_eq!((recenters(600), recenters(601)), (0, 1));
         for k in [596, 599, 600] {
-            let p = critical_value_exact(&inst, &inc, None, &trace, k, FLOOR);
-            let pf = critical_value_exact(&inst, &fan, None, &trace, k, FLOOR);
+            let p = critical_value_exact(&inst, &inc, None, &trace, k);
+            let pf = critical_value_exact(&inst, &fan, None, &trace, k);
             assert_eq!(p.to_bits(), pf.to_bits(), "step {k}: strategies diverged");
             assert!(p > 0.0);
             assert_contract(p, bisect_winner(&inst, &inc, None, &trace, k), "step {k}");
@@ -483,14 +486,25 @@ mod tests {
 
     #[test]
     fn value_floor_rounds_tiny_thresholds_to_zero() {
-        let inst = congested();
+        // Scaling every declared value by a power of two scales every
+        // score, and with it every threshold, exactly; the run's
+        // selections are unchanged.
         let cfg = BoundedUfpConfig::with_epsilon(0.4);
-        let (_, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
-        let p = critical_value_exact(&inst, &cfg, None, &trace, 0, FLOOR);
+        let price = |scale: f64| {
+            let requests = congested()
+                .requests()
+                .iter()
+                .map(|r| r.with_type(r.demand, r.value * scale))
+                .collect();
+            let inst = UfpInstance::new(diamond(), requests);
+            let (_, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
+            critical_value_exact(&inst, &cfg, None, &trace, 0)
+        };
+        let p = price(1.0);
         assert!(p > 0.0);
-        assert_eq!(
-            critical_value_exact(&inst, &cfg, None, &trace, 0, p * 1.5),
-            0.0
-        );
+        let (small, tiny) = (2f64.powi(-20), 2f64.powi(-60));
+        assert!(p * small >= VALUE_FLOOR && p * tiny < VALUE_FLOOR);
+        assert_eq!(price(small), p * small);
+        assert_eq!(price(tiny), 0.0);
     }
 }

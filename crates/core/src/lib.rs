@@ -55,7 +55,7 @@ pub use bounded_ufp::{
     BoundedUfpConfig, EpochCheckpoint, EpochContext, EpochOutcome, EpochResumeTrace, TraceStep,
     UfpRunResult,
 };
-pub use critical::critical_value_exact;
+pub use critical::{critical_value_exact, VALUE_FLOOR};
 pub use exact::{exact_optimum, ExactConfig, ExactResult};
 pub use instance::UfpInstance;
 pub use reasonable::{

@@ -16,7 +16,7 @@
 
 use ufp_par::Pool;
 
-use crate::bounded_ufp::shortest_paths_grouped_for_repeat;
+use crate::bounded_ufp::shortest_paths_grouped;
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
 use crate::solution::UfpSolution;
@@ -128,7 +128,7 @@ pub fn bounded_ufp_repeat(instance: &UfpInstance, config: &RepeatConfig) -> Repe
             break StopReason::Guard;
         }
 
-        let findings = shortest_paths_grouped_for_repeat(instance, &all, &weights, &config.pool);
+        let findings = shortest_paths_grouped(instance, &all, &weights, None, &config.pool);
         let mut best: Option<(f64, usize)> = None;
         for (i, f) in findings.iter().enumerate() {
             let score = instance.request(f.0).density() * f.1;

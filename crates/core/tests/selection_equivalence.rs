@@ -131,8 +131,8 @@ fn assert_loops_agree(
     assert_outcomes_bit_identical(&fan, &inc);
     assert_eq!(trace.num_steps(), inc_trace.num_steps());
     for k in steps(&trace) {
-        let f = critical_value_exact(inst, fan_cfg, ctx, &trace, k, 1e-12);
-        let i = critical_value_exact(inst, inc_cfg, ctx, &trace, k, 1e-12);
+        let f = critical_value_exact(inst, fan_cfg, ctx, &trace, k);
+        let i = critical_value_exact(inst, inc_cfg, ctx, &trace, k);
         assert_eq!(f.to_bits(), i.to_bits(), "step {k} priced {f} vs {i}");
     }
     fan
@@ -260,8 +260,8 @@ proptest! {
         for ctx in [None, Some(&ctx)] {
             let (_, trace) = bounded_ufp_epoch_traced(&inst, &fan_cfg, ctx);
             for k in 0..trace.num_steps() {
-                let fan = critical_value_exact(&inst, &fan_cfg, ctx, &trace, k, 1e-12);
-                let inc = critical_value_exact(&inst, &inc_cfg, ctx, &trace, k, 1e-12);
+                let fan = critical_value_exact(&inst, &fan_cfg, ctx, &trace, k);
+                let inc = critical_value_exact(&inst, &inc_cfg, ctx, &trace, k);
                 prop_assert_eq!(fan.to_bits(), inc.to_bits(),
                     "step {} priced {} vs {}", k, fan, inc);
                 prop_assert!((0.0..=inst.request(trace.step(k).selected).value).contains(&inc));

@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"UFPSNAP\0"
-//! 8       4     format version (u32) — currently 2
+//! 8       4     format version (u32) — currently 3
 //! 12      8     body length in bytes (u64)
 //! 20      n     body (section stream, see `snapshot`)
 //! 20+n    8     FNV-1a 64 checksum over bytes [0, 20+n)
@@ -40,9 +40,11 @@ pub const MAGIC: [u8; 8] = *b"UFPSNAP\0";
 /// Current (and only) snapshot format version. Version 2 added the
 /// dynamic-topology sections (overlay event log + re-admission queue),
 /// the per-admission eviction flag, the eviction/refund metrics, and
-/// the `Evicted` event tag; version-1 snapshots are refused rather than
-/// partially understood.
-pub const FORMAT_VERSION: u32 = 2;
+/// the `Evicted` event tag. Version 3 dropped the payment tolerance and
+/// value-floor words from the config fingerprint (the payment policy is
+/// a bare class). Older snapshots are refused rather than partially
+/// understood.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Size of the fixed container header (magic + version + body length).
 pub const HEADER_LEN: usize = 8 + 4 + 8;

@@ -1,12 +1,11 @@
 //! Engine configuration.
 
 use ufp_core::BoundedUfpConfig;
-use ufp_mechanism::PaymentConfig;
 use ufp_obs::Recorder;
 use ufp_par::Pool;
 
 /// How winners are charged.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PaymentPolicy {
     /// No payments (pure admission control); revenue stays 0.
     None,
@@ -19,35 +18,28 @@ pub enum PaymentPolicy {
     /// shortest-path length then ([`ufp_core::critical_value_exact`]).
     /// If the run ends by exhaustion or for want of paths while the
     /// guard is open and `r` still has a path, `p_r = 0`; thresholds
-    /// below [`PaymentConfig::value_floor`] are 0, and `p_r ≤ v_r`.
+    /// below [`ufp_core::VALUE_FLOOR`] are 0, and `p_r ≤ v_r`.
     /// Independent winners fan out across the engine's worker pool with
     /// deterministic ordering.
     ///
-    /// Contract with critical-value bisection over full re-runs
-    /// (`ufp_mechanism::critical_value` on an [`crate::EpochAllocator`],
-    /// the test oracle): `p ≤ p_bisect ≤ p·(1+tol)` with
-    /// `tol =` [`PaymentConfig::relative_tolerance`], up to the value
-    /// floor. The exact pass itself reads only the floor; the tolerance
-    /// stays in the policy (and its snapshot fingerprint) as the bound
-    /// of that contract.
-    CriticalValue(PaymentConfig),
+    /// Critical-value bisection over full re-runs
+    /// (`ufp_mechanism::critical_value` on an [`crate::EpochAllocator`])
+    /// is the test oracle: `p ≤ p_bisect ≤ p·(1+tol)`, with `tol` the
+    /// oracle's own `ufp_mechanism::PaymentConfig::relative_tolerance`.
+    CriticalValue,
 }
 
 impl PaymentPolicy {
-    /// Critical-value payments with the default value floor and
-    /// bisection-contract tolerance.
+    /// Critical-value payments.
     pub fn critical_value() -> Self {
-        PaymentPolicy::CriticalValue(PaymentConfig::default())
+        PaymentPolicy::CriticalValue
     }
 
-    /// Snapshot-fingerprint of the policy: `(class, tolerance bits,
-    /// floor bits)`.
-    pub(crate) fn fingerprint(&self) -> (u8, u64, u64) {
-        match *self {
-            PaymentPolicy::None => (0, 0, 0),
-            PaymentPolicy::CriticalValue(c) => {
-                (1, c.relative_tolerance.to_bits(), c.value_floor.to_bits())
-            }
+    /// Snapshot-fingerprint of the policy: its class.
+    pub(crate) fn fingerprint(&self) -> u8 {
+        match self {
+            PaymentPolicy::None => 0,
+            PaymentPolicy::CriticalValue => 1,
         }
     }
 }
@@ -113,8 +105,6 @@ pub struct HealthConfig {
     /// Packing-solver accuracy for oracle runs (certified `(1+ε)`
     /// bracket).
     pub regret_epsilon: f64,
-    /// Packing-solver iteration cap for oracle runs.
-    pub regret_max_iterations: usize,
     /// Admission-latency SLO threshold in microseconds (`0` = no SLO):
     /// an epoch whose wall-clock exceeds it counts a miss and fires a
     /// [`ufp_obs::HealthAlert::SloMiss`].
@@ -134,7 +124,6 @@ impl Default for HealthConfig {
         HealthConfig {
             regret_every: 0,
             regret_epsilon: 0.05,
-            regret_max_iterations: 200_000,
             slo_us: 0,
             starvation_epochs: 0,
             eviction_window: 8,
@@ -181,7 +170,7 @@ pub enum EventLevel {
     Epoch,
     /// Epoch boundaries plus one event per admitted / rejected /
     /// released request. Opt-in: the log grows with traffic, so pair it
-    /// with regular [`crate::Engine::take_events`] drains.
+    /// with regular [`crate::Engine::drain_events`] drains.
     Request,
 }
 

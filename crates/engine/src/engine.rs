@@ -120,9 +120,8 @@ pub struct PlannedEpoch {
 
 /// A planned-but-uncommitted epoch, produced by [`Engine::plan_epoch`]
 /// and consumed by [`Engine::commit_epoch`]. Holds the frozen epoch
-/// context, the allocation outcome, and what commit needs to charge
-/// it: the resume trace of a priced run, or the payments an
-/// [`EpochPlanner`] already decided.
+/// context, the allocation outcome, and its payments, already priced
+/// against that context.
 #[derive(Debug)]
 pub struct EpochPlan {
     epoch: u64,
@@ -134,9 +133,8 @@ pub struct EpochPlan {
     /// Admission indices released when the epoch opened.
     released: Vec<usize>,
     outcome: EpochOutcome,
-    resume_trace: Option<EpochResumeTrace>,
-    /// Payments decided by an [`EpochPlanner`] (`None`: priced at commit).
-    payments: Option<Vec<f64>>,
+    /// Payment per batch position (losers pay nothing).
+    payments: Vec<f64>,
     ctx_capacities: Vec<f64>,
     ctx_usable: Vec<bool>,
     ctx_carry: Vec<f64>,
@@ -308,7 +306,7 @@ impl Engine {
 
     /// Process one batch of arrivals as a new epoch: release expired
     /// admissions, allocate with the monotone rule over the residual
-    /// network, charge payments, commit routes.
+    /// network and price the winners, commit routes.
     ///
     /// Equivalent to [`Engine::open_epoch`], [`Engine::plan_epoch_in`]
     /// and [`Engine::commit_epoch`] in turn, inside the recorder's
@@ -371,9 +369,10 @@ impl Engine {
     /// admissions are released, the batch is registered in the global
     /// request registry, and the allocation runs against the engine's
     /// frozen residual view — by the engine's own monotone run
-    /// (`planner: None`) or by `planner`. Nothing is charged or
-    /// committed until [`Engine::commit_epoch`]; exactly one commit must
-    /// follow each plan.
+    /// (`planner: None`) or by `planner` — and the winners are priced
+    /// against that view. Nothing is charged or committed until
+    /// [`Engine::commit_epoch`]; exactly one commit must follow each
+    /// plan.
     pub fn plan_epoch(
         &mut self,
         arrivals: &[Arrival],
@@ -454,10 +453,10 @@ impl Engine {
             routable: None,
         };
 
-        // The allocation: the planner's, or the engine's own monotone
-        // run — traced when payments will be priced against it (each
-        // winner resumes from its selection step).
-        let (outcome, resume_trace, payments) = match planner {
+        // The allocation and its payments: the planner's, or the
+        // engine's own monotone run — traced and priced at once when
+        // payments are on (each winner resumes from its selection step).
+        let (outcome, payments) = match planner {
             Some(planner) => {
                 let planned = planner.plan(self, &instance, &ctx);
                 assert_eq!(
@@ -466,17 +465,17 @@ impl Engine {
                     "one payment slot per batch arrival"
                 );
                 assert_eq!(planned.outcome.carry.len(), ctx_carry.len(), "carry length");
-                (planned.outcome, None, Some(planned.payments))
+                (planned.outcome, planned.payments)
             }
-            None if matches!(self.config.payments, PaymentPolicy::CriticalValue(_)) => {
-                let (o, t) =
+            None if self.config.payments == PaymentPolicy::CriticalValue => {
+                let (outcome, trace) =
                     bounded_ufp_epoch_traced(&instance, &self.allocator_config, Some(&ctx));
-                (o, Some(t), None)
+                let payments = self.price_trace(&instance, &ctx, &trace);
+                (outcome, payments)
             }
             None => (
                 bounded_ufp_epoch(&instance, &self.allocator_config, Some(&ctx)),
-                None,
-                None,
+                vec![0.0; arrivals.len()],
             ),
         };
 
@@ -488,7 +487,6 @@ impl Engine {
             base,
             released,
             outcome,
-            resume_trace,
             payments,
             ctx_capacities,
             ctx_usable,
@@ -518,8 +516,7 @@ impl Engine {
         self.floor
     }
 
-    /// Commit a planned epoch: charge payments against the plan's frozen
-    /// context (or take the planner's), commit the routes (loads,
+    /// Commit a planned epoch: book its routes and payments (loads,
     /// admissions, TTL index, events), and close the epoch's report and
     /// metrics.
     ///
@@ -531,16 +528,12 @@ impl Engine {
         let EpochPlan {
             epoch,
             started,
-            instance: epoch_instance,
             arrivals,
             base,
             released,
             outcome,
-            resume_trace,
             payments,
-            ctx_capacities,
-            ctx_usable,
-            ctx_carry,
+            ..
         } = plan;
         assert_eq!(
             epoch, self.epoch,
@@ -548,24 +541,6 @@ impl Engine {
         );
         let stop = outcome.run.trace.stop_reason;
 
-        // Payments against the frozen epoch state, unless the planner
-        // already decided them.
-        let payments = payments.unwrap_or_else(|| {
-            let ctx = EpochContext {
-                capacities: &ctx_capacities,
-                usable: &ctx_usable,
-                carry: &ctx_carry,
-                routable: None,
-            };
-            self.compute_payments(
-                &epoch_instance,
-                &outcome.run.solution,
-                &ctx,
-                resume_trace.as_ref(),
-            )
-        });
-
-        // Commit.
         self.carry = outcome.carry;
         let mut accepted = 0usize;
         let mut value_admitted = 0.0f64;
@@ -997,85 +972,49 @@ impl Engine {
         Ok(())
     }
 
-    fn compute_payments(
-        &self,
-        epoch_instance: &UfpInstance,
-        solution: &UfpSolution,
-        ctx: &EpochContext<'_>,
-        resume_trace: Option<&EpochResumeTrace>,
-    ) -> Vec<f64> {
-        let mut payments = vec![0.0; epoch_instance.num_requests()];
-        if matches!(self.config.payments, PaymentPolicy::None) {
-            return payments;
-        }
-        let trace = resume_trace.expect("priced epochs are traced");
-        // Selection order in the solution equals trace step order (both
-        // append once per executed step; a truncated solution is a
-        // prefix of the trace).
-        let winners: Vec<(RequestId, usize)> = solution
-            .routed
-            .iter()
-            .enumerate()
-            .map(|(step, (rid, _))| (*rid, step))
-            .collect();
-        let priced = self.price_winners_against_trace(epoch_instance, ctx, trace, &winners);
-        for ((rid, _), payment) in winners.iter().zip(priced) {
-            payments[rid.index()] = payment;
-        }
-        payments
-    }
-
-    /// Price winners at their exact critical values against a trace:
+    /// Price every winner of `trace` at its exact critical value:
     /// `instance` and `ctx` are what `trace` was recorded (or assembled
     /// with [`EpochResumeTrace::push_step`] from a cross-shard merge)
-    /// under, and each winner comes with its selection step in it. This
-    /// is the engine's own commit-time pricing and the global-payment
-    /// entry point of sharded deployments.
+    /// under. This is the engine's own plan-time pricing and the
+    /// payment entry point of sharded deployments.
     ///
     /// Each winner costs one resume of its selection step with itself
     /// masked out ([`ufp_core::critical_value_exact`]). The passes are
     /// read-only replays, so winners fan out on the engine's `ufp_par`
     /// pool, each under a `payment.probe` span whose `suffix_len`
     /// records the steps past its resume point.
-    /// `PaymentPolicy::None` returns zeros.
     ///
-    /// Returns one payment per winner, in `winners` order.
-    pub fn price_winners_against_trace(
+    /// Returns one payment per request of `instance`; losers, and
+    /// everyone under `PaymentPolicy::None`, pay 0.
+    pub fn price_trace(
         &self,
         instance: &UfpInstance,
         ctx: &EpochContext<'_>,
         trace: &EpochResumeTrace,
-        winners: &[(RequestId, usize)],
     ) -> Vec<f64> {
-        let PaymentPolicy::CriticalValue(payment_config) = self.config.payments else {
-            return vec![0.0; winners.len()];
-        };
+        let mut payments = vec![0.0; instance.num_requests()];
+        if self.config.payments == PaymentPolicy::None {
+            return payments;
+        }
         // Passes run *inside* pool workers and their selection fan-outs
         // may dispatch on the same pool: nested dispatch is
         // deadlock-free since `ufp_par` waits help-first, and results
         // are unaffected by `ufp_par`'s ordered reduction.
         let config = &self.allocator_config;
         let total_steps = trace.num_steps();
-        self.config.pool.map(winners, |_, &(rid, step)| {
-            debug_assert_eq!(
-                trace.step(step).selected,
-                rid,
-                "winner step does not match the trace"
-            );
+        let steps: Vec<usize> = (0..total_steps).collect();
+        let priced = self.config.pool.map(&steps, |_, &step| {
             let _span = config.obs.span_attr(
                 Phase::PaymentProbe,
                 "suffix_len",
                 (total_steps - step) as u64,
             );
-            critical_value_exact(
-                instance,
-                config,
-                Some(ctx),
-                trace,
-                step,
-                payment_config.value_floor,
-            )
-        })
+            critical_value_exact(instance, config, Some(ctx), trace, step)
+        });
+        for (step, payment) in priced.into_iter().enumerate() {
+            payments[trace.step(step).selected.index()] = payment;
+        }
+        payments
     }
 
     // ------------------------------------------------------------------
@@ -1238,11 +1177,6 @@ impl Engine {
     /// [`Engine::events_dropped`].
     pub fn drain_events(&mut self) -> Vec<EngineEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Alias for [`Engine::drain_events`] (the original name).
-    pub fn take_events(&mut self) -> Vec<EngineEvent> {
-        self.drain_events()
     }
 
     /// Events discarded by the retention cap since the engine started
@@ -1450,7 +1384,7 @@ mod tests {
         };
         let mut engine = Engine::new(one_link(2.0), cfg);
         engine.submit_requests(&unit_requests(3, |i| 1.0 + i as f64));
-        let events = engine.take_events();
+        let events = engine.drain_events();
         assert!(matches!(
             events[0],
             EngineEvent::EpochStarted { arrivals: 3, .. }
@@ -1468,7 +1402,7 @@ mod tests {
             events.last(),
             Some(EngineEvent::EpochCompleted { .. })
         ));
-        assert!(engine.events().is_empty(), "take_events drains");
+        assert!(engine.events().is_empty(), "drain_events drains");
     }
 
     #[test]

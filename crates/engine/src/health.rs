@@ -40,6 +40,9 @@ use ufp_par::Pool;
 use crate::config::HealthConfig;
 use crate::engine::Arrival;
 
+/// Packing-solver iteration cap for regret-oracle runs.
+pub const REGRET_MAX_ITERATIONS: usize = 200_000;
+
 /// Frozen inputs for one regret-oracle run, captured between plan and
 /// commit (clones only — the live epoch state is never shared with the
 /// oracle).
@@ -128,7 +131,7 @@ pub(crate) fn run_regret_oracle(
                     capacities,
                     &kept,
                     cfg.regret_epsilon,
-                    cfg.regret_max_iterations,
+                    REGRET_MAX_ITERATIONS,
                 )
             })
             .pop()

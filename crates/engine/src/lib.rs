@@ -32,8 +32,10 @@
 //!    Theorem 2.3: per-epoch the allocation is value-monotone, and
 //!    critical-value payments are computed against the same frozen
 //!    residual state the allocation saw.
-//! 5. **Commits** accepted routes (loads, global solution, event log) and
-//!    computes payments per [`EngineConfig::payments`].
+//!    The same plan step prices the winners per
+//!    [`EngineConfig::payments`] ([`Engine::price_trace`]).
+//! 5. **Commits** accepted routes and their payments (loads, global
+//!    solution, event log).
 //!
 //! ## Payments: exact critical values from one pass per winner
 //!
@@ -47,7 +49,10 @@
 //! run's steps ([`ufp_core::critical_value_exact`]). The per-winner
 //! passes are independent given the frozen epoch context, so they fan
 //! out across [`EngineConfig::pool`] with deterministic (winner-ordered)
-//! results. Critical-value bisection over full re-runs
+//! results. Every epoch is priced where it is planned, by one
+//! [`Engine::price_trace`] call: the engine's own run in
+//! [`Engine::plan_epoch_in`], a sharded deployment in its
+//! [`EpochPlanner`]. Critical-value bisection over full re-runs
 //! ([`EpochAllocator`] with `ufp_mechanism::critical_value`) stays as
 //! the test oracle: the exact `p` satisfies `p ≤ p_bisect ≤ p·(1+tol)`.
 //!

@@ -176,10 +176,7 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     w.put_f64(cfg.epsilon);
     w.put_f64(cfg.carry_decay);
     w.put_f64(engine.floor);
-    let (pay_class, pay_tol, pay_floor) = cfg.payments.fingerprint();
-    w.put_u8(pay_class);
-    w.put_u64(pay_tol);
-    w.put_u64(pay_floor);
+    w.put_u8(cfg.payments.fingerprint());
     w.put_u8(match cfg.events {
         crate::config::EventLevel::Epoch => 0,
         crate::config::EventLevel::Request => 1,
@@ -487,17 +484,9 @@ pub fn decode_engine(
     // mismatch; the check is deferred until the graph fingerprint has
     // passed.
     let stored_floor = s.get_f64("config residual floor")?;
-    let (pay_class, pay_tol, pay_floor) = config.payments.fingerprint();
-    if s.get_u8("config payments class")? != pay_class {
+    if s.get_u8("config payments class")? != config.payments.fingerprint() {
         return Err(CodecError::ConfigMismatch {
             context: "payment policy",
-        });
-    }
-    if s.get_u64("config payments tolerance")? != pay_tol
-        || s.get_u64("config payments floor")? != pay_floor
-    {
-        return Err(CodecError::ConfigMismatch {
-            context: "payment tolerances",
         });
     }
     let events_level = match config.events {

@@ -14,9 +14,12 @@ pub fn epoch_with_oracle(
     engine: &mut Engine,
     arrivals: &[Arrival],
 ) -> (EpochReport, Vec<(f64, f64)>) {
-    let PaymentPolicy::CriticalValue(payment) = engine.config().payments else {
-        panic!("the oracle prices critical-value engines");
-    };
+    assert_eq!(
+        engine.config().payments,
+        PaymentPolicy::CriticalValue,
+        "the oracle prices critical-value engines"
+    );
+    let payment = PaymentConfig::default();
     let config = engine.config().allocator_config();
     let plan = engine.plan_epoch(arrivals, None);
     let bisected: Vec<f64> = {

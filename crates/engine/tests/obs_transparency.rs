@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ufp_core::Request;
+use ufp_engine::health::REGRET_MAX_ITERATIONS;
 use ufp_engine::{Arrival, Engine, EngineConfig, HealthConfig, PaymentPolicy};
 use ufp_netgraph::generators;
 use ufp_netgraph::ids::NodeId;
@@ -227,7 +228,7 @@ fn regret_sample_matches_hand_checked_fractional_bound() {
         &graph,
         &commodities,
         health.regret_epsilon,
-        health.regret_max_iterations,
+        REGRET_MAX_ITERATIONS,
     );
     assert!(
         (sample.fractional_bound - direct.upper_bound).abs() <= 1e-9 * direct.upper_bound,

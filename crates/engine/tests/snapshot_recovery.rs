@@ -240,4 +240,39 @@ fn restore_refuses_mismatched_graph_and_config() {
         matches!(err, ufp_engine::CodecError::ConfigMismatch { .. }),
         "got {err}"
     );
+
+    // Different payment policy, both ways -> payment-policy mismatch.
+    let unpriced = EngineConfig {
+        payments: PaymentPolicy::None,
+        ..config()
+    };
+    let mut free = Engine::from_shared(Arc::clone(&graph), unpriced.clone());
+    free.submit_batch(&trace[0]);
+    for (bytes, cfg) in [(&bytes, unpriced), (&free.snapshot_bytes(), config())] {
+        let err = Engine::restore_from_bytes(bytes, Arc::clone(&graph), cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ufp_engine::CodecError::ConfigMismatch {
+                    context: "payment policy"
+                }
+            ),
+            "got {err}"
+        );
+    }
+
+    // A container stamped with the previous codec version -> refused.
+    let mut old = bytes.clone();
+    old[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let err = Engine::restore_from_bytes(&old, Arc::clone(&graph), config()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ufp_engine::CodecError::UnsupportedVersion {
+                found: 2,
+                supported: 3
+            }
+        ),
+        "got {err}"
+    );
 }

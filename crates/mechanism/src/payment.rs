@@ -18,6 +18,8 @@ pub struct PaymentConfig {
     /// individual rationality on the winner side).
     pub relative_tolerance: f64,
     /// Values below this are treated as zero (the agent wins at any bid).
+    /// Defaults to [`ufp_core::VALUE_FLOOR`], the floor the exact
+    /// critical values are rounded at.
     pub value_floor: f64,
 }
 
@@ -25,7 +27,7 @@ impl Default for PaymentConfig {
     fn default() -> Self {
         PaymentConfig {
             relative_tolerance: 1e-9,
-            value_floor: 1e-12,
+            value_floor: ufp_core::VALUE_FLOOR,
         }
     }
 }

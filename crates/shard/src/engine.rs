@@ -306,7 +306,7 @@ impl EpochPlanner for ShardPlanner {
 
         // Merge-replay with the global guard; bumps land in the carry
         // in merged order (the order a single engine applies them).
-        let priced = !matches!(engine_config.payments, PaymentPolicy::None);
+        let priced = engine_config.payments != PaymentPolicy::None;
         let mut carry = ctx.carry.to_vec();
         let merge = {
             let steps = runs.iter().map(|r| r.trace.num_steps() as u64).sum();
@@ -324,16 +324,10 @@ impl EpochPlanner for ShardPlanner {
 
         // Price every surviving winner against the merged trace, under
         // the frozen context — the passes a single engine would run.
-        let mut payments = vec![0.0f64; requests.len()];
-        if let Some(trace) = &merge.global_trace {
-            let winners: Vec<(RequestId, usize)> = (0..trace.num_steps())
-                .map(|k| (trace.step(k).selected, k))
-                .collect();
-            let prices = book.price_winners_against_trace(instance, ctx, trace, &winners);
-            for (&(rid, _), p) in winners.iter().zip(prices) {
-                payments[rid.index()] = p;
-            }
-        }
+        let mut payments = match &merge.global_trace {
+            Some(trace) => book.price_trace(instance, ctx, trace),
+            None => vec![0.0f64; requests.len()],
+        };
 
         // The merged winners and their lease use.
         let mut routed = Vec::with_capacity(merge.merged.len());
@@ -378,18 +372,15 @@ impl EpochPlanner for ShardPlanner {
             };
             let sub = sub_instance(cross);
             let (outcome, trace) = bounded_ufp_epoch_traced(&sub, &allocator, Some(&cross_ctx));
-            let winners: Vec<(RequestId, usize)> = (0..trace.num_steps())
-                .map(|k| (trace.step(k).selected, k))
-                .collect();
-            let prices = book.price_winners_against_trace(&sub, &cross_ctx, &trace, &winners);
-            for ((rid, path), p) in outcome.run.solution.routed.iter().zip(prices) {
+            let prices = book.price_trace(&sub, &cross_ctx, &trace);
+            for (rid, path) in &outcome.run.solution.routed {
                 let pos = cross[rid.index()];
-                payments[pos as usize] = p;
+                payments[pos as usize] = prices[rid.index()];
                 routed.push((RequestId(pos), path.clone()));
             }
             cross_stop = Some(outcome.run.trace.stop_reason);
             let row = &mut self.counters[shards];
-            row.admissions += winners.len() as u64;
+            row.admissions += outcome.run.solution.routed.len() as u64;
             row.epoch_time_us += begun.elapsed().as_micros() as u64;
             carry = outcome.carry;
         }
