@@ -281,6 +281,37 @@ fn trace_digest(trace: &[Vec<Arrival>]) -> u64 {
     h.finish()
 }
 
+/// Wall-clock read-outs over the epochs this process replayed, taken
+/// from their [`EpochReport::elapsed`] (a restored run's pre-restore
+/// epochs are not included). Not deterministic: reported only under
+/// `"timing"` and on stderr.
+struct EpochTiming {
+    p50_us: u64,
+    p99_us: u64,
+    /// Arrivals per second of epoch wall time (0 before any epoch).
+    requests_per_s: f64,
+}
+
+impl EpochTiming {
+    fn of(mut epoch_us: Vec<u64>, arrivals: u64) -> Self {
+        epoch_us.sort_unstable();
+        let percentile = |p: f64| match epoch_us.len() {
+            0 => 0,
+            n => epoch_us[(p / 100.0 * (n - 1) as f64).round() as usize],
+        };
+        let total_us: u64 = epoch_us.iter().sum();
+        EpochTiming {
+            p50_us: percentile(50.0),
+            p99_us: percentile(99.0),
+            requests_per_s: if total_us == 0 {
+                0.0
+            } else {
+                arrivals as f64 / (total_us as f64 / 1e6)
+            },
+        }
+    }
+}
+
 /// Render one JSON object per completed epoch profile: wall-clock µs,
 /// the epoch-stage coverage ratio (open+plan+commit over wall), and
 /// every phase that saw activity in the epoch.
@@ -940,6 +971,8 @@ fn main() -> ExitCode {
     // lifetime phase totals around the pass instead.
     let mut repair_us: std::collections::HashMap<u64, [u64; 3]> = std::collections::HashMap::new();
     let replay_started = Instant::now();
+    let mut epoch_us: Vec<u64> = Vec::new();
+    let mut replayed_arrivals = 0u64;
     for (t, batch) in trace.iter().enumerate().skip(start_epoch) {
         // Infrastructure first: epoch `t`'s topology events run the
         // repair pass (evictions priced and refunded, re-admission
@@ -985,6 +1018,8 @@ fn main() -> ExitCode {
             }
         };
         let report = engine.submit_batch(batch);
+        epoch_us.push(report.elapsed.as_micros() as u64);
+        replayed_arrivals += report.arrivals as u64;
         stop_counts[match report.stop {
             StopReason::Exhausted => 0,
             StopReason::Guard => 1,
@@ -1034,6 +1069,7 @@ fn main() -> ExitCode {
     }
 
     let replay_elapsed = replay_started.elapsed();
+    let timing = EpochTiming::of(epoch_us, replayed_arrivals);
 
     // Feasibility verdict: active always; cumulative too when no churn.
     let (active_ok, cumulative_ok) = feasibility(engine.book(), options.churn.is_none());
@@ -1236,9 +1272,9 @@ fn main() -> ExitCode {
             "  \"timing\": {{\"elapsed_s\": {:.3}, \"p50_us\": {}, \"p99_us\": {}, \
              \"requests_per_s\": {:.1}{}{}{}}}",
             replay_elapsed.as_secs_f64(),
-            metrics.p50_latency_us().unwrap_or(0),
-            metrics.p99_latency_us().unwrap_or(0),
-            metrics.requests_per_second().unwrap_or(0.0),
+            timing.p50_us,
+            timing.p99_us,
+            timing.requests_per_s,
             shard_timing,
             profile_json,
             health_json
@@ -1376,9 +1412,7 @@ fn main() -> ExitCode {
     // Wall-clock figures (stderr; excluded from determinism).
     eprintln!(
         "latency p50 {} µs, p99 {} µs; throughput {:.0} requests/s",
-        metrics.p50_latency_us().unwrap_or(0),
-        metrics.p99_latency_us().unwrap_or(0),
-        metrics.requests_per_second().unwrap_or(0.0),
+        timing.p50_us, timing.p99_us, timing.requests_per_s,
     );
     if options.profile {
         if let Some(snap) = &obs_snapshot {
@@ -1422,5 +1456,21 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EpochTiming;
+
+    #[test]
+    fn epoch_timing_reads_percentiles_and_throughput_from_reports() {
+        let t = EpochTiming::of(vec![400, 100, 1000, 300, 200], 10);
+        assert_eq!(t.p50_us, 300);
+        assert_eq!(t.p99_us, 1000);
+        assert!((t.requests_per_s - 10.0 / 0.002).abs() < 1e-6);
+        let none = EpochTiming::of(Vec::new(), 0);
+        assert_eq!((none.p50_us, none.p99_us), (0, 0));
+        assert_eq!(none.requests_per_s, 0.0);
     }
 }

@@ -290,9 +290,9 @@ impl EpochResumeTrace {
     /// weights, and `routed_value_before` the global running value sum)
     /// yields an [`EpochResumeTrace`] over the global instance that
     /// behaves exactly like one produced by [`bounded_ufp_epoch_traced`]:
-    /// [`Self::checkpoint`] / [`Self::prefix_outcome`] replay it by
-    /// arithmetic, and [`crate::critical_value_exact`] prices winners
-    /// against it with the same O(suffix) resume discipline.
+    /// [`Self::checkpoint`] replays it by arithmetic, and
+    /// [`crate::critical_value_exact`] prices winners against it with the
+    /// same O(suffix) resume discipline.
     ///
     /// `bumps` must hold one line-10 exponent per `path.edges()` entry,
     /// and `routed_value_before` must equal the sum of the previously
@@ -325,27 +325,6 @@ impl EpochResumeTrace {
                 routed_value_before,
             },
         });
-    }
-
-    /// Repackage the first `steps` selections as a completed
-    /// [`EpochOutcome`] with the given stop reason — bit-identical
-    /// solution, records, and carry prefix, reconstructed by arithmetic
-    /// replay. This is how a sharded engine truncates a shard's
-    /// over-admission when the *global* guard (which the shard could not
-    /// see) tripped mid-epoch: the kept prefix is exactly the run the
-    /// shard would have produced had it stopped there.
-    pub fn prefix_outcome(
-        &self,
-        instance: &UfpInstance,
-        config: &BoundedUfpConfig,
-        ctx: Option<&EpochContext<'_>>,
-        steps: usize,
-        stop_reason: StopReason,
-    ) -> EpochOutcome {
-        let checkpoint = self.checkpoint(instance, config, ctx, steps);
-        let b = epoch_bound_b(instance, ctx);
-        let ln_guard = config.epsilon * (b - 1.0);
-        finish_outcome(ctx.is_some(), checkpoint.state, stop_reason, ln_guard)
     }
 
     /// Reconstruct the run state after the first `steps` selections, by
@@ -1404,9 +1383,6 @@ mod tests {
                 rebuilt.checkpoint(&inst, &cfg, Some(&ctx), prefix),
             );
             assert_outcomes_identical(&a, &b);
-            let pa = trace.prefix_outcome(&inst, &cfg, Some(&ctx), prefix, StopReason::Guard);
-            let pb = rebuilt.prefix_outcome(&inst, &cfg, Some(&ctx), prefix, StopReason::Guard);
-            assert_outcomes_identical(&pa, &pb);
         }
     }
 

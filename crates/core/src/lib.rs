@@ -66,4 +66,4 @@ pub use repeat::{bounded_ufp_repeat, RepeatConfig, RepeatRunResult};
 pub use request::{Request, RequestId};
 pub use solution::{FeasibilityError, UfpSolution};
 pub use trace::{Certificate, IterationRecord, RunTrace, StopReason};
-pub use weights::{DualWeights, DualWeightsState};
+pub use weights::DualWeights;

@@ -29,34 +29,6 @@ use ufp_netgraph::ids::EdgeId;
 /// millions of edges.
 const RECENTER_AT: f64 = 600.0;
 
-/// Exported [`DualWeights`] state — the minimal field set from which the
-/// full weight vector (including the materialized Dijkstra weights)
-/// rebuilds **bit-identically**. The materialized `w_e` are omitted on
-/// purpose: they are always exactly `exp(ln_y − shift)` for active edges
-/// (every code path that writes one computes that expression), so
-/// [`DualWeights::import`] re-derives them from the same inputs with the
-/// same operation and gets the same bits.
-///
-/// Produced by [`DualWeights::export`]; consumed by
-/// [`DualWeights::import`]. This is the standalone persistence surface
-/// for tools that checkpoint a run *mid-epoch* (the engine's snapshot
-/// layer itself persists only the carried ln-space exponents between
-/// epochs and rebuilds the per-epoch weights from them, so it does not
-/// go through this struct).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DualWeightsState {
-    /// `ln y_e` per edge (masked edges hold the inert `0.0` placeholder).
-    pub ln_y: Vec<f64>,
-    /// Current log-sum-exp shift.
-    pub shift: f64,
-    /// Running maximum of `ln y_e` over active edges.
-    pub max_ln_y: f64,
-    /// Effective capacities the weights were initialized from.
-    pub caps: Vec<f64>,
-    /// Epoch-mode usability mask (`None` = one-shot mode, all active).
-    pub active: Option<Vec<bool>>,
-}
-
 /// The dual weight vector of Algorithm 1, kept in log space.
 #[derive(Clone, Debug)]
 pub struct DualWeights {
@@ -71,8 +43,7 @@ pub struct DualWeights {
     /// out of `D₁` so a full link cannot trip the guard for the whole
     /// residual network.
     active: Option<Vec<bool>>,
-    /// Re-centerings performed (observability only — not part of the
-    /// persisted [`DualWeightsState`]; import restarts the count).
+    /// Re-centerings performed (observability only).
     recenters: u64,
 }
 
@@ -161,7 +132,7 @@ impl DualWeights {
     }
 
     /// Log-sum-exp re-centerings performed on this weight vector so
-    /// far (resets on [`DualWeights::import`]).
+    /// far.
     #[inline]
     pub fn recenters(&self) -> u64 {
         self.recenters
@@ -219,70 +190,6 @@ impl DualWeights {
                 .sum(),
         };
         sum.ln() + self.shift
-    }
-
-    /// Export the serializable state (see [`DualWeightsState`] for what
-    /// is and is not included).
-    pub fn export(&self) -> DualWeightsState {
-        DualWeightsState {
-            ln_y: self.ln_y.clone(),
-            shift: self.shift,
-            max_ln_y: self.max_ln_y,
-            caps: self.caps.clone(),
-            active: self.active.clone(),
-        }
-    }
-
-    /// Rebuild a weight vector from exported state, rematerializing the
-    /// Dijkstra weights bit-identically. Returns `None` on structurally
-    /// invalid state — mismatched lengths, or non-finite shift / `ln y`
-    /// / capacity entries that would poison every shortest-path
-    /// comparison with NaNs — so persistence layers can surface a typed
-    /// error instead of panicking. (`max_ln_y = −∞` alone is legal: it
-    /// is the genuine state when every edge is masked.)
-    pub fn import(state: DualWeightsState) -> Option<Self> {
-        let DualWeightsState {
-            ln_y,
-            shift,
-            max_ln_y,
-            caps,
-            active,
-        } = state;
-        if ln_y.len() != caps.len() {
-            return None;
-        }
-        if let Some(mask) = &active {
-            if mask.len() != caps.len() {
-                return None;
-            }
-        }
-        if !shift.is_finite() && !ln_y.is_empty() {
-            return None;
-        }
-        if ln_y.iter().any(|l| !l.is_finite()) {
-            return None;
-        }
-        if caps.iter().any(|c| !c.is_finite() || *c < 0.0) {
-            return None;
-        }
-        if max_ln_y.is_nan() || max_ln_y == f64::INFINITY {
-            return None;
-        }
-        let is_active = |i: usize| active.as_ref().is_none_or(|m| m[i]);
-        let w = ln_y
-            .iter()
-            .enumerate()
-            .map(|(i, l)| if is_active(i) { (l - shift).exp() } else { 0.0 })
-            .collect();
-        Some(DualWeights {
-            ln_y,
-            w,
-            shift,
-            max_ln_y,
-            caps,
-            active,
-            recenters: 0,
-        })
     }
 
     /// Capacity of edge `e` (cached copy for the hot loop).
@@ -433,59 +340,6 @@ mod tests {
         assert_eq!(w.weights()[0], 0.0, "masked edge stays inert");
         assert!((w.ln_y(EdgeId(1)) - 800.0).abs() < 1e-9);
         assert!((w.ln_dual_sum() - 800.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn export_import_round_trip_is_bit_identical() {
-        // Epoch-mode weights with a mask, carry, and a forced recenter —
-        // the hardest state to rebuild. Import must reproduce every
-        // materialized weight bit for bit and then evolve identically.
-        let caps = [0.0, 3.0, 7.0];
-        let mut w = DualWeights::with_context(&caps, &[false, true, true], &[0.0, 2.5, 0.0]);
-        w.bump(EdgeId(1), 650.0); // crosses RECENTER_AT
-        w.bump(EdgeId(2), 0.125);
-        let restored = DualWeights::import(w.export()).expect("valid export");
-        assert_eq!(restored.shift().to_bits(), w.shift().to_bits());
-        for (a, b) in restored.weights().iter().zip(w.weights()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(restored.ln_dual_sum().to_bits(), w.ln_dual_sum().to_bits());
-        // Continued updates stay in lockstep.
-        let mut a = w;
-        let mut b = restored;
-        for (e, x) in [(1u32, 0.25), (2, 100.0), (1, 1e-3)] {
-            a.bump(EdgeId(e), x);
-            b.bump(EdgeId(e), x);
-        }
-        for (x, y) in a.weights().iter().zip(b.weights()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.ln_dual_sum().to_bits(), b.ln_dual_sum().to_bits());
-    }
-
-    #[test]
-    fn import_rejects_inconsistent_state() {
-        let g = graph_with_caps(&[1.0, 2.0]);
-        let good = DualWeights::new(&g).export();
-        let mut short = good.clone();
-        short.ln_y.pop();
-        assert!(DualWeights::import(short).is_none(), "ln_y length");
-        let mut bad_mask = good.clone();
-        bad_mask.active = Some(vec![true]);
-        assert!(DualWeights::import(bad_mask).is_none(), "mask length");
-        let mut bad_shift = good.clone();
-        bad_shift.shift = f64::NAN;
-        assert!(DualWeights::import(bad_shift).is_none(), "non-finite shift");
-        let mut bad_lny = good.clone();
-        bad_lny.ln_y[0] = f64::NAN;
-        assert!(DualWeights::import(bad_lny).is_none(), "non-finite ln_y");
-        let mut bad_caps = good.clone();
-        bad_caps.caps[1] = f64::INFINITY;
-        assert!(DualWeights::import(bad_caps).is_none(), "non-finite caps");
-        let mut bad_max = good.clone();
-        bad_max.max_ln_y = f64::INFINITY;
-        assert!(DualWeights::import(bad_max).is_none(), "infinite max_ln_y");
-        assert!(DualWeights::import(good).is_some());
     }
 
     #[test]

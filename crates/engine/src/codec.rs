@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"UFPSNAP\0"
-//! 8       4     format version (u32) — currently 3
+//! 8       4     format version (u32) — currently 4
 //! 12      8     body length in bytes (u64)
 //! 20      n     body (section stream, see `snapshot`)
 //! 20+n    8     FNV-1a 64 checksum over bytes [0, 20+n)
@@ -42,9 +42,10 @@ pub const MAGIC: [u8; 8] = *b"UFPSNAP\0";
 /// the per-admission eviction flag, the eviction/refund metrics, and
 /// the `Evicted` event tag. Version 3 dropped the payment tolerance and
 /// value-floor words from the config fingerprint (the payment policy is
-/// a bare class). Older snapshots are refused rather than partially
-/// understood.
-pub const FORMAT_VERSION: u32 = 3;
+/// a bare class). Version 4 dropped the wall-clock latency fields from
+/// the metrics section, so equal input streams encode to equal bytes.
+/// Older snapshots are refused rather than partially understood.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Size of the fixed container header (magic + version + body length).
 pub const HEADER_LEN: usize = 8 + 4 + 8;

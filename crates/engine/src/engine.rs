@@ -191,7 +191,9 @@ pub struct EpochReport {
     pub min_residual: f64,
     /// Total load / total capacity after the epoch.
     pub total_utilization: f64,
-    /// Wall-clock time spent in this call.
+    /// Wall-clock time spent in this call. The engine's only timing
+    /// read-out: it never enters [`EngineMetrics`] or a snapshot, so
+    /// callers derive latency percentiles and throughput from reports.
     pub elapsed: std::time::Duration,
 }
 
@@ -217,10 +219,10 @@ pub struct Engine {
     /// drained by the driver into the next epoch's batch.
     pub(crate) readmit_queue: Vec<Arrival>,
     /// Wall-clock cost of the most recent [`Engine::open_epoch`]'s TTL
-    /// releases, folded into the next plan's latency sample so churn
-    /// work keeps counting toward batch latency across the open/plan
-    /// split (transient; not snapshotted — restored engines simply
-    /// start the next epoch's clock at zero release cost).
+    /// releases, folded into the next plan's [`EpochReport::elapsed`]
+    /// so churn work keeps counting toward epoch latency across the
+    /// open/plan split (transient; not snapshotted — restored engines
+    /// simply start the next epoch's clock at zero release cost).
     pub(crate) pending_release_cost: std::time::Duration,
     pub(crate) carry: Vec<f64>,
     /// Append-only global request registry.
@@ -399,9 +401,9 @@ impl Engine {
         // batches).
         self.push_event(EngineEvent::EpochStarted { epoch, arrivals });
         let released = self.release_expired();
-        // Churn work belongs to the epoch's latency sample; the next
-        // plan backdates its clock by this much (see `plan_epoch_in`),
-        // so the open/plan split does not shrink latency metrics
+        // Churn work belongs to the epoch's elapsed time; the next plan
+        // backdates its clock by this much (see `plan_epoch_in`), so the
+        // open/plan split does not shrink the reported epoch latency
         // relative to the pre-split `submit_batch`.
         self.pending_release_cost = opened.elapsed();
         released
@@ -418,8 +420,8 @@ impl Engine {
     ) -> EpochPlan {
         let obs = self.config.obs.clone();
         let _span = obs.span(Phase::EpochPlan);
-        // Backdate by the epoch-open (TTL release) cost so the latency
-        // sample covers the same work as the pre-split submit_batch.
+        // Backdate by the epoch-open (TTL release) cost so the reported
+        // elapsed time covers the same work as the pre-split submit_batch.
         let release_cost = std::mem::take(&mut self.pending_release_cost);
         let now = Instant::now();
         let started = now.checked_sub(release_cost).unwrap_or(now);
@@ -628,14 +630,8 @@ impl Engine {
             stop,
         });
         let elapsed = started.elapsed();
-        self.metrics.record_batch(
-            arrivals.len(),
-            accepted,
-            released,
-            value_admitted,
-            revenue,
-            elapsed,
-        );
+        self.metrics
+            .record_batch(arrivals.len(), accepted, released, value_admitted, revenue);
         if self.config.obs.is_enabled() {
             self.record_commit_gauges(elapsed);
         }

@@ -75,9 +75,12 @@
 //!
 //! Every epoch appends structured [`EngineEvent`]s (granularity set by
 //! [`EventLevel`]) and updates the running [`EngineMetrics`]: acceptance
-//! rate, carried value, revenue, release counts, per-batch latency
-//! percentiles (p50/p99, O(1) queries over an incrementally sorted
-//! window), and the edge-utilization histogram.
+//! rate, carried value, revenue, refunds, and release and eviction
+//! counts — deterministic counters only. Wall-clock time is reported per
+//! epoch ([`EpochReport::elapsed`], which also feeds the recorder's
+//! `engine.epoch_wall_us` histogram and the health SLO), never kept in
+//! the book, so callers derive latency percentiles and throughput from
+//! the reports they receive.
 //!
 //! The event log is **bounded**: at [`EngineConfig::event_capacity`]
 //! entries the oldest half rotates out (tallied in
@@ -105,13 +108,16 @@
 //! [`engine::Engine::restore_from`] serialize the full engine state
 //! (committed loads, carried dual exponents, request registry,
 //! admissions and TTL expiries, epoch counter, event log + cursor,
-//! metrics window) through a hand-rolled, versioned, checksummed binary
+//! metrics counters) through a hand-rolled, versioned, checksummed binary
 //! [`codec`]; [`SnapshotStore`] manages epoch-stamped snapshot files
 //! written atomically and recovers from the newest loadable one,
 //! skipping files torn by a crash mid-save. Restore = load snapshot +
 //! replay only the journaled arrivals after its epoch watermark; the
 //! continued run's epochs, payments, and metrics are byte-identical to
-//! an uninterrupted run (see `tests/snapshot_recovery.rs` and the
+//! an uninterrupted run. A snapshot holds no wall-clock value, so it is
+//! a pure function of the input stream: equal streams give equal
+//! snapshot bytes, and a restored-and-continued engine snapshots to the
+//! unbroken run's bytes (see `tests/snapshot_recovery.rs` and the
 //! adversarial decoding suite in `tests/codec_adversarial.rs`).
 
 pub mod allocator;

@@ -14,7 +14,7 @@
 //! | 4   | requests   | the append-only global request registry             |
 //! | 5   | admissions | every admission (path, payment, TTL, released flag) |
 //! | 6   | events     | retained event log + dropped-event cursor           |
-//! | 7   | metrics    | counters and the latency ring buffer                |
+//! | 7   | metrics    | counters, value, revenue and refund sums            |
 //! | 9   | topology   | dynamic-topology overlay: version, fingerprint, event log |
 //! | 10  | readmit    | evicted flows queued for re-admission               |
 //! | 8   | driver     | opaque caller blob (RNG stream position, trace cursor, …) |
@@ -251,9 +251,7 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     }
     w.end_bytes(section);
 
-    // Metrics (latency figures are wall-clock and excluded from any
-    // determinism guarantee, but round-trip identity still preserves
-    // them exactly).
+    // Metrics.
     let section = begin_section(w, SEC_METRICS);
     let m = &engine.metrics;
     w.put_u64(m.epochs);
@@ -265,9 +263,6 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     w.put_f64(m.value_admitted);
     w.put_f64(m.revenue);
     w.put_f64(m.refunded);
-    w.put_u64(m.total_latency_us);
-    w.put_u64(m.latency_cursor as u64);
-    w.put_u64_slice(&m.batch_latency_us);
     w.end_bytes(section);
 
     // Dynamic-topology overlay: the full event log plus the (version,
@@ -689,37 +684,19 @@ pub fn decode_engine(
 
     // Metrics.
     let mut s = open_section(&mut r, SEC_METRICS, "metrics section")?;
-    let m_epochs = s.get_u64("metrics epochs")?;
-    let m_arrivals = s.get_u64("metrics arrivals")?;
-    let m_accepted = s.get_u64("metrics accepted")?;
-    let m_rejected = s.get_u64("metrics rejected")?;
-    let m_released = s.get_u64("metrics released")?;
-    let m_evicted = s.get_u64("metrics evicted")?;
-    let m_value = s.get_f64("metrics value")?;
-    let m_revenue = s.get_f64("metrics revenue")?;
-    let m_refunded = s.get_f64("metrics refunded")?;
-    let m_total_latency = s.get_u64("metrics total latency")?;
-    let m_cursor = s.get_u64("metrics latency cursor")?;
-    let m_window = s.get_u64_vec("metrics latency window")?;
+    let metrics = EngineMetrics {
+        epochs: s.get_u64("metrics epochs")?,
+        arrivals: s.get_u64("metrics arrivals")?,
+        accepted: s.get_u64("metrics accepted")?,
+        rejected: s.get_u64("metrics rejected")?,
+        released: s.get_u64("metrics released")?,
+        evicted: s.get_u64("metrics evicted")?,
+        value_admitted: s.get_f64("metrics value")?,
+        revenue: s.get_f64("metrics revenue")?,
+        refunded: s.get_f64("metrics refunded")?,
+    };
     s.expect_exhausted()?;
-    let cursor = usize::try_from(m_cursor).map_err(|_| CodecError::Malformed {
-        context: "metrics latency cursor",
-    })?;
-    let metrics = EngineMetrics::from_snapshot(
-        m_epochs,
-        m_arrivals,
-        m_accepted,
-        m_rejected,
-        m_released,
-        m_evicted,
-        m_value,
-        m_revenue,
-        m_refunded,
-        m_total_latency,
-        cursor,
-        m_window,
-    )
-    .ok_or(CodecError::Malformed {
+    let metrics = metrics.validated().ok_or(CodecError::Malformed {
         context: "metrics invariants",
     })?;
 

@@ -62,6 +62,19 @@ fn restore(bytes: &[u8], graph: &Arc<Graph>) -> Result<Engine, CodecError> {
     Engine::restore_from_bytes(bytes, Arc::clone(graph), config())
 }
 
+/// Frame `body` as a current-version container with a valid checksum,
+/// as a hostile writer would after editing the body.
+fn reframe(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&codec::MAGIC);
+    out.extend_from_slice(&codec::FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(body);
+    let checksum = codec::fnv64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
 #[test]
 fn pristine_snapshot_restores() {
     let (graph, bytes) = populated();
@@ -271,16 +284,6 @@ fn forged_topology_fingerprint_is_malformed() {
     let body = codec::open_container(&bytes)
         .expect("control decodes")
         .to_vec();
-    let reframe = |body: &[u8]| {
-        let mut out = Vec::new();
-        out.extend_from_slice(&codec::MAGIC);
-        out.extend_from_slice(&codec::FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        out.extend_from_slice(body);
-        let checksum = codec::fnv64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    };
     let positions: Vec<usize> = (0..body.len().saturating_sub(8))
         .filter(|&i| body[i..i + 8] == fingerprint)
         .collect();
@@ -323,6 +326,37 @@ fn version_one_snapshots_are_refused_not_partially_read() {
 }
 
 #[test]
+fn version_three_metrics_layout_is_refused_under_a_current_stamp() {
+    // Codec v4 dropped the metrics section's three latency fields
+    // (lifetime sum, ring cursor, ring samples). A v3-shaped metrics
+    // section relabelled as current, checksum and lengths made valid,
+    // must be refused, not read with its tail ignored.
+    let (graph, bytes) = populated();
+    let mut body = codec::open_container(&bytes)
+        .expect("control decodes")
+        .to_vec();
+    // Walk `tag:u8 + len:u64 + payload` sections to the metrics (tag 7).
+    let mut at = 0;
+    while body[at] != 7 {
+        let len = u64::from_le_bytes(body[at + 1..at + 9].try_into().unwrap());
+        at += 9 + len as usize;
+    }
+    let len = u64::from_le_bytes(body[at + 1..at + 9].try_into().unwrap());
+    let v3_tail = [0u64, 1, 1, 250]; // sum, cursor, one-sample ring
+    let tail: Vec<u8> = v3_tail.iter().flat_map(|x| x.to_le_bytes()).collect();
+    body[at + 1..at + 9].copy_from_slice(&(len + tail.len() as u64).to_le_bytes());
+    let end = at + 9 + len as usize;
+    body.splice(end..end, tail);
+    assert!(
+        matches!(
+            restore(&reframe(&body), &graph),
+            Err(CodecError::TrailingBytes { extra: 32 })
+        ),
+        "a v3 metrics section must not decode under v4"
+    );
+}
+
+#[test]
 fn forged_checksum_still_hits_structural_validation() {
     // A hostile writer can recompute the checksum after corrupting the
     // body, so structural validation must not rely on it. Corrupt a
@@ -336,25 +370,16 @@ fn forged_checksum_still_hits_structural_validation() {
     // Find the first request demand: walk sections 1..3 then into 4.
     // Rather than re-implement the walk, corrupt bytes one at a time
     // with a *valid* checksum and assert we only ever see typed errors
-    // (or an Ok whose re-encoding differs benignly in the driver blob /
-    // latency ring — both excluded from engine semantics).
-    let reframe = |body: &[u8]| {
-        let mut out = Vec::new();
-        out.extend_from_slice(&codec::MAGIC);
-        out.extend_from_slice(&codec::FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        out.extend_from_slice(body);
-        let checksum = codec::fnv64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    };
+    // (or an Ok when the byte landed in a field with no structural
+    // invariant to break — the driver blob, or a metrics counter such
+    // as `epochs` or `released`).
     let mut typed_rejections = 0usize;
     for pos in (0..body.len()).step_by(7) {
         let mut evil = body.clone();
         evil[pos] = evil[pos].wrapping_add(0x91);
         let framed = reframe(&evil);
         // A typed Err (not a panic) is the point; an Ok means the byte
-        // belonged to a benign field (latency sample, driver blob, …).
+        // belonged to a field with no invariant (driver blob, counter, …).
         if restore(&framed, &graph).is_err() {
             typed_rejections += 1;
         }

@@ -2,9 +2,8 @@
 //!
 //! * **Round-trip identity** — `restore(snapshot(engine))` reproduces
 //!   every observable: residual loads and carry to the bit, admissions,
-//!   requests, events + dropped cursor, and the metrics latency
-//!   percentiles — including snapshots taken mid-TTL-churn with pending
-//!   expiries.
+//!   requests, events + dropped cursor, and the whole metrics block —
+//!   including snapshots taken mid-TTL-churn with pending expiries.
 //! * **Continuation equivalence** — a restored engine and the original
 //!   produce bit-identical epochs on any continuation stream.
 //! * **Payment contract after restore** — epochs priced with exact
@@ -147,20 +146,10 @@ proptest! {
         // Event log + rotation cursor.
         prop_assert_eq!(engine.events(), restored.events());
         prop_assert_eq!(engine.events_dropped(), restored.events_dropped());
-        // Metrics, including percentile read-outs over the latency ring.
-        let (m, r) = (engine.metrics(), restored.metrics());
-        prop_assert_eq!(m.epochs, r.epochs);
-        prop_assert_eq!(m.arrivals, r.arrivals);
-        prop_assert_eq!(m.accepted, r.accepted);
-        prop_assert_eq!(m.released, r.released);
-        prop_assert_eq!(m.value_admitted.to_bits(), r.value_admitted.to_bits());
-        prop_assert_eq!(m.revenue.to_bits(), r.revenue.to_bits());
-        for p in [0.0, 50.0, 99.0, 100.0] {
-            prop_assert_eq!(m.latency_percentile_us(p), r.latency_percentile_us(p));
-        }
+        // Metrics, every counter and sum.
+        prop_assert_eq!(engine.metrics(), restored.metrics());
         // And the snapshot encoding itself is deterministic: the restored
-        // engine re-serializes to the same bytes (latency ring included —
-        // it was restored, not re-measured).
+        // engine re-serializes to the same bytes.
         prop_assert_eq!(engine.snapshot_bytes(), restored.snapshot_bytes());
     }
 

@@ -14,7 +14,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ufp_engine::{Arrival, Engine, EngineConfig, EventLevel, PaymentPolicy, SnapshotStore};
+use ufp_engine::{
+    Arrival, Engine, EngineConfig, EngineMetrics, EventLevel, PaymentPolicy, SnapshotStore,
+};
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::Graph;
 use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
@@ -53,9 +55,9 @@ fn config() -> EngineConfig {
 /// nodes, epoch, expiry, payment bits, released flag.
 type AdmissionState = (u32, Vec<u32>, u64, Option<u64>, u64, bool);
 
-/// Deterministic digest of everything observable about an engine run.
-/// Latency metrics are wall-clock and deliberately excluded.
-fn observable_state(engine: &Engine) -> (Vec<AdmissionState>, u64) {
+/// Deterministic digest of everything observable about an engine run:
+/// every admission and the whole metrics block.
+fn observable_state(engine: &Engine) -> (Vec<AdmissionState>, EngineMetrics) {
     let admissions = engine
         .admissions()
         .iter()
@@ -70,19 +72,22 @@ fn observable_state(engine: &Engine) -> (Vec<AdmissionState>, u64) {
             )
         })
         .collect();
-    (admissions, engine.metrics().revenue.to_bits())
+    (admissions, engine.metrics().clone())
 }
 
 #[test]
 fn restored_runs_continue_byte_identically_for_several_watermarks() {
     let (graph, trace) = scenario();
 
-    // The unbroken reference run, with every per-epoch report recorded.
+    // The unbroken reference run, with every per-epoch report and
+    // snapshot recorded.
     let mut reference = Engine::from_shared(Arc::clone(&graph), config());
     let mut reference_reports = Vec::new();
+    let mut reference_snapshots = Vec::new();
     for batch in &trace {
         let r = reference.submit_batch(batch);
         reference_reports.push(r);
+        reference_snapshots.push(reference.snapshot_bytes());
     }
     let reference_events = reference.events().to_vec();
 
@@ -93,6 +98,12 @@ fn restored_runs_continue_byte_identically_for_several_watermarks() {
             victim.submit_batch(batch);
         }
         let bytes = victim.snapshot_bytes();
+        // A snapshot is a function of the stream: the victim's bytes are
+        // the reference run's at the same epoch.
+        assert!(
+            bytes == reference_snapshots[k - 1],
+            "k={k}: identical runs snapshot to different bytes"
+        );
 
         // Rebuild a fresh engine from the snapshot and continue.
         let mut restored = Engine::restore_from_bytes(&bytes, Arc::clone(&graph), config())
@@ -131,7 +142,7 @@ fn restored_runs_continue_byte_identically_for_several_watermarks() {
         }
 
         // Full-history read-outs agree byte for byte: every admission,
-        // every payment bit, every event, the metrics counters.
+        // every payment bit, every event, the whole metrics block.
         assert_eq!(
             observable_state(&restored),
             observable_state(&reference),
@@ -142,16 +153,14 @@ fn restored_runs_continue_byte_identically_for_several_watermarks() {
             &reference_events[..],
             "k={k} event log diverged"
         );
-        let (m, w) = (restored.metrics(), reference.metrics());
-        assert_eq!(m.epochs, w.epochs);
-        assert_eq!(m.arrivals, w.arrivals);
-        assert_eq!(m.accepted, w.accepted);
-        assert_eq!(m.rejected, w.rejected);
-        assert_eq!(m.released, w.released);
-        assert_eq!(m.value_admitted.to_bits(), w.value_admitted.to_bits());
-        assert_eq!(m.revenue.to_bits(), w.revenue.to_bits());
         // Residual loads — the state future epochs allocate against.
         assert_eq!(restored.residual().loads(), reference.residual().loads());
+        // And the whole book: the continued run snapshots to the
+        // unbroken run's bytes.
+        assert!(
+            restored.snapshot_bytes() == reference_snapshots[EPOCHS - 1],
+            "k={k}: restored-and-continued snapshot differs from the unbroken one"
+        );
     }
 }
 
@@ -263,14 +272,14 @@ fn restore_refuses_mismatched_graph_and_config() {
 
     // A container stamped with the previous codec version -> refused.
     let mut old = bytes.clone();
-    old[8..12].copy_from_slice(&2u32.to_le_bytes());
+    old[8..12].copy_from_slice(&3u32.to_le_bytes());
     let err = Engine::restore_from_bytes(&old, Arc::clone(&graph), config()).unwrap_err();
     assert!(
         matches!(
             err,
             ufp_engine::CodecError::UnsupportedVersion {
-                found: 2,
-                supported: 3
+                found: 3,
+                supported: 4
             }
         ),
         "got {err}"

@@ -106,7 +106,8 @@ pub struct ShardStats {
     /// (µs; the cross-shard row: the cross-route pass). It excludes time
     /// waiting on sibling shards or on the sequential merge, so on a
     /// multi-core host the per-shard values sum to more than the
-    /// sharded wall-clock (that surplus *is* the parallelism).
+    /// sharded wall-clock (that surplus *is* the parallelism). Transient
+    /// telemetry: it is not snapshotted and restarts at 0 on restore.
     pub epoch_time_us: u64,
     /// Cumulative boundary-lease capacity granted (0 for the cross-shard
     /// row, which runs on full residuals).

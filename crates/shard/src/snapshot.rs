@@ -9,7 +9,8 @@
 //!    or lease policy — every epoch after such a mismatch would misroute
 //!    silently;
 //! 2. the lease ledger;
-//! 3. the per-shard counters behind [`crate::ShardStats`];
+//! 3. the per-shard request and admission counters behind
+//!    [`crate::ShardStats`];
 //! 4. the book's ordinary engine snapshot as one opaque blob, restored
 //!    through the engine codec with all of its validation (topology
 //!    log, loads, admissions, events, metrics, readmission queue).
@@ -20,9 +21,13 @@
 //! byte, version skew, a layout mismatch — returns a [`CodecError`];
 //! nothing panics and nothing is half-restored.
 //!
-//! This is format v4. Earlier versions held per-shard engines that no
-//! longer exist, so they are refused with
-//! [`CodecError::UnsupportedVersion`].
+//! No wall-clock value is persisted: the per-shard planning time
+//! ([`crate::ShardStats::epoch_time_us`]) is transient and restarts at 0
+//! on restore, so equal input streams give equal snapshot bytes.
+//!
+//! This is format v5. v4 also stored the per-shard planning time, and
+//! earlier versions held per-shard engines that no longer exist, so all
+//! of them are refused with [`CodecError::UnsupportedVersion`].
 
 use std::sync::Arc;
 
@@ -38,7 +43,7 @@ use crate::partition::ShardPlan;
 /// Container magic for sharded snapshots (distinct from the engine's).
 const MAGIC: &[u8; 8] = b"UFPSHRD\0";
 /// Bump on any change to the container layout.
-const FORMAT_VERSION: u32 = 4;
+const FORMAT_VERSION: u32 = 5;
 /// Container header: magic, body length, body checksum.
 const HEADER_LEN: usize = 24;
 
@@ -61,7 +66,6 @@ pub fn encode_sharded(engine: &ShardedEngine) -> Vec<u8> {
     let column = |f: fn(&ShardCounters) -> u64| planner.counters.iter().map(f).collect::<Vec<_>>();
     w.put_u64_slice(&column(|c| c.requests));
     w.put_u64_slice(&column(|c| c.admissions));
-    w.put_u64_slice(&column(|c| c.epoch_time_us));
     let blob = w.begin_bytes();
     encode_engine_into(&mut w, &engine.book, &[]);
     w.end_bytes(blob);
@@ -145,11 +149,7 @@ pub fn decode_sharded(
         .ok_or(malformed("lease ledger (length or range)"))?;
     let requests = r.get_u64_vec("shard request counters")?;
     let admissions = r.get_u64_vec("shard admission counters")?;
-    let epoch_us = r.get_u64_vec("shard epoch timings")?;
-    if [&requests, &admissions, &epoch_us]
-        .iter()
-        .any(|c| c.len() != shards + 1)
-    {
+    if requests.len() != shards + 1 || admissions.len() != shards + 1 {
         return Err(malformed("shard counters length"));
     }
     let blob = r.get_bytes("book snapshot")?;
@@ -172,7 +172,7 @@ pub fn decode_sharded(
         .map(|s| ShardCounters {
             requests: requests[s],
             admissions: admissions[s],
-            epoch_time_us: epoch_us[s],
+            epoch_time_us: 0,
         })
         .collect();
     Ok(ShardedEngine {

@@ -1,8 +1,9 @@
-//! Adversarial decoding of sharded snapshots (format v4): damaged bytes
+//! Adversarial decoding of sharded snapshots (format v5): damaged bytes
 //! must produce **typed errors** — never a panic, never a half-restored
 //! deployment. Covers every prefix truncation, a byte flip at every
 //! header and body offset, forged checksums over flipped bodies, and a
-//! v3 header (the per-shard-engine format) with a valid checksum.
+//! v4 header (the format that still stored per-shard planning time)
+//! with a valid checksum.
 
 use std::sync::Arc;
 
@@ -134,17 +135,17 @@ fn resealed_body_flips_never_panic() {
 }
 
 #[test]
-fn version_three_header_is_unsupported_version() {
+fn version_four_header_is_unsupported_version() {
     let (graph, plan, mut bytes) = populated();
-    bytes[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&3u32.to_le_bytes());
+    bytes[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&4u32.to_le_bytes());
     reseal(&mut bytes);
-    let err = restore(&bytes, &graph, &plan).expect_err("v3 must be refused");
+    let err = restore(&bytes, &graph, &plan).expect_err("v4 must be refused");
     assert!(
         matches!(
             err,
             CodecError::UnsupportedVersion {
-                found: 3,
-                supported: 4
+                found: 4,
+                supported: 5
             }
         ),
         "{err:?}"

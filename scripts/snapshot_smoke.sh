@@ -4,7 +4,10 @@
 #
 #   1. unbroken reference run (--json, deterministic fields recorded);
 #   2. the same run snapshotting every 5 epochs and "crashing" after
-#      epoch 13 (--stop-after — snapshots at epochs 5 and 10 survive);
+#      epoch 13 (--stop-after — snapshots at epochs 5 and 10 survive),
+#      done twice into separate directories: the two runs' snapshot
+#      files must be byte-identical (a snapshot is a pure function of
+#      the input stream — no wall-clock value is persisted);
 #   3. restore from the newest snapshot and replay the remaining epochs;
 #   4. byte-compare restored vs unbroken output (minus the wall-clock
 #      "timing" object, the one documented non-deterministic field);
@@ -25,11 +28,19 @@ trap 'rm -rf "$tmp"' EXIT
 echo >&2 "snapshot_smoke: unbroken reference run ..."
 $BIN $FLAGS --json >"$tmp/full.json"
 
-echo >&2 "snapshot_smoke: snapshotting run, simulated crash after epoch 13 ..."
-$BIN $FLAGS --snapshot-every 5 --snapshot-dir "$tmp/snaps" --stop-after 13 \
-  >"$tmp/crash.out" 2>"$tmp/crash.log"
-test -s "$tmp/crash.out" && { echo >&2 "snapshot_smoke: crashed run must not print a summary"; exit 1; }
-test -f "$tmp/snaps/snap-000000000010.ufpsnap" || { echo >&2 "snapshot_smoke: expected snapshot at epoch 10"; exit 1; }
+echo >&2 "snapshot_smoke: snapshotting run (twice), simulated crash after epoch 13 ..."
+for dir in snaps snaps-again; do
+  $BIN $FLAGS --snapshot-every 5 --snapshot-dir "$tmp/$dir" --stop-after 13 \
+    >"$tmp/crash.out" 2>"$tmp/crash.log"
+  test -s "$tmp/crash.out" && { echo >&2 "snapshot_smoke: crashed run must not print a summary"; exit 1; }
+  test -f "$tmp/$dir/snap-000000000010.ufpsnap" || { echo >&2 "snapshot_smoke: expected snapshot at epoch 10"; exit 1; }
+done
+for epoch in 000000000005 000000000010; do
+  if ! cmp "$tmp/snaps/snap-$epoch.ufpsnap" "$tmp/snaps-again/snap-$epoch.ufpsnap"; then
+    echo >&2 "snapshot_smoke: two identical runs wrote different snapshots at epoch $epoch"
+    exit 1
+  fi
+done
 
 echo >&2 "snapshot_smoke: restore + replay ..."
 $BIN $FLAGS --restore-from "$tmp/snaps" --json >"$tmp/restored.json" 2>"$tmp/restore.log"
@@ -52,4 +63,4 @@ if ! diff <(grep -v '"timing"' "$tmp/full.json") \
   exit 1
 fi
 
-echo >&2 "snapshot_smoke: PASS (kill -> restore -> byte-identical, incl. torn-file fallback)"
+echo >&2 "snapshot_smoke: PASS (deterministic snapshots; kill -> restore -> byte-identical, incl. torn-file fallback)"
