@@ -30,7 +30,7 @@ use ufp_par::Pool;
 use crate::critical::Shadow;
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
-use crate::selection::{IncrementalSelector, SelectInputs};
+use crate::selection::{IncrementalSelector, SelectInputs, SelectorLog};
 use crate::solution::UfpSolution;
 use crate::trace::{Certificate, IterationRecord, RunTrace, StopReason};
 use crate::weights::DualWeights;
@@ -224,9 +224,15 @@ pub(crate) struct ResumeStep {
 /// it. Pricing a winner therefore only re-runs the *suffix* from that
 /// step: [`crate::critical_value_exact`] resumes it once, with the
 /// winner masked out, and reads the exact threshold off that run.
+///
+/// A trace recorded by the incremental selector also keeps a compact
+/// log of the selector's route-class answers, from which each pricing
+/// pass starts with the shortest paths the recorded run already held
+/// (Invariant 3 in `crates/core/README.md`).
 #[derive(Clone, Debug, Default)]
 pub struct EpochResumeTrace {
     steps: Vec<ResumeStep>,
+    log: SelectorLog,
 }
 
 /// Read-only view of one recorded selection step, exposed so external
@@ -270,6 +276,22 @@ impl EpochResumeTrace {
         self.steps.iter().position(|s| s.record.selected == r)
     }
 
+    /// Bytes the trace holds on the heap: the recorded steps and the
+    /// selector log (lengths, not allocator capacities).
+    pub fn heap_bytes(&self) -> usize {
+        let steps: usize = self
+            .steps
+            .iter()
+            .map(|s| {
+                std::mem::size_of::<ResumeStep>()
+                    + std::mem::size_of_val(s.path.nodes())
+                    + std::mem::size_of_val(s.path.edges())
+                    + std::mem::size_of_val(&s.bumps[..])
+            })
+            .sum();
+        steps + self.log.heap_bytes()
+    }
+
     /// Read-only view of step `i` (panics past the end of the trace).
     pub fn step(&self, i: usize) -> TraceStep<'_> {
         let s = &self.steps[i];
@@ -298,6 +320,10 @@ impl EpochResumeTrace {
     /// and `routed_value_before` must equal the sum of the previously
     /// pushed steps' request values in push order (the replay
     /// debug-asserts this ordering invariant).
+    ///
+    /// A pushed trace carries no selector log, so its pricing passes
+    /// start cold: each pass re-queries every route class at its resume
+    /// point. Payments are the same bits either way.
     #[allow(clippy::too_many_arguments)] // mirrors the recorded step verbatim
     pub fn push_step(
         &mut self,
@@ -491,12 +517,16 @@ pub(crate) fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_
 /// monotonicity contract (proptested) — the reference changes cost,
 /// never results.
 ///
-/// * `record_steps` — when set, every executed step is appended as a
-///   [`ResumeStep`] (the traced run).
-/// * `shadow` — when set, an observer of one request that is *not* in
-///   the remaining set: both loop bodies show it every step's argmin
-///   (before the step is applied) and every applied path, which is all
-///   exact critical-value pricing needs ([`crate::critical`]).
+/// * `record` — when set, every executed step is appended to it as a
+///   [`ResumeStep`], and the incremental selector logs its class
+///   answers there (the traced run).
+/// * `shadow` — when set, the run is a pricing pass for one request
+///   that is *not* in the remaining set: both loop bodies keep it as a
+///   phantom target, show the shadow its distance at every step's argmin
+///   (before the step is applied), and report at a `NoPath` or
+///   `Exhausted` stop whether it still has a path, which is all exact
+///   critical-value pricing needs ([`crate::critical`]). The
+///   incremental selector starts from the shadow's trace log.
 #[allow(clippy::too_many_arguments)] // internal: one call site per entry point
 pub(crate) fn run_epoch_loop(
     instance: &UfpInstance,
@@ -505,29 +535,20 @@ pub(crate) fn run_epoch_loop(
     b: f64,
     ln_guard: f64,
     state: &mut EpochRunState,
-    record_steps: Option<&mut Vec<ResumeStep>>,
-    shadow: Option<&mut Shadow>,
+    record: Option<&mut EpochResumeTrace>,
+    shadow: Option<&mut Shadow<'_>>,
 ) -> StopReason {
     let body = if config.fan_out {
         run_epoch_loop_fanout
     } else {
         run_epoch_loop_incremental
     };
-    body(
-        instance,
-        config,
-        usable,
-        b,
-        ln_guard,
-        state,
-        record_steps,
-        shadow,
-    )
+    body(instance, config, usable, b, ln_guard, state, record, shadow)
 }
 
-/// The loop state as the incremental selector and the shadow observer
-/// read it at the top of an iteration.
-pub(crate) fn loop_inputs<'a>(
+/// The loop state as the incremental selector reads it at the top of
+/// an iteration.
+fn loop_inputs<'a>(
     instance: &'a UfpInstance,
     config: &'a BoundedUfpConfig,
     usable: Option<&'a [bool]>,
@@ -612,7 +633,8 @@ fn apply_step(
 
 /// The paper-literal loop: full shortest-path fan-out every iteration,
 /// grouped by source vertex. The reference the incremental loop is
-/// proptested against.
+/// proptested against. A pricing pass's phantom is one more target of
+/// the fan-out, left out of the argmin.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_loop_fanout(
     instance: &UfpInstance,
@@ -621,35 +643,40 @@ fn run_epoch_loop_fanout(
     b: f64,
     ln_guard: f64,
     state: &mut EpochRunState,
-    mut record_steps: Option<&mut Vec<ResumeStep>>,
-    mut shadow: Option<&mut Shadow>,
+    mut record: Option<&mut EpochResumeTrace>,
+    mut shadow: Option<&mut Shadow<'_>>,
 ) -> StopReason {
-    loop {
+    let phantom = shadow.as_ref().map(|s| s.request);
+    let query = |state: &EpochRunState, targets: &[RequestId]| {
+        let _span = config.obs.span(Phase::SelectionDijkstra);
+        shortest_paths_grouped(instance, targets, &state.weights, usable, &config.pool)
+    };
+    let stop = loop {
         if state.remaining.is_empty() {
-            return StopReason::Exhausted;
+            break StopReason::Exhausted;
         }
         let ln_d1 = state.weights.ln_dual_sum();
         if ln_d1 > ln_guard {
-            return StopReason::Guard;
+            break StopReason::Guard;
         }
 
-        let mut findings = {
-            let _span = config.obs.span(Phase::SelectionDijkstra);
-            shortest_paths_grouped(
-                instance,
-                &state.remaining,
-                &state.weights,
-                usable,
-                &config.pool,
-            )
-        };
+        let mut targets = std::borrow::Cow::Borrowed(&state.remaining[..]);
+        if let Some(p) = phantom {
+            targets.to_mut().push(p);
+        }
+        let mut findings = query(state, &targets);
 
         // Select r̂ minimizing (d/v)·|p| — deterministic tie-break on
         // request id (`<` keeps the first minimum among equal scores,
         // and the fan-out yields findings in `(src, id)` order, where
         // explicit id comparison resolves ties identically).
         let mut best: Option<(f64, usize)> = None;
+        let mut phantom_dist = None;
         for (i, (request, dist, _)) in findings.iter().enumerate() {
+            if Some(*request) == phantom {
+                phantom_dist = Some(*dist);
+                continue;
+            }
             let score = instance.request(*request).density() * dist;
             let better = match best {
                 None => true,
@@ -660,15 +687,11 @@ fn run_epoch_loop_fanout(
             }
         }
         let Some((score, idx)) = best else {
-            return StopReason::NoPath;
+            break StopReason::NoPath;
         };
         let selected = findings[idx].0;
         if let Some(s) = shadow.as_deref_mut() {
-            s.observe(
-                &loop_inputs(instance, config, usable, state),
-                selected,
-                score,
-            );
+            s.observe(instance, phantom_dist, selected, score);
         }
         // Findings order is dead after the argmin.
         let path = findings.swap_remove(idx).2;
@@ -678,16 +701,19 @@ fn run_epoch_loop_fanout(
             config,
             b,
             state,
-            record_steps.as_deref_mut(),
+            record.as_deref_mut().map(|t| &mut t.steps),
             selected,
             score,
             ln_d1,
             path,
         );
-        if let Some(s) = shadow.as_deref_mut() {
-            s.after_step(last_routed(state));
+    };
+    if let Some(s) = shadow {
+        if matches!(stop, StopReason::NoPath | StopReason::Exhausted) {
+            s.reachable = !query(state, &[s.request]).is_empty();
         }
     }
+    stop
 }
 
 /// The path [`apply_step`] just appended to the solution.
@@ -701,9 +727,10 @@ fn last_routed(state: &EpochRunState) -> &Path {
 }
 
 /// The incremental loop: route-class path cache + lazy score heap (see
-/// [`crate::selection`]). Selector state is *derived* — rebuildable from
-/// the loop state at any point — so checkpoints, resume traces, exact
-/// pricing passes, and snapshots need no knowledge of it.
+/// [`crate::selection`]). Selector state is *derived*: a cold selector
+/// rebuilds it from the loop state at any point, so checkpoints and
+/// snapshots need no knowledge of it. A traced run logs it, and a
+/// pricing pass seeds from that log.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_loop_incremental(
     instance: &UfpInstance,
@@ -712,29 +739,37 @@ fn run_epoch_loop_incremental(
     b: f64,
     ln_guard: f64,
     state: &mut EpochRunState,
-    mut record_steps: Option<&mut Vec<ResumeStep>>,
-    mut shadow: Option<&mut Shadow>,
+    mut record: Option<&mut EpochResumeTrace>,
+    mut shadow: Option<&mut Shadow<'_>>,
 ) -> StopReason {
     let mut selector = IncrementalSelector::new(
         &state.remaining,
+        shadow.as_ref().map(|s| s.request),
         &loop_inputs(instance, config, usable, state),
     );
-    loop {
+    if let Some(s) = shadow.as_deref() {
+        selector.seed(&s.trace.log, s.step);
+    }
+    if record.is_some() {
+        selector.record();
+    }
+    let stop = loop {
         if state.remaining.is_empty() {
-            return StopReason::Exhausted;
+            break StopReason::Exhausted;
         }
         let ln_d1 = state.weights.ln_dual_sum();
         if ln_d1 > ln_guard {
-            return StopReason::Guard;
+            break StopReason::Guard;
         }
 
-        let selection = selector.select(&loop_inputs(instance, config, usable, state));
-        let Some((selected, score)) = selection else {
-            return StopReason::NoPath;
+        let inputs = loop_inputs(instance, config, usable, state);
+        let Some((selected, score)) = selector.select(&inputs) else {
+            break StopReason::NoPath;
         };
         if let Some(s) = shadow.as_deref_mut() {
             s.observe(
-                &loop_inputs(instance, config, usable, state),
+                instance,
+                selector.phantom_distance(&inputs),
                 selected,
                 score,
             );
@@ -748,18 +783,23 @@ fn run_epoch_loop_incremental(
             config,
             b,
             state,
-            record_steps.as_deref_mut(),
+            record.as_deref_mut().map(|t| &mut t.steps),
             selected,
             score,
             ln_d1,
             path,
         );
-        let applied = last_routed(state);
-        selector.after_step(selected, applied, &state.weights);
-        if let Some(s) = shadow.as_deref_mut() {
-            s.after_step(applied);
+        selector.after_step(selected, last_routed(state), &state.weights);
+    };
+    if let Some(s) = shadow {
+        if matches!(stop, StopReason::NoPath | StopReason::Exhausted) {
+            s.reachable = selector.phantom_reachable(&loop_inputs(instance, config, usable, state));
         }
     }
+    if let Some(t) = record {
+        t.log = selector.take_log();
+    }
+    stop
 }
 
 /// Package a finished run state into an [`EpochOutcome`].
@@ -815,7 +855,12 @@ pub fn bounded_ufp_epoch_traced(
     ctx: Option<&EpochContext<'_>>,
 ) -> (EpochOutcome, EpochResumeTrace) {
     let mut trace = EpochResumeTrace::default();
-    let outcome = run_epoch(instance, config, ctx, Some(&mut trace.steps));
+    let outcome = run_epoch(instance, config, ctx, Some(&mut trace));
+    if config.obs.is_enabled() {
+        config
+            .obs
+            .gauge_set("core.resume_trace_bytes", trace.heap_bytes() as f64);
+    }
     (outcome, trace)
 }
 
@@ -823,7 +868,7 @@ fn run_epoch(
     instance: &UfpInstance,
     config: &BoundedUfpConfig,
     ctx: Option<&EpochContext<'_>>,
-    record_steps: Option<&mut Vec<ResumeStep>>,
+    record: Option<&mut EpochResumeTrace>,
 ) -> EpochOutcome {
     validate_epoch_inputs(instance, config, ctx);
     let b = epoch_bound_b(instance, ctx);
@@ -832,14 +877,7 @@ fn run_epoch(
     let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
     let mut state = EpochRunState::init(instance, ctx);
     let stop_reason = run_epoch_loop(
-        instance,
-        config,
-        usable,
-        b,
-        ln_guard,
-        &mut state,
-        record_steps,
-        None,
+        instance, config, usable, b, ln_guard, &mut state, record, None,
     );
     if config.obs.is_enabled() {
         // The paper's internal signals, gauged once per epoch run:
@@ -947,7 +985,7 @@ pub(crate) fn shortest_paths_grouped(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::request::Request;
     use ufp_netgraph::graph::GraphBuilder;
@@ -1335,8 +1373,8 @@ mod tests {
     /// Reassemble a recorded trace step by step through the public
     /// [`EpochResumeTrace::push_step`] API — the merged-trace assembly
     /// path a sharded engine uses — from the read-only step views plus
-    /// the run's iteration records.
-    fn reassemble(full: &EpochOutcome, trace: &EpochResumeTrace) -> EpochResumeTrace {
+    /// the run's iteration records. The result has no selector log.
+    pub(crate) fn reassemble(full: &EpochOutcome, trace: &EpochResumeTrace) -> EpochResumeTrace {
         let mut rebuilt = EpochResumeTrace::default();
         for i in 0..trace.num_steps() {
             let s = trace.step(i);

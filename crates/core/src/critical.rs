@@ -25,11 +25,11 @@
 //! prices `r` with **one** resume from the trace checkpoint at that
 //! step, with `r` masked out of the remaining set. A `Shadow` observer
 //! rides along inside the ordinary loop — the incremental selector or
-//! the fan-out reference, so there is no second loop to keep in sync —
-//! and tracks `r`'s distance incrementally: it re-runs Dijkstra only
-//! when an applied path crosses `r`'s cached path or the weights
-//! re-center, the same cache invariant the incremental selector rests
-//! on (`crates/core/README.md`).
+//! the fan-out reference, so there is no second loop to keep in sync.
+//! The pass keeps `r` in its route class as a phantom, so the shadow
+//! reads `|p_r^t|` off that class, and the pass's selector starts from
+//! the answers the recorded run held at that step (Invariant 3 in
+//! `crates/core/README.md`).
 //!
 //! **Contract with bisection.** Critical-value bisection over full
 //! re-runs (`ufp_mechanism::critical_value`, relative tolerance `tol`)
@@ -39,18 +39,11 @@
 //! quotient. The bisection survives as the test oracle for that
 //! contract.
 
-use ufp_netgraph::dijkstra::{Dijkstra, Targets};
-use ufp_netgraph::ids::NodeId;
-use ufp_netgraph::path::Path;
-use ufp_obs::Phase;
-
 use crate::bounded_ufp::{
-    epoch_bound_b, loop_inputs, path_mask, run_epoch_loop, BoundedUfpConfig, EpochContext,
-    EpochResumeTrace,
+    epoch_bound_b, path_mask, run_epoch_loop, BoundedUfpConfig, EpochContext, EpochResumeTrace,
 };
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
-use crate::selection::SelectInputs;
 use crate::trace::StopReason;
 
 /// Critical values below this are charged as 0: the winner wins at any
@@ -80,7 +73,13 @@ pub fn critical_value_exact(
     let mut state = trace.checkpoint(instance, config, ctx, step).state;
     state.remaining.retain(|&r| r != winner);
 
-    let mut shadow = Shadow::new(instance, winner);
+    let mut shadow = Shadow {
+        trace,
+        step,
+        request: winner,
+        reachable: false,
+        threshold: f64::INFINITY,
+    };
     let stop = run_epoch_loop(
         instance,
         config,
@@ -94,15 +93,12 @@ pub fn critical_value_exact(
     // Where the `r`-absent run ends, `r` (still unselected) would face
     // the same checks the loop just made: exhaustion hands it the next
     // guard check, a path-less field hands it the argmin outright.
-    let inputs = loop_inputs(instance, config, usable, &state);
     let free = match stop {
         // The epoch loop has no iteration cap; only the guard ends it
         // with the winner still priced by the steps it saw.
         StopReason::Guard | StopReason::IterationCap => false,
-        StopReason::NoPath => shadow.distance(&inputs).is_some(),
-        StopReason::Exhausted => {
-            state.weights.ln_dual_sum() <= ln_guard && shadow.distance(&inputs).is_some()
-        }
+        StopReason::NoPath => shadow.reachable,
+        StopReason::Exhausted => state.weights.ln_dual_sum() <= ln_guard && shadow.reachable,
     };
     let threshold = if free {
         0.0
@@ -116,72 +112,38 @@ pub fn critical_value_exact(
     }
 }
 
-/// Observer of one request held out of the loop's remaining set: at
-/// every step it folds `d_r·|p_r^t| / s_t` into a running minimum.
-pub(crate) struct Shadow {
-    request: RequestId,
-    /// Length of the cached shortest path (`None`: no path, which within
-    /// an epoch is permanent — paths only get heavier or close).
-    dist: Option<f64>,
-    /// The cached path (meaningful while `dist` is `Some`).
-    path: Path,
-    /// The cache must be re-queried before its next read: nothing was
-    /// queried yet, or an applied path crossed the cached one.
-    stale: bool,
-    /// Weight scale `dist` was computed under; a re-center rescales
-    /// every materialized weight and invalidates it.
-    shift_seen: f64,
-    scratch: Dijkstra,
+/// One pricing pass's view of the request held out of the loop's
+/// remaining set. The loop keeps the request as a phantom target, seeds
+/// its selector from `trace` at `step`, and shows the shadow the
+/// request's distance at every step, which folds `d_r·|p_r^t| / s_t`
+/// into a running minimum.
+pub(crate) struct Shadow<'t> {
+    /// The trace the pass resumes, and the step it resumes at.
+    pub(crate) trace: &'t EpochResumeTrace,
+    pub(crate) step: usize,
+    pub(crate) request: RequestId,
+    /// Whether the request still had a path where the run stopped; the
+    /// loop sets it at a `NoPath` or `Exhausted` stop.
+    pub(crate) reachable: bool,
     /// `min_t d_r·|p_r^t| / s_t` over the steps observed so far.
     threshold: f64,
 }
 
-impl Shadow {
-    fn new(instance: &UfpInstance, request: RequestId) -> Self {
-        Shadow {
-            request,
-            dist: None,
-            path: Path::trivial(NodeId(0)),
-            stale: true,
-            shift_seen: 0.0,
-            scratch: Dijkstra::new(instance.graph().num_nodes()),
-            threshold: f64::INFINITY,
-        }
-    }
-
-    /// The request's current shortest-path length, bit-identical to a
-    /// fresh query: the cache is re-queried only when stale or when the
-    /// weight scale moved.
-    fn distance(&mut self, inputs: &SelectInputs<'_>) -> Option<f64> {
-        let rescaled = self.dist.is_some() && inputs.weights.shift() != self.shift_seen;
-        if self.stale || rescaled {
-            let _span = inputs.obs.span(Phase::SelectionDijkstra);
-            let req = inputs.instance.request(self.request);
-            self.scratch.run(
-                inputs.instance.graph(),
-                inputs.weights.weights(),
-                req.src,
-                Targets::One(req.dst),
-                |e| inputs.passable(e),
-            );
-            self.dist = self.scratch.distance(req.dst);
-            if self.dist.is_some() {
-                let filled = self.scratch.path_to_into(req.dst, &mut self.path);
-                debug_assert!(filled, "settled target must reconstruct");
-            }
-            self.shift_seen = inputs.weights.shift();
-            self.stale = false;
-        }
-        self.dist
-    }
-
+impl Shadow<'_> {
     /// One step of the `r`-absent run is about to select `selected` at
-    /// argmin score `score` (nothing of the step applied yet).
-    pub(crate) fn observe(&mut self, inputs: &SelectInputs<'_>, selected: RequestId, score: f64) {
-        let Some(dist) = self.distance(inputs) else {
+    /// argmin score `score` (nothing of the step applied yet); `dist` is
+    /// the request's shortest-path length now (`None`: no path).
+    pub(crate) fn observe(
+        &mut self,
+        instance: &UfpInstance,
+        dist: Option<f64>,
+        selected: RequestId,
+        score: f64,
+    ) {
+        let Some(dist) = dist else {
             return;
         };
-        let demand = inputs.instance.request(self.request).demand;
+        let demand = instance.request(self.request).demand;
         let wins_above = if score > 0.0 {
             demand * dist / score
         } else if dist == 0.0 && self.request < selected {
@@ -192,26 +154,18 @@ impl Shadow {
         };
         self.threshold = self.threshold.min(wins_above);
     }
-
-    /// A step routed `applied`: its weight bumps touch exactly its edges,
-    /// so only a crossing invalidates the cache.
-    pub(crate) fn after_step(&mut self, applied: &Path) {
-        if self.stale || self.dist.is_none() {
-            return;
-        }
-        let cached = self.path.edges();
-        self.stale = applied.edges().iter().any(|e| cached.contains(e));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounded_ufp::tests::reassemble;
     use crate::bounded_ufp::{
         bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced, EpochOutcome,
     };
     use crate::request::Request;
     use ufp_netgraph::graph::{Graph, GraphBuilder};
+    use ufp_netgraph::ids::NodeId;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -453,7 +407,8 @@ mod tests {
         // ln y by exactly 1 past the initial scale, so the weights
         // re-center at the 601st step, and the guard stops the run after
         // 610 selections out of 650 bids. Winners selected just before
-        // the re-center are priced by suffixes that cross it.
+        // the re-center are priced by suffixes that cross it, seeded from
+        // the recorded run and cold alike.
         let mut gb = GraphBuilder::directed(2);
         gb.add_edge(n(0), n(1), 610.0);
         let inst = UfpInstance::new(
@@ -475,10 +430,17 @@ mod tests {
                 .recenters()
         };
         assert_eq!((recenters(600), recenters(601)), (0, 1));
+        let cold = reassemble(&full, &trace);
         for k in [596, 599, 600] {
             let p = critical_value_exact(&inst, &inc, None, &trace, k);
             let pf = critical_value_exact(&inst, &fan, None, &trace, k);
+            let pc = critical_value_exact(&inst, &inc, None, &cold, k);
             assert_eq!(p.to_bits(), pf.to_bits(), "step {k}: strategies diverged");
+            assert_eq!(
+                p.to_bits(),
+                pc.to_bits(),
+                "step {k}: seeded and cold diverged"
+            );
             assert!(p > 0.0);
             assert_contract(p, bisect_winner(&inst, &inc, None, &trace, k), "step {k}");
         }

@@ -62,6 +62,16 @@
 //! keys stop being lower bounds — the selector detects the shift change
 //! and refreshes every live class before the next selection.
 //!
+//! **Pricing passes** ([`crate::critical`]) drive this same selector
+//! with two differences. The held-out winner stays in its route class
+//! as a *phantom*: it keeps the class alive and queried, so the pass
+//! reads the winner's distance off the class, but it has no member slot
+//! and never takes a heap entry. And the selector starts from the
+//! recorded run's own answers instead of cold: a traced run logs every
+//! class-state change (a `SelectorLog`), and the pass for step `k`
+//! installs the state the real selector held when step `k`'s selection
+//! returned (Invariant 3 in `crates/core/README.md`).
+//!
 //! The output contract is strict: selections, scores, paths, iteration
 //! records, resume traces, and stop reasons are **bit-identical** to the
 //! paper-literal per-iteration fan-out, which survives only as the test
@@ -93,8 +103,11 @@ const EAGER_REFRESH_MIN: usize = 64;
 /// exceed the Dijkstra work.
 const PARALLEL_GROUP_FLOOR: usize = 4;
 
-/// "No heap entry".
+/// "No heap entry", "no class", "no answer".
 const NONE: u32 = u32::MAX;
+
+/// A [`SelectorLog`] event that dirties a class and keeps its answer.
+const DIRTY: u32 = u32::MAX - 1;
 
 /// One route class: the live requests sharing one shortest-path query.
 struct RouteClass {
@@ -111,7 +124,8 @@ struct RouteClass {
     rep_group: u32,
     /// Heap slot of the class's entry, [`NONE`] while it has none.
     entry: u32,
-    /// Has members and, as of its last query, a path.
+    /// Has members (or holds the phantom) and, as of its last query, a
+    /// path.
     alive: bool,
     dirty: bool,
 }
@@ -156,6 +170,51 @@ pub(crate) struct IncrementalSelector {
     must_refresh_all: bool,
     scratch: Dijkstra,
     drain_buf: Vec<u32>,
+    /// The class holding a pricing pass's phantom, [`NONE`] otherwise.
+    phantom_class: u32,
+    /// Steps applied so far: the label of the next selection.
+    steps: u32,
+    /// Class-state changes, while recording a traced run.
+    log: Option<SelectorLog>,
+}
+
+/// The class-state changes of one traced run's selector, compact enough
+/// to keep beside the [`crate::EpochResumeTrace`]: one entry per
+/// refresh, dirtying or retirement, not a copy of the selector per
+/// step. Replaying the entries up to step `k` gives every class's state
+/// when step `k`'s selection returned: its last answer and whether that
+/// answer was still clean. An empty log (a fan-out or externally
+/// assembled trace) seeds nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SelectorLog {
+    /// The recorded run's class per request id.
+    class_of: Vec<u32>,
+    num_classes: usize,
+    /// Every answer a class query returned: distance and path.
+    answers: Vec<(f64, Path)>,
+    /// `(step, class, event)` in the order they happened. `event` is an
+    /// index into `answers` (a clean answer), [`DIRTY`], or [`NONE`]
+    /// (retired). An event between steps `k − 1` and `k` is labelled
+    /// `k`: it is part of the state step `k`'s selection starts from.
+    entries: Vec<(u32, u32, u32)>,
+}
+
+impl SelectorLog {
+    /// Bytes held on the heap (lengths, not allocator capacities).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let answers: usize = self
+            .answers
+            .iter()
+            .map(|(_, p)| {
+                std::mem::size_of::<(f64, Path)>()
+                    + std::mem::size_of_val(p.nodes())
+                    + std::mem::size_of_val(p.edges())
+            })
+            .sum();
+        std::mem::size_of_val(&self.class_of[..])
+            + std::mem::size_of_val(&self.entries[..])
+            + answers
+    }
 }
 
 /// One refreshed cache answer: the class and, when it still has a path,
@@ -185,11 +244,17 @@ impl IncrementalSelector {
     /// A selector over the loop's current `remaining` set: partitions it
     /// into route classes (numbered in `(src, dst)` order, so
     /// same-source classes are adjacent) and density groups, and flags
-    /// every class for the first selection's full refresh.
-    pub(crate) fn new(remaining: &[RequestId], inputs: &SelectInputs<'_>) -> Self {
+    /// every class for the first selection's full refresh. A pricing
+    /// pass's `phantom` joins its route class without a member slot.
+    pub(crate) fn new(
+        remaining: &[RequestId],
+        phantom: Option<RequestId>,
+        inputs: &SelectInputs<'_>,
+    ) -> Self {
         let instance = inputs.instance;
         let mut keyed: Vec<(NodeId, NodeId, u64, RequestId)> = remaining
             .iter()
+            .chain(&phantom)
             .map(|&r| {
                 let q = instance.request(r);
                 // Positive floats order like their bit patterns.
@@ -213,10 +278,13 @@ impl IncrementalSelector {
             must_refresh_all: true,
             scratch: Dijkstra::new(graph.num_nodes()),
             drain_buf: Vec::new(),
+            phantom_class: NONE,
+            steps: 0,
+            log: None,
         };
+        let mut last_member = None;
         for (i, &(src, dst, density, r)) in keyed.iter().enumerate() {
-            let prev = i.checked_sub(1).map(|p| keyed[p]);
-            let same_class = prev.is_some_and(|p| (p.0, p.1) == (src, dst));
+            let same_class = i > 0 && (keyed[i - 1].0, keyed[i - 1].1) == (src, dst);
             if !same_class {
                 selector.classes.push(RouteClass {
                     query: r,
@@ -228,7 +296,14 @@ impl IncrementalSelector {
                     dirty: false,
                 });
             }
-            if !same_class || prev.is_some_and(|p| p.2 != density) {
+            let c = selector.classes.len() as u32 - 1;
+            selector.class_of[r.index()] = c;
+            if Some(r) == phantom {
+                selector.phantom_class = c;
+                continue;
+            }
+            // A new class or a new density opens a group.
+            if last_member != Some((src, dst, density)) {
                 let at = selector.members.len() as u32;
                 selector.groups.push(DensityGroup {
                     density: f64::from_bits(density),
@@ -237,15 +312,85 @@ impl IncrementalSelector {
                 });
                 selector.classes.last_mut().expect("open class").groups_end += 1;
             }
+            last_member = Some((src, dst, density));
             selector.members.push(r);
             selector.groups.last_mut().expect("open group").end += 1;
-            selector.class_of[r.index()] = selector.classes.len() as u32 - 1;
         }
         selector.cache = PathCache::new(selector.classes.len(), graph.num_edges());
         for c in 0..selector.classes.len() as u32 {
             selector.mark_dirty(c);
         }
         selector
+    }
+
+    /// Log every class-state change from here on (a traced run).
+    pub(crate) fn record(&mut self) {
+        self.log = Some(SelectorLog {
+            class_of: self.class_of.clone(),
+            num_classes: self.classes.len(),
+            ..SelectorLog::default()
+        });
+    }
+
+    /// The log [`IncrementalSelector::record`] started (empty if none).
+    pub(crate) fn take_log(&mut self) -> SelectorLog {
+        self.log.take().unwrap_or_default()
+    }
+
+    fn log_event(&mut self, c: u32, event: u32) {
+        if let Some(log) = self.log.as_mut() {
+            log.entries.push((self.steps, c, event));
+        }
+    }
+
+    /// Log class `c`'s fresh answer (its cache entry).
+    fn log_answer(&mut self, c: u32) {
+        if let Some(log) = self.log.as_mut() {
+            let (dist, path) = self.cache.get(c).expect("answered class is cached");
+            log.entries.push((self.steps, c, log.answers.len() as u32));
+            log.answers.push((dist, path.clone()));
+        }
+    }
+
+    /// Start from the state `log`'s run held when step `step`'s
+    /// selection returned, over this selector's member sets: clean
+    /// answers are installed as they were (exact, Invariant 2), dirty
+    /// ones are keyed from their stale distance (a lower bound,
+    /// Invariant 1) and stay dirty, and classes without a path stay
+    /// retired. An empty log leaves the selector cold.
+    pub(crate) fn seed(&mut self, log: &SelectorLog, step: usize) {
+        if log.entries.is_empty() {
+            return;
+        }
+        let mut state = vec![(NONE, false); log.num_classes];
+        for &(_, c, event) in log.entries.iter().take_while(|e| e.0 as usize <= step) {
+            let s = &mut state[c as usize];
+            *s = if event == DIRTY {
+                (s.0, true)
+            } else {
+                (event, false)
+            };
+        }
+        self.dirty_list.clear();
+        self.dirty_count = 0;
+        self.must_refresh_all = false;
+        for c in 0..self.classes.len() as u32 {
+            self.classes[c as usize].dirty = false;
+            let query = self.classes[c as usize].query;
+            let (answer, dirty) = state[log.class_of[query.index()] as usize];
+            if answer == NONE {
+                self.retire(c);
+                continue;
+            }
+            let (dist, path) = &log.answers[answer as usize];
+            if dirty {
+                self.rekey(c, *dist);
+                self.mark_dirty(c);
+            } else {
+                self.cache.install(c, *dist, path.clone());
+                self.rekey(c, *dist);
+            }
+        }
     }
 
     #[inline]
@@ -255,6 +400,7 @@ impl IncrementalSelector {
             class.dirty = true;
             self.dirty_list.push(c);
             self.dirty_count += 1;
+            self.log_event(c, DIRTY);
         }
     }
 
@@ -279,6 +425,7 @@ impl IncrementalSelector {
             class.entry = NONE;
         }
         self.cache.evict(c);
+        self.log_event(c, NONE);
     }
 
     /// Re-key a freshly queried class: find its representative under
@@ -286,6 +433,15 @@ impl IncrementalSelector {
     /// entry.
     fn rekey(&mut self, c: u32, dist: f64) {
         let class = &mut self.classes[c as usize];
+        if class.head == class.groups_end {
+            // Only the phantom is left: the class stays queried but
+            // takes no heap entry.
+            if class.entry != NONE {
+                self.heap.remove(class.entry);
+                class.entry = NONE;
+            }
+            return;
+        }
         let head = &self.groups[class.head as usize];
         let score = head.density * dist;
         let mut rep = self.members[head.cursor as usize];
@@ -344,12 +500,37 @@ impl IncrementalSelector {
             .1
     }
 
+    /// The phantom's current shortest-path length (`None`: no path),
+    /// re-querying its class first if it is dirty. The query is an
+    /// ordinary class refresh, and the selector keeps its answer.
+    pub(crate) fn phantom_distance(&mut self, inputs: &SelectInputs<'_>) -> Option<f64> {
+        let c = self.phantom_class;
+        if self.classes[c as usize].dirty {
+            self.refresh_one(c, inputs);
+        }
+        self.cache.get(c).map(|(dist, _)| dist)
+    }
+
+    /// Whether the phantom still has a path where a pass stopped. A
+    /// usable path cannot appear or vanish within an epoch, so the
+    /// class's last answer decides even while it is dirty; only a class
+    /// never answered (a cold pass that stopped before selecting) is
+    /// queried.
+    pub(crate) fn phantom_reachable(&mut self, inputs: &SelectInputs<'_>) -> bool {
+        let c = self.phantom_class;
+        if self.classes[c as usize].alive && self.cache.get(c).is_none() {
+            self.refresh_one(c, inputs);
+        }
+        self.classes[c as usize].alive
+    }
+
     /// Account for an applied step: retire the winner from its class
     /// (dirtying the class, whose representative just left), dirty the
     /// classes whose cached paths cross its path's edges (their weights
     /// were bumped), and detect weight
     /// re-centering (which invalidates every cached distance's scale).
     pub(crate) fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights) {
+        self.steps += 1;
         let c = self.class_of[selected.index()];
         let class = &mut self.classes[c as usize];
         let group = &mut self.groups[class.rep_group as usize];
@@ -362,11 +543,12 @@ impl IncrementalSelector {
             }
             class.head += 1;
         }
-        if class.head == class.groups_end {
+        if class.head == class.groups_end && c != self.phantom_class {
             self.retire(c);
         } else {
             // The winner's entry stays as the class's lower bound (see
-            // the module docs) until the refresh re-keys it.
+            // the module docs) until the refresh re-keys it — or, once
+            // only the phantom is left, drops it.
             self.mark_dirty(c);
         }
 
@@ -419,6 +601,7 @@ impl IncrementalSelector {
                     .path_to_into(req.dst, self.cache.refresh_buffer(c));
                 debug_assert!(filled, "settled target must reconstruct");
                 self.cache.commit(c, dist);
+                self.log_answer(c);
                 self.rekey(c, dist);
             }
         }
@@ -485,6 +668,7 @@ impl IncrementalSelector {
                 None => self.retire(c),
                 Some((dist, path)) => {
                     self.cache.install(c, dist, path);
+                    self.log_answer(c);
                     self.rekey(c, dist);
                 }
             }
@@ -512,7 +696,7 @@ mod tests {
             obs: &obs,
         };
         let remaining: Vec<RequestId> = inst.request_ids().collect();
-        let mut selector = IncrementalSelector::new(&remaining, &inputs);
+        let mut selector = IncrementalSelector::new(&remaining, None, &inputs);
         selector.select(&inputs).expect("some request has a path")
     }
 

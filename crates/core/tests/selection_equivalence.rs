@@ -116,6 +116,94 @@ fn arb_tied_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
     )
 }
 
+/// Distinct-pair instance: every request has its own `(src, dst)`, so
+/// every route class is a single request and every pricing pass holds
+/// its winner as a phantom-only class. Capacities are small enough that
+/// most runs guard-stop.
+fn arb_distinct_pair_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
+    (5usize..10, 8usize..40, 3usize..30, any::<u64>(), 1usize..10).prop_map(
+        |(n, edges, requests, seed, eps_decile)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = edges.min(n * (n - 1));
+            let cap = 2.0 + (seed % 5) as f64;
+            let graph = generators::gnm_digraph(n, m, (cap, cap * 1.5), &mut rng);
+            let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+            for _ in 0..400 {
+                if pairs.len() == requests {
+                    break;
+                }
+                let src = NodeId(rng.random_range(0..n as u32));
+                let dst = NodeId(rng.random_range(0..n as u32));
+                if src != dst && !pairs.contains(&(src, dst)) {
+                    pairs.push((src, dst));
+                }
+            }
+            let reqs = pairs
+                .into_iter()
+                .map(|(src, dst)| {
+                    let demand = rng.random_range(0.2..=1.0);
+                    Request::new(src, dst, demand, rng.random_range(0.1..=4.0))
+                })
+                .collect();
+            (UfpInstance::new(graph, reqs), eps_decile as f64 / 10.0)
+        },
+    )
+}
+
+/// `trace`'s steps pushed one by one into a fresh trace, the way a
+/// sharded merge assembles one: the same steps without the selector
+/// log, so its pricing passes start cold.
+fn without_log(full: &EpochOutcome, trace: &EpochResumeTrace) -> EpochResumeTrace {
+    let mut cold = EpochResumeTrace::default();
+    for (i, rec) in full.run.trace.records.iter().enumerate() {
+        let s = trace.step(i);
+        cold.push_step(
+            s.selected,
+            s.ln_alpha,
+            s.raw_score,
+            rec.ln_d1,
+            rec.routed_value_before,
+            s.path.clone(),
+            s.bumps.to_vec(),
+        );
+    }
+    cold
+}
+
+/// The exact critical value of every winner in `steps`, priced from an
+/// incrementally recorded trace whose passes seed their selectors from
+/// its log, must equal the cold pass over the same steps and the fan-out
+/// reference's, bit for bit.
+fn assert_seeded_pricing_exact(
+    inst: &UfpInstance,
+    eps: f64,
+    ctx: Option<&EpochContext<'_>>,
+    steps: impl Fn(&EpochResumeTrace) -> Vec<usize>,
+) {
+    let (inc_cfg, fan_cfg) = (incremental(eps), fan_out(eps));
+    let (full, seeded) = bounded_ufp_epoch_traced(inst, &inc_cfg, ctx);
+    let cold = without_log(&full, &seeded);
+    for k in steps(&seeded) {
+        let warm = critical_value_exact(inst, &inc_cfg, ctx, &seeded, k);
+        let from_cold = critical_value_exact(inst, &inc_cfg, ctx, &cold, k);
+        let reference = critical_value_exact(inst, &fan_cfg, ctx, &seeded, k);
+        assert_eq!(
+            warm.to_bits(),
+            from_cold.to_bits(),
+            "step {k}: {warm} vs cold {from_cold}"
+        );
+        assert_eq!(
+            warm.to_bits(),
+            reference.to_bits(),
+            "step {k}: {warm} vs fan-out {reference}"
+        );
+    }
+}
+
+fn every_step(trace: &EpochResumeTrace) -> Vec<usize> {
+    (0..trace.num_steps()).collect()
+}
+
 /// Fan-out and incremental runs of one traced epoch at `eps` must agree
 /// bit for bit, and so must the exact critical value of every winner in
 /// `steps` (priced against the fan-out's trace).
@@ -306,6 +394,38 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn seeded_pricing_passes_equal_cold_ones_on_tied_instances(
+        (inst, eps) in arb_tied_instance(),
+        seed in any::<u64>(),
+    ) {
+        let (caps, usable, carry) = context_vectors(&inst, seed);
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: None,
+        };
+        for ctx in [None, Some(&ctx)] {
+            assert_seeded_pricing_exact(&inst, eps, ctx, every_step);
+        }
+    }
+
+    #[test]
+    fn seeded_pricing_passes_equal_cold_ones_on_distinct_pairs(
+        (inst, eps) in arb_distinct_pair_instance(),
+        seed in any::<u64>(),
+    ) {
+        let (caps, usable, carry) = context_vectors(&inst, seed);
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: None,
+        };
+        for ctx in [None, Some(&ctx)] {
+            assert_seeded_pricing_exact(&inst, eps, ctx, every_step);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -340,6 +460,7 @@ proptest! {
             vec![(seed % 97) as usize, n / 2, 2 * n / 3, n - 1]
         };
         let fan = assert_loops_agree(&inst, 1.0, Some(&ctx), sample);
+        assert_seeded_pricing_exact(&inst, 1.0, Some(&ctx), sample);
         // The carry holds each edge's total log-weight growth: past 600
         // on the hub edge means the weights re-centered.
         let growth = fan.carry.iter().copied().fold(0.0, f64::max);
@@ -518,4 +639,33 @@ fn default_strategy_is_incremental_and_equivalent() {
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.nodes(), b.1.nodes());
     }
+}
+
+/// Seeded pricing passes start from the recorded run's answers: each
+/// cold pass over the same steps opens with a full refresh of every
+/// route class, which the seeded pass skips, for the same payments. The
+/// storm's 80 classes keep the later refreshes eager in both.
+#[test]
+fn seeded_pricing_passes_skip_the_opening_refresh() {
+    let inst = bottleneck_storm(|i| 0.5 + 0.05 * (i % 10) as f64);
+    let (full, seeded) = bounded_ufp_epoch_traced(&inst, &incremental(0.8), None);
+    let cold = without_log(&full, &seeded);
+    assert!(seeded.heap_bytes() > cold.heap_bytes());
+    let price_all = |trace: &EpochResumeTrace| {
+        let cfg = incremental(0.8).with_obs(Recorder::enabled());
+        let paid: Vec<u64> = (0..trace.num_steps())
+            .map(|k| critical_value_exact(&inst, &cfg, None, trace, k).to_bits())
+            .collect();
+        (paid, eager_refreshes(&cfg))
+    };
+    let (warm_paid, warm_eager) = price_all(&seeded);
+    let (cold_paid, cold_eager) = price_all(&cold);
+    assert_eq!(warm_paid, cold_paid);
+    // Every pass selects at least once unless its winner was the last
+    // request left.
+    let selecting = (0..seeded.num_steps())
+        .filter(|&k| k + 1 < inst.num_requests())
+        .count() as u64;
+    assert!(selecting > 10, "passes {selecting}");
+    assert_eq!(cold_eager - warm_eager, selecting);
 }

@@ -375,11 +375,18 @@ impl Engine {
     /// against that view. Nothing is charged or committed until
     /// [`Engine::commit_epoch`]; exactly one commit must follow each
     /// plan.
+    ///
+    /// # Panics
+    ///
+    /// On a batch with a demand above 1 or an endpoint outside the
+    /// graph, before the epoch opens: a refused batch leaves the engine
+    /// untouched.
     pub fn plan_epoch(
         &mut self,
         arrivals: &[Arrival],
         planner: Option<&mut dyn EpochPlanner>,
     ) -> EpochPlan {
+        self.check_arrivals(arrivals);
         let released = self.open_epoch(arrivals.len());
         self.plan_epoch_in(arrivals, released, planner)
     }
@@ -409,9 +416,29 @@ impl Engine {
         released
     }
 
+    /// Refuse a batch the engine cannot register, before any of it is:
+    /// every demand normalized and both endpoints nodes of the graph.
+    fn check_arrivals(&self, arrivals: &[Arrival]) {
+        let nodes = self.graph.num_nodes();
+        for a in arrivals {
+            let r = &a.request;
+            assert!(
+                r.demand <= 1.0 + 1e-12,
+                "engine requires normalized demands in (0, 1]"
+            );
+            assert!(
+                r.src.index() < nodes && r.dst.index() < nodes,
+                "arrival {} -> {} has an endpoint outside the {nodes}-node graph",
+                r.src.index(),
+                r.dst.index()
+            );
+        }
+    }
+
     /// Plan an epoch already opened by [`Engine::open_epoch`] (whose
     /// returned release list is passed back in). See
-    /// [`Engine::plan_epoch`] for the semantics.
+    /// [`Engine::plan_epoch`] for the semantics; a refused batch panics
+    /// here before any arrival is registered.
     pub fn plan_epoch_in(
         &mut self,
         arrivals: &[Arrival],
@@ -428,14 +455,9 @@ impl Engine {
         let epoch = self.epoch;
 
         // Register arrivals globally and build the epoch instance.
+        self.check_arrivals(arrivals);
         let base = self.requests.len() as u32;
-        for a in arrivals {
-            assert!(
-                a.request.demand <= 1.0 + 1e-12,
-                "engine requires normalized demands in (0, 1]"
-            );
-            self.requests.push(a.request);
-        }
+        self.requests.extend(arrivals.iter().map(|a| a.request));
         let batch: Vec<Request> = arrivals.iter().map(|a| a.request).collect();
         let instance = UfpInstance::from_shared(Arc::clone(&self.graph), batch);
 
@@ -1278,6 +1300,32 @@ mod tests {
             .check_feasible(&engine.instance(), false)
             .is_ok());
         assert_eq!(engine.metrics().acceptance_rate(), 1.0);
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_the_engine_untouched() {
+        let mut engine = Engine::new(one_link(100.0), EngineConfig::with_epsilon(0.5));
+        engine.submit_requests(&unit_requests(3, |_| 1.0));
+        let before = engine.snapshot_bytes();
+        let good = Arrival::permanent(Request::new(n(0), n(1), 1.0, 2.0));
+        // A bad arrival late in the batch: an unnormalized demand, then
+        // an endpoint outside the two-node graph.
+        for bad in [
+            Request::new(n(0), n(1), 1.5, 1.0),
+            Request::new(n(0), n(7), 1.0, 1.0),
+        ] {
+            let batch = [good, good, Arrival::permanent(bad)];
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.submit_batch(&batch)
+            }));
+            assert!(refused.is_err(), "bad batch accepted");
+            assert_eq!(
+                engine.snapshot_bytes(),
+                before,
+                "refused batch left a trace"
+            );
+        }
+        assert_eq!(engine.submit_batch(&[good]).accepted, 1);
     }
 
     #[test]

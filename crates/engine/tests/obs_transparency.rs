@@ -111,6 +111,7 @@ fn traced_run_is_bit_identical_to_untraced() {
     for expected in [
         "core.guard_slack",
         "core.dual_weight_max_ln_y",
+        "core.resume_trace_bytes",
         "engine.total_utilization",
         "engine.min_residual",
         "engine.active_admissions",
