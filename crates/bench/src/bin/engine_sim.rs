@@ -256,9 +256,11 @@ fn feasibility(book: &Engine, check_cumulative: bool) -> (bool, Option<bool>) {
 /// v4: dynamic-topology runs (engine codec v2). The failure-trace flags
 /// are deliberately *not* part of the blob: the snapshot's own topology
 /// event log is the restore-time authority, checked against the
-/// regenerated trace by [`Engine::restore_with_topology`]'s
-/// ancestor/fingerprint test (divergence is the typed `GraphMismatch`;
-/// a shorter stored log is migrated forward explicitly).
+/// regenerated trace by [`Engine::migrate_to`]'s ancestor test on the
+/// restored engine (divergence is the typed `GraphMismatch`; a shorter
+/// stored log is migrated forward explicitly). Only single-engine runs
+/// write this blob: a sharded book's driver section holds its shard
+/// planner's state instead.
 const DRIVER_VERSION: u8 = 4;
 
 /// Digest of the full arrival trace: proof that a restore run's flags
@@ -790,7 +792,7 @@ fn main() -> ExitCode {
     {
         eprintln!(
             "engine_sim: snapshot flags are not supported with --shards > 1 \
-             (use ShardedEngine::snapshot_to programmatically)"
+             (use ShardedEngine::snapshot_bytes programmatically)"
         );
         return ExitCode::FAILURE;
     }
@@ -906,23 +908,9 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     };
-                    let bytes = match std::fs::read(&recovered.path) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            eprintln!(
-                                "engine_sim: cannot reread snapshot {}: {e}",
-                                recovered.path.display()
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    let (engine, migration) = match Engine::restore_with_topology(
-                        &bytes,
-                        Arc::clone(&graph),
-                        engine_config.clone(),
-                        &target,
-                    ) {
-                        Ok(r) => r,
+                    let mut engine = recovered.engine;
+                    let migration = match engine.migrate_to(&target) {
+                        Ok(m) => m,
                         Err(e) => {
                             eprintln!("engine_sim: restore refused: {e}");
                             return ExitCode::FAILURE;

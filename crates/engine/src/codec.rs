@@ -245,7 +245,7 @@ impl Writer {
 
     /// Overwrite the `u64` at byte offset `at` (a length or checksum
     /// slot reserved earlier).
-    pub fn patch_u64(&mut self, at: usize, v: u64) {
+    fn patch_u64(&mut self, at: usize, v: u64) {
         self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 

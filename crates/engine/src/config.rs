@@ -23,7 +23,8 @@ pub enum PaymentPolicy {
     /// deterministic ordering.
     ///
     /// Critical-value bisection over full re-runs
-    /// (`ufp_mechanism::critical_value` on an [`crate::EpochAllocator`])
+    /// (`ufp_mechanism::critical_value` on the test suites'
+    /// `EpochAllocator`, `tests/common/mod.rs`)
     /// is the test oracle: `p ≤ p_bisect ≤ p·(1+tol)`, with `tol` the
     /// oracle's own `ufp_mechanism::PaymentConfig::relative_tolerance`.
     CriticalValue,
@@ -172,6 +173,16 @@ pub enum EventLevel {
     /// released request. Opt-in: the log grows with traffic, so pair it
     /// with regular [`crate::Engine::drain_events`] drains.
     Request,
+}
+
+impl EventLevel {
+    /// Snapshot-fingerprint of the level.
+    pub(crate) fn fingerprint(&self) -> u8 {
+        match self {
+            EventLevel::Epoch => 0,
+            EventLevel::Request => 1,
+        }
+    }
 }
 
 /// Configuration of a streaming [`crate::Engine`].

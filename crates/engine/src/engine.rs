@@ -814,17 +814,9 @@ impl Engine {
     /// violating set only shrinks as loads drop, so one ordered pass
     /// suffices and the result is independent of scan bookkeeping.
     fn select_evictions(&self) -> Vec<usize> {
-        let m = self.graph.num_edges();
-        let mut loads = vec![0.0f64; m];
-        for a in self.admissions.iter().filter(|a| !a.released) {
-            let d = self.requests[a.request.index()].demand;
-            for &e in a.path.edges() {
-                loads[e.index()] += d;
-            }
-        }
-        let over = |load: f64, cap: f64| load > cap * (1.0 + 1e-9) + 1e-9;
-        let mut violating: Vec<bool> = (0..m)
-            .map(|e| over(loads[e], self.topology.effective_capacity(EdgeId(e as u32))))
+        let mut loads = self.active_loads();
+        let mut violating: Vec<bool> = (0..loads.len())
+            .map(|e| self.overloaded(EdgeId(e as u32), loads[e]))
             .collect();
         let mut remaining = violating.iter().filter(|&&v| v).count();
         if remaining == 0 {
@@ -847,7 +839,7 @@ impl Engine {
             for &e in adm.path.edges() {
                 loads[e.index()] -= d;
                 let was = violating[e.index()];
-                let now = over(loads[e.index()], self.topology.effective_capacity(e));
+                let now = self.overloaded(e, loads[e.index()]);
                 violating[e.index()] = now;
                 if was && !now {
                     remaining -= 1;
@@ -856,6 +848,28 @@ impl Engine {
             evict.push(i);
         }
         evict
+    }
+
+    /// Per-edge loads of the active admissions, summed in admission
+    /// order (the summation a fresh tracker would do).
+    fn active_loads(&self) -> Vec<f64> {
+        let mut loads = vec![0.0f64; self.graph.num_edges()];
+        for a in self.admissions.iter().filter(|a| !a.released) {
+            let d = self.requests[a.request.index()].demand;
+            for &e in a.path.edges() {
+                loads[e.index()] += d;
+            }
+        }
+        loads
+    }
+
+    /// Whether `load` overloads edge `e` past the feasibility tolerance
+    /// of its effective capacity: the one rule repair evicts by and
+    /// [`Engine::verify_active_feasibility`] audits by, so a repaired
+    /// engine always passes its own audit.
+    fn overloaded(&self, e: EdgeId, load: f64) -> bool {
+        let cap = self.topology.effective_capacity(e);
+        load > cap * (1.0 + 1e-9) + 1e-9
     }
 
     /// Tail of the repair pass: evict + refund, queue re-admissions,
@@ -971,17 +985,10 @@ impl Engine {
     /// replacement for `active_solution().check_feasible(..)`, whose
     /// base-graph capacities are wrong once links have been resized.
     pub fn verify_active_feasibility(&self) -> Result<(), String> {
-        let m = self.graph.num_edges();
-        let mut loads = vec![0.0f64; m];
-        for a in self.admissions.iter().filter(|a| !a.released) {
-            let d = self.requests[a.request.index()].demand;
-            for &e in a.path.edges() {
-                loads[e.index()] += d;
-            }
-        }
-        for (e, &load) in loads.iter().enumerate() {
-            let cap = self.topology.effective_capacity(EdgeId(e as u32));
-            if load > cap * (1.0 + 1e-9) + 1e-9 {
+        for (e, &load) in self.active_loads().iter().enumerate() {
+            let edge = EdgeId(e as u32);
+            if self.overloaded(edge, load) {
+                let cap = self.topology.effective_capacity(edge);
                 return Err(format!(
                     "edge {e} overloaded: load {load} > effective capacity {cap}"
                 ));
@@ -1054,31 +1061,14 @@ impl Engine {
         crate::snapshot::encode_engine(self, driver)
     }
 
-    /// Write a snapshot to `path` atomically and durably (temp file +
-    /// fsync + rename + directory fsync): a crash mid-write can leave a
-    /// stale temp file, never a torn snapshot under the real name, and
-    /// a completed write survives power loss.
-    pub fn snapshot_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), CodecError> {
-        crate::snapshot::write_atomic(path.as_ref(), &self.snapshot_bytes())
-    }
-
-    /// Restore an engine from a snapshot file over the given graph and
-    /// configuration. Continuation is **bit-identical**: submitting the
+    /// Restore an engine from [`Engine::snapshot_bytes`] output over the
+    /// given graph and configuration ([`crate::SnapshotStore`] is the
+    /// file API). Continuation is **bit-identical**: submitting the
     /// same post-snapshot batches to the restored engine reproduces the
     /// uninterrupted run's epochs, payments, and metrics exactly. Fails
     /// with a typed [`CodecError`] on corruption, truncation, version
     /// skew, or fingerprint mismatch — never panics, never returns a
     /// partially-restored engine.
-    pub fn restore_from(
-        path: impl AsRef<std::path::Path>,
-        graph: Arc<Graph>,
-        config: EngineConfig,
-    ) -> Result<Engine, CodecError> {
-        let bytes = std::fs::read(path)?;
-        Self::restore_from_bytes(&bytes, graph, config)
-    }
-
-    /// [`Engine::restore_from`] over in-memory bytes.
     pub fn restore_from_bytes(
         bytes: &[u8],
         graph: Arc<Graph>,
@@ -1097,15 +1087,15 @@ impl Engine {
         crate::snapshot::decode_engine(bytes, graph, config)
     }
 
-    /// Restore onto a possibly **mutated** topology: the explicit, typed
-    /// migration path for snapshots taken before further topology
-    /// events were applied.
+    /// Bring a restored engine onto a possibly **mutated** topology: the
+    /// explicit, typed migration path for snapshots taken before further
+    /// topology events were applied.
     ///
-    /// The snapshot's stored overlay event log must be a *prefix* of
-    /// `target`'s — i.e. the live topology must descend from the
-    /// snapshot's by appending events. If it is:
+    /// The engine's overlay event log must be a *prefix* of `target`'s —
+    /// i.e. the live topology must descend from the snapshot's by
+    /// appending events. If it is:
     ///
-    /// - identical log → plain restore, `None` migration;
+    /// - identical log → nothing to do, `None`;
     /// - proper prefix → the missing event delta
     ///   ([`ufp_netgraph::Topology::events_since`]) is replayed through
     ///   the normal repair pass ([`Engine::apply_topology`]) — evicting
@@ -1114,17 +1104,15 @@ impl Engine {
     ///   returned.
     ///
     /// Any divergence (the target rewrote history, or belongs to a
-    /// different base graph) is a typed [`CodecError::GraphMismatch`] —
-    /// never a silent reinterpretation of loads over the wrong
-    /// capacities, never a panic.
-    pub fn restore_with_topology(
-        bytes: &[u8],
-        graph: Arc<Graph>,
-        config: EngineConfig,
+    /// different base graph) is a typed [`CodecError::GraphMismatch`]
+    /// that leaves the engine untouched — never a silent
+    /// reinterpretation of loads over the wrong capacities, never a
+    /// panic.
+    pub fn migrate_to(
+        &mut self,
         target: &Topology,
-    ) -> Result<(Engine, Option<TopologyMigration>), CodecError> {
-        let (mut engine, _) = crate::snapshot::decode_engine(bytes, graph, config)?;
-        let stored = engine.topology.log();
+    ) -> Result<Option<TopologyMigration>, CodecError> {
+        let stored = self.topology.log();
         let live = target.log();
         if stored.len() > live.len() || stored != &live[..stored.len()] {
             return Err(CodecError::GraphMismatch {
@@ -1132,25 +1120,23 @@ impl Engine {
             });
         }
         if stored.len() == live.len() {
-            return Ok((engine, None));
+            return Ok(None);
         }
-        let delta = target.events_since(engine.topology.version()).to_vec();
-        let report = engine
+        let delta = target.events_since(self.topology.version()).to_vec();
+        // `apply_topology` validates the whole delta before it mutates.
+        let report = self
             .apply_topology(&delta)
             .map_err(|_| CodecError::GraphMismatch {
                 context: "topology migration delta does not apply to the restored graph",
             })?;
-        debug_assert_eq!(engine.topology.fingerprint(), target.fingerprint());
-        Ok((
-            engine,
-            Some(TopologyMigration {
-                from_version: report.from_version,
-                to_version: report.to_version,
-                evicted: report.evicted,
-                refunded: report.refunded,
-                readmissions: report.readmissions,
-            }),
-        ))
+        debug_assert_eq!(self.topology.fingerprint(), target.fingerprint());
+        Ok(Some(TopologyMigration {
+            from_version: report.from_version,
+            to_version: report.to_version,
+            evicted: report.evicted,
+            refunded: report.refunded,
+            readmissions: report.readmissions,
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -1484,68 +1470,6 @@ mod tests {
             e,
             EngineEvent::EpochStarted { .. } | EngineEvent::EpochCompleted { .. }
         )));
-    }
-
-    #[test]
-    fn resumed_payments_match_naive_baseline_across_churned_epochs() {
-        // Exact payments from one resumed pass per winner, against the
-        // naive baseline: bisection re-running the whole frozen epoch
-        // per probe. Every payment on every epoch, under TTL churn and
-        // carried weights, must satisfy p ≤ p_bisect ≤ p·(1+tol).
-        use crate::allocator::EpochAllocator;
-        use ufp_mechanism::{brackets_exact, critical_value, PaymentConfig};
-        let mut gb = GraphBuilder::directed(4);
-        gb.add_edge(n(0), n(1), 9.0);
-        gb.add_edge(n(1), n(3), 9.0);
-        gb.add_edge(n(0), n(2), 8.0);
-        gb.add_edge(n(2), n(3), 8.0);
-        let mut engine = Engine::new(
-            gb.build(),
-            EngineConfig::with_epsilon(0.6).with_payments(PaymentPolicy::critical_value()),
-        );
-        let pc = PaymentConfig::default();
-        let mut priced = 0;
-        for e in 0..5 {
-            let arrivals: Vec<Arrival> = (0..7)
-                .map(|i| {
-                    let r = Request::new(
-                        n(0),
-                        n(3),
-                        0.5 + 0.1 * ((e + i) % 4) as f64,
-                        1.0 + ((3 * e + i) % 6) as f64,
-                    );
-                    if i % 2 == 0 {
-                        Arrival::with_ttl(r, 1 + (i % 2) as u32)
-                    } else {
-                        Arrival::permanent(r)
-                    }
-                })
-                .collect();
-            let plan = engine.plan_epoch(&arrivals, None);
-            let bisected: Vec<f64> = {
-                let ctx = plan.context();
-                let oracle = EpochAllocator::new(&engine.allocator_config, &ctx);
-                plan.outcome()
-                    .run
-                    .solution
-                    .routed
-                    .iter()
-                    .map(|(rid, _)| critical_value(&oracle, plan.instance(), rid.index(), &pc))
-                    .collect()
-            };
-            let first = engine.admissions().len();
-            engine.commit_epoch(plan, None);
-            for (adm, &b) in engine.admissions()[first..].iter().zip(&bisected) {
-                assert!(
-                    brackets_exact(adm.payment, b, &pc),
-                    "epoch {e}, {:?}: paid {} vs bisection {b}",
-                    adm.request,
-                    adm.payment
-                );
-                priced += usize::from(adm.payment > 0.0);
-            }
-        }
-        assert!(priced > 0, "the fixture must price some winners");
     }
 
     #[test]

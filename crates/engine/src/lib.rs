@@ -52,9 +52,10 @@
 //! results. Every epoch is priced where it is planned, by one
 //! [`Engine::price_trace`] call: the engine's own run in
 //! [`Engine::plan_epoch_in`], a sharded deployment in its
-//! [`EpochPlanner`]. Critical-value bisection over full re-runs
-//! ([`EpochAllocator`] with `ufp_mechanism::critical_value`) stays as
-//! the test oracle: the exact `p` satisfies `p ≤ p_bisect ≤ p·(1+tol)`.
+//! [`EpochPlanner`]. Critical-value bisection over full re-runs (the
+//! test suites' `EpochAllocator` with `ufp_mechanism::critical_value`,
+//! in `tests/common/mod.rs`) stays as the test oracle: the exact `p`
+//! satisfies `p ≤ p_bisect ≤ p·(1+tol)`.
 //!
 //! Feasibility is inductive: epoch `k` allocates within the residual
 //! capacities left by epochs `1..k`, so the cumulative active allocation
@@ -104,8 +105,8 @@
 //! replaying its whole history — and, because the paper's mechanism is
 //! only truthful if recovered state is *exactly* the state that produced
 //! past critical-value payments, recovery has to be **bit-identical**,
-//! not merely approximately right. [`engine::Engine::snapshot_to`] /
-//! [`engine::Engine::restore_from`] serialize the full engine state
+//! not merely approximately right. [`Engine::snapshot_bytes`] /
+//! [`Engine::restore_from_bytes`] serialize the full engine state
 //! (committed loads, carried dual exponents, request registry,
 //! admissions and TTL expiries, epoch counter, event log + cursor,
 //! metrics counters) through a hand-rolled, versioned, checksummed binary
@@ -118,9 +119,12 @@
 //! a pure function of the input stream: equal streams give equal
 //! snapshot bytes, and a restored-and-continued engine snapshots to the
 //! unbroken run's bytes (see `tests/snapshot_recovery.rs` and the
-//! adversarial decoding suite in `tests/codec_adversarial.rs`).
+//! adversarial decoding suite in `tests/codec_adversarial.rs`). A
+//! sharded deployment snapshots through this same container: its book's
+//! driver section carries the shard planner's state. A restored engine
+//! whose topology fell behind the live one catches up through
+//! [`Engine::migrate_to`].
 
-pub mod allocator;
 pub mod codec;
 pub mod config;
 pub mod engine;
@@ -129,7 +133,6 @@ pub mod health;
 pub mod metrics;
 pub mod snapshot;
 
-pub use allocator::EpochAllocator;
 pub use codec::CodecError;
 pub use config::{EngineConfig, EventLevel, HealthConfig, PaymentPolicy, ResidualFloor};
 pub use engine::{

@@ -17,7 +17,7 @@
 //! | 7   | metrics    | counters, value, revenue and refund sums            |
 //! | 9   | topology   | dynamic-topology overlay: version, fingerprint, event log |
 //! | 10  | readmit    | evicted flows queued for re-admission               |
-//! | 8   | driver     | opaque caller blob (RNG stream position, trace cursor, …) |
+//! | 8   | driver     | opaque caller blob: a driver's RNG stream position and trace cursor, or a sharded deployment's planner state (`ufp_shard::snapshot`) |
 //!
 //! The *base* graph itself is **not** serialized — it is immutable,
 //! typically large, and already owned by the caller; restore takes the
@@ -28,9 +28,9 @@
 //! node drains) **is** serialized, as its full event log plus the
 //! (version, state-fingerprint) pair: restore replays the log over the
 //! base graph and cross-checks both, so a snapshot pins exactly the
-//! topology it was taken on. Restoring onto a *mutated* topology is an
-//! explicit typed migration — see [`Engine::restore_with_topology`] and
-//! [`TopologyMigration`] — never a silent reinterpretation. Every float travels as
+//! topology it was taken on. Bringing a restored engine onto a *mutated*
+//! topology is an explicit typed migration — see [`Engine::migrate_to`]
+//! and [`TopologyMigration`] — never a silent reinterpretation. Every float travels as
 //! its exact IEEE-754 bit pattern, so a restored engine's subsequent
 //! epochs, critical-value payments, and metrics are **byte-identical**
 //! to an uninterrupted run (asserted by `tests/snapshot_recovery.rs`).
@@ -39,7 +39,9 @@
 //! the arrival stream — so there is no generator state in the engine
 //! sections. Drivers that *do* sample (trace generators like
 //! `engine_sim`) persist their RNG stream position and arrival-stream
-//! cursor in the opaque driver section.
+//! cursor in the opaque driver section. A sharded deployment's book
+//! gives that section to its shard planner instead, so both deployments
+//! share this one container.
 //!
 //! ## Snapshot + journal recovery
 //!
@@ -107,7 +109,7 @@ fn graph_digest(graph: &Graph) -> u64 {
 /// entry is on disk, and callers prune their journal against the
 /// returned watermark, so `Ok` here must mean the snapshot survives
 /// power loss.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CodecError> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CodecError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
@@ -153,15 +155,8 @@ fn open_section<'a>(
 /// Serialize `engine` (plus an opaque `driver` blob) into a framed
 /// snapshot container.
 pub fn encode_engine(engine: &Engine, driver: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    encode_engine_into(&mut w, engine, driver);
-    w.into_bytes()
-}
-
-/// [`encode_engine`] appended in place to `w` — how composing snapshot
-/// layers (the sharded engine's) embed the engine container without
-/// building and copying it separately.
-pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
+    let mut out = Writer::new();
+    let w = &mut out;
     let container = w.begin_container();
 
     // Config fingerprint: the semantic fields a restored engine must
@@ -177,19 +172,13 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     w.put_f64(cfg.carry_decay);
     w.put_f64(engine.floor);
     w.put_u8(cfg.payments.fingerprint());
-    w.put_u8(match cfg.events {
-        crate::config::EventLevel::Epoch => 0,
-        crate::config::EventLevel::Request => 1,
-    });
+    w.put_u8(cfg.events.fingerprint());
     w.put_u64(cfg.event_capacity as u64);
     w.end_bytes(section);
 
     // Graph fingerprint.
     let section = begin_section(w, SEC_GRAPH);
-    w.put_u8(match engine.graph.kind() {
-        GraphKind::Directed => 0,
-        GraphKind::Undirected => 1,
-    });
+    w.put_u8(graph_kind_tag(&engine.graph));
     w.put_u64(engine.graph.num_nodes() as u64);
     w.put_u64(engine.graph.num_edges() as u64);
     w.put_u64(graph_digest(&engine.graph));
@@ -206,10 +195,7 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     let section = begin_section(w, SEC_REQUESTS);
     w.put_u64(engine.requests.len() as u64);
     for r in &engine.requests {
-        w.put_u32(r.src.0);
-        w.put_u32(r.dst.0);
-        w.put_f64(r.demand);
-        w.put_f64(r.value);
+        encode_request(w, r);
     }
     w.end_bytes(section);
 
@@ -283,10 +269,7 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     let section = begin_section(w, SEC_READMIT);
     w.put_u64(engine.readmit_queue.len() as u64);
     for a in &engine.readmit_queue {
-        w.put_u32(a.request.src.0);
-        w.put_u32(a.request.dst.0);
-        w.put_f64(a.request.demand);
-        w.put_f64(a.request.value);
+        encode_request(w, &a.request);
         match a.ttl {
             None => w.put_bool(false),
             Some(t) => {
@@ -303,6 +286,50 @@ pub fn encode_engine_into(w: &mut Writer, engine: &Engine, driver: &[u8]) {
     w.end_bytes(section);
 
     w.end_container(container);
+    out.into_bytes()
+}
+
+fn graph_kind_tag(graph: &Graph) -> u8 {
+    match graph.kind() {
+        GraphKind::Directed => 0,
+        GraphKind::Undirected => 1,
+    }
+}
+
+/// Serialize one [`Request`]'s type: the registry and the re-admission
+/// queue share this encoding.
+fn encode_request(w: &mut Writer, r: &Request) {
+    w.put_u32(r.src.0);
+    w.put_u32(r.dst.0);
+    w.put_f64(r.demand);
+    w.put_f64(r.value);
+}
+
+/// Inverse of [`encode_request`], validated against `graph`: endpoints
+/// in range and distinct, demand and value finite and positive.
+fn decode_request(s: &mut Reader<'_>, graph: &Graph) -> Result<Request, CodecError> {
+    let src = s.get_u32("request src")?;
+    let dst = s.get_u32("request dst")?;
+    let demand = s.get_f64("request demand")?;
+    let value = s.get_f64("request value")?;
+    if src as usize >= graph.num_nodes() || dst as usize >= graph.num_nodes() || src == dst {
+        return Err(CodecError::Malformed {
+            context: "request endpoints",
+        });
+    }
+    if !(demand.is_finite() && demand > 0.0 && value.is_finite() && value > 0.0) {
+        return Err(CodecError::Malformed {
+            context: "request type (demand/value range)",
+        });
+    }
+    // Fields validated above; bypass `Request::new` so corrupted input
+    // can never reach its asserts.
+    Ok(Request {
+        src: NodeId(src),
+        dst: NodeId(dst),
+        demand,
+        value,
+    })
 }
 
 /// Serialize one [`EngineEvent`] in the snapshot wire format.
@@ -484,11 +511,7 @@ pub fn decode_engine(
             context: "payment policy",
         });
     }
-    let events_level = match config.events {
-        crate::config::EventLevel::Epoch => 0,
-        crate::config::EventLevel::Request => 1,
-    };
-    if s.get_u8("config event level")? != events_level {
+    if s.get_u8("config event level")? != config.events.fingerprint() {
         return Err(CodecError::ConfigMismatch {
             context: "event level",
         });
@@ -502,11 +525,7 @@ pub fn decode_engine(
 
     // Graph fingerprint must match the provided graph.
     let mut s = open_section(&mut r, SEC_GRAPH, "graph section")?;
-    let kind = match graph.kind() {
-        GraphKind::Directed => 0,
-        GraphKind::Undirected => 1,
-    };
-    if s.get_u8("graph kind")? != kind {
+    if s.get_u8("graph kind")? != graph_kind_tag(&graph) {
         return Err(CodecError::GraphMismatch {
             context: "graph kind",
         });
@@ -556,28 +575,7 @@ pub fn decode_engine(
     let n = s.get_len("request count", 24)?;
     let mut requests = Vec::with_capacity(n);
     for _ in 0..n {
-        let src = s.get_u32("request src")?;
-        let dst = s.get_u32("request dst")?;
-        let demand = s.get_f64("request demand")?;
-        let value = s.get_f64("request value")?;
-        if src as usize >= graph.num_nodes() || dst as usize >= graph.num_nodes() || src == dst {
-            return Err(CodecError::Malformed {
-                context: "request endpoints",
-            });
-        }
-        if !(demand.is_finite() && demand > 0.0 && value.is_finite() && value > 0.0) {
-            return Err(CodecError::Malformed {
-                context: "request type (demand/value range)",
-            });
-        }
-        // Fields validated above; bypass `Request::new` so corrupted
-        // input can never reach its asserts.
-        requests.push(Request {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            demand,
-            value,
-        });
+        requests.push(decode_request(&mut s, &graph)?);
     }
     s.expect_exhausted()?;
 
@@ -742,26 +740,7 @@ pub fn decode_engine(
     let n = s.get_len("readmit count", 25)?;
     let mut readmit_queue = Vec::with_capacity(n);
     for _ in 0..n {
-        let src = s.get_u32("readmit src")?;
-        let dst = s.get_u32("readmit dst")?;
-        let demand = s.get_f64("readmit demand")?;
-        let value = s.get_f64("readmit value")?;
-        if src as usize >= graph.num_nodes() || dst as usize >= graph.num_nodes() || src == dst {
-            return Err(CodecError::Malformed {
-                context: "readmit endpoints",
-            });
-        }
-        if !(demand.is_finite() && demand > 0.0 && value.is_finite() && value > 0.0) {
-            return Err(CodecError::Malformed {
-                context: "readmit request (demand/value range)",
-            });
-        }
-        let request = Request {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            demand,
-            value,
-        };
+        let request = decode_request(&mut s, &graph)?;
         let ttl = if s.get_bool("readmit ttl flag")? {
             let t = s.get_u32("readmit ttl")?;
             if t == 0 {
@@ -812,7 +791,7 @@ pub fn decode_engine(
 }
 
 /// Report of a typed topology migration performed by
-/// [`Engine::restore_with_topology`]: the snapshot's overlay was an
+/// [`Engine::migrate_to`]: the restored engine's overlay was an
 /// ancestor of the live one, and the missing event delta was replayed
 /// through the normal repair pass (evictions, refunds, re-admission
 /// queueing) to bring the restored engine onto the live topology.
@@ -937,10 +916,10 @@ impl SnapshotStore {
     }
 
     /// Persist a snapshot of `engine` plus an opaque driver blob,
-    /// atomically and durably (see [`write_atomic`]): a crash mid-save
-    /// leaves at worst a stale `.tmp` that recovery ignores — never a
-    /// torn snapshot under the real name — and a completed save survives
-    /// power loss.
+    /// atomically and durably (temp file, fsync, rename, directory
+    /// fsync): a crash mid-save leaves at worst a stale `.tmp` that
+    /// recovery ignores — never a torn snapshot under the real name —
+    /// and a completed save survives power loss.
     pub fn save_with(&self, engine: &Engine, driver: &[u8]) -> Result<PathBuf, CodecError> {
         let bytes = encode_engine(engine, driver);
         let path = self.path_for(engine.epoch());

@@ -16,8 +16,8 @@
 //!   surviving admissions in admission order (no float residue from
 //!   the evicted flows survives).
 //! * **(d) Snapshot → typed migration → lockstep** — a snapshot taken
-//!   before a mutation burst restores onto the mutated topology via an
-//!   explicit [`Engine::restore_with_topology`] migration, after which
+//!   before a mutation burst restores and then migrates onto the
+//!   mutated topology via an explicit [`Engine::migrate_to`], after which
 //!   the restored engine re-serializes to the original's exact snapshot
 //!   bytes and continues in lockstep on any continuation stream.
 
@@ -306,14 +306,12 @@ proptest! {
 
         // Restore onto the mutated topology: an explicit typed migration
         // replaying the event delta, priced evictions included.
-        let (mut restored, migration) = Engine::restore_with_topology(
-            &bytes,
-            Arc::clone(&graph),
-            config,
-            original.topology(),
-        )
-        .expect("ancestor snapshot must migrate");
-        let migration = migration.expect("non-empty delta must report a migration");
+        let mut restored = Engine::restore_from_bytes(&bytes, Arc::clone(&graph), config)
+            .expect("pristine snapshot must restore");
+        let migration = restored
+            .migrate_to(original.topology())
+            .expect("ancestor snapshot must migrate")
+            .expect("non-empty delta must report a migration");
         prop_assert_eq!(migration.from_version, 0);
         prop_assert_eq!(migration.to_version, burst.len() as u64);
         prop_assert_eq!(migration.evicted, report.evicted);
@@ -374,10 +372,65 @@ fn divergent_topology_history_is_refused() {
         }],
     )
     .expect("valid replay");
-    let err = Engine::restore_with_topology(&bytes, Arc::clone(&graph), config, &live)
+    let mut restored =
+        Engine::restore_from_bytes(&bytes, Arc::clone(&graph), config).expect("restores");
+    let err = restored
+        .migrate_to(&live)
         .expect_err("divergent history must be refused");
     assert!(
         matches!(err, ufp_engine::CodecError::GraphMismatch { .. }),
         "want GraphMismatch, got {err:?}"
     );
+}
+
+/// `migrate_to` on an engine already at the target topology is a
+/// no-op, and a refusal leaves the engine exactly as it was: same
+/// snapshot bytes, and it still migrates onto a descendant afterwards.
+#[test]
+fn migrate_to_is_a_no_op_on_an_identical_log_and_untouched_on_refusal() {
+    use ufp_netgraph::graph::GraphBuilder;
+    use ufp_netgraph::ids::EdgeId;
+    let mut gb = GraphBuilder::directed(4);
+    gb.add_edge(NodeId(0), NodeId(1), 12.0);
+    gb.add_edge(NodeId(1), NodeId(3), 12.0);
+    gb.add_edge(NodeId(0), NodeId(2), 10.0);
+    gb.add_edge(NodeId(2), NodeId(3), 10.0);
+    let graph = Arc::new(gb.build());
+    let config = repair_config(0.5, PaymentPolicy::critical_value());
+    let mut engine = Engine::from_shared(Arc::clone(&graph), config);
+    let requests: Vec<Request> = (0..9)
+        .map(|i| Request::new(NodeId(0), NodeId(3), 0.5, 1.0 + i as f64))
+        .collect();
+    for batch in &churned_batches(&requests, 2) {
+        engine.submit_batch(batch);
+    }
+    assert!(
+        !engine.admissions().is_empty(),
+        "fixture must admit someone"
+    );
+    let down = |e: u32| TopologyEvent::LinkDown { edge: EdgeId(e) };
+    engine.apply_topology(&[down(0)]).expect("valid event");
+    let bytes = engine.snapshot_bytes();
+
+    // Identical log: nothing to migrate, nothing changes.
+    let same = ufp_engine::Topology::replay(&graph, &[down(0)]).expect("valid replay");
+    assert_eq!(engine.migrate_to(&same).expect("identical log"), None);
+    assert_eq!(engine.snapshot_bytes(), bytes);
+
+    // Divergent log: refused, and the engine is untouched.
+    let divergent = ufp_engine::Topology::replay(&graph, &[down(1), down(2)]).expect("replay");
+    assert!(matches!(
+        engine.migrate_to(&divergent),
+        Err(ufp_engine::CodecError::GraphMismatch { .. })
+    ));
+    assert_eq!(engine.snapshot_bytes(), bytes);
+
+    // A descendant still migrates after the refusal.
+    let ahead = ufp_engine::Topology::replay(&graph, &[down(0), down(1)]).expect("replay");
+    let migration = engine
+        .migrate_to(&ahead)
+        .expect("descendant log migrates")
+        .expect("non-empty delta");
+    assert_eq!((migration.from_version, migration.to_version), (1, 2));
+    assert_eq!(engine.topology().log(), ahead.log());
 }

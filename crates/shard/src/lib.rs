@@ -21,8 +21,9 @@
 //! batch to the shard planner through [`ufp_engine::EpochPlanner`]; the
 //! planner returns winners, routes, carry and payments, and the book
 //! commits them. Topology repair, the feasibility audit, readmission,
-//! snapshots' engine state, the regret oracle and the health tick are
-//! the book's own code paths.
+//! snapshots, the regret oracle and the health tick are the book's own
+//! code paths: a sharded snapshot is the book's engine container, with
+//! the planner's state in its driver section ([`snapshot`]).
 //!
 //! ## The three mechanisms
 //!

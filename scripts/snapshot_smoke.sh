@@ -45,6 +45,10 @@ done
 echo >&2 "snapshot_smoke: restore + replay ..."
 $BIN $FLAGS --restore-from "$tmp/snaps" --json >"$tmp/restored.json" 2>"$tmp/restore.log"
 grep -q "restored epoch 10" "$tmp/restore.log"
+if grep -q "topology migration" "$tmp/restore.log"; then
+  echo >&2 "snapshot_smoke: a pristine-topology restore must not migrate"
+  exit 1
+fi
 if ! diff <(grep -v '"timing"' "$tmp/full.json") \
           <(grep -v '"timing"' "$tmp/restored.json"); then
   echo >&2 "snapshot_smoke: restored run diverged from the unbroken run"
