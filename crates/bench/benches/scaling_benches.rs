@@ -1,5 +1,5 @@
 //! Scaling and substrate benches (experiment E9's timing companion):
-//! Bounded-UFP vs request count and thread count, the Dijkstra hot path,
+//! Bounded-UFP vs request count, the Dijkstra hot path,
 //! the LP substrate, and critical-value payment computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -12,7 +12,6 @@ use ufp_mechanism::{critical_value, PaymentConfig, SingleParamAllocator, UfpAllo
 use ufp_netgraph::dijkstra::Dijkstra;
 use ufp_netgraph::generators;
 use ufp_netgraph::ids::NodeId;
-use ufp_par::Pool;
 use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
 use ufp_workloads::{random_ufp, required_b, RandomUfpConfig};
 
@@ -35,29 +34,6 @@ fn scaling_requests(c: &mut Criterion) {
         let cfg = BoundedUfpConfig::with_epsilon(0.3);
         group.bench_with_input(BenchmarkId::from_parameter(requests), &inst, |b, inst| {
             b.iter(|| black_box(bounded_ufp(inst, &cfg)))
-        });
-    }
-    group.finish();
-}
-
-/// Bounded-UFP wall time vs thread count (the E9 speedup series).
-/// The fan-out parallelizes per-source Dijkstra trees, so the tasks must
-/// be coarse (large graph) before threading pays — same caveat as E9.
-fn scaling_threads(c: &mut Criterion) {
-    let inst = random_ufp(&RandomUfpConfig {
-        nodes: 300,
-        edges: 3000,
-        requests: 150,
-        epsilon_target: 0.3,
-        seed: 17,
-        ..Default::default()
-    });
-    let mut group = c.benchmark_group("scaling_threads");
-    group.sample_size(10);
-    for &threads in &[1usize, 2] {
-        let cfg = BoundedUfpConfig::with_epsilon(0.3).parallel(Pool::new(threads));
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &cfg, |b, cfg| {
-            b.iter(|| black_box(bounded_ufp(&inst, cfg)))
         });
     }
     group.finish();
@@ -180,7 +156,6 @@ fn engine_throughput(c: &mut Criterion) {
 criterion_group!(
     scaling,
     scaling_requests,
-    scaling_threads,
     dijkstra_hot_path,
     lp_substrate,
     payment_bisection,

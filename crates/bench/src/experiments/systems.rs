@@ -1,23 +1,22 @@
-//! Systems experiments: runtime scaling and parallel speedup (E9), and
-//! the stop-guard geometry behind Lemma 3.3 (E10).
+//! Systems experiments: runtime scaling (E9) and the stop-guard
+//! geometry behind Lemma 3.3 (E10).
 
 use std::time::Instant;
 
 use ufp_core::{bounded_ufp, BoundedUfpConfig, Request, StopReason, UfpInstance};
 use ufp_netgraph::graph::GraphBuilder;
 use ufp_netgraph::ids::NodeId;
-use ufp_par::Pool;
 use ufp_workloads::{random_ufp, RandomUfpConfig, ValueModel};
 
 use crate::table::{f, f2, Table};
 
 /// E9 — Theorem 3.1's runtime shape: ≤ |R| iterations of |R| shortest
-/// paths, and the parallel fan-out speedup.
+/// paths.
 pub fn e9_scaling() -> Table {
     let mut t = Table::new(
         "E9",
-        "Runtime: ≤|R| iterations of per-request shortest paths; parallel fan-out speedup",
-        &["|R|", "m", "threads", "iterations", "iter ≤ |R|", "wall ms"],
+        "Runtime: ≤|R| iterations of per-request shortest paths",
+        &["|R|", "m", "iterations", "iter ≤ |R|", "wall ms"],
     );
 
     for &requests in &[100usize, 200, 400, 800] {
@@ -38,56 +37,14 @@ pub fn e9_scaling() -> Table {
         t.row(vec![
             requests.to_string(),
             inst.graph().num_edges().to_string(),
-            "1".into(),
             run.trace.iterations().to_string(),
             (run.trace.iterations() <= requests).to_string(),
             f2(ms),
         ]);
     }
-
-    // Parallel speedup: the fan-out is per distinct source, so the tasks
-    // must be coarse (big graph, many sources) before scoped-thread
-    // dispatch pays for itself — measured honestly here.
-    let inst = random_ufp(&RandomUfpConfig {
-        nodes: 300,
-        edges: 3000,
-        requests: 220,
-        epsilon_target: 0.3,
-        demand_range: (0.2, 1.0),
-        values: ValueModel::Uniform(0.5, 2.0),
-        hotspot_pairs: None,
-        seed: 17,
-    });
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut reference: Option<Vec<u32>> = None;
-    for &threads in &[1usize, 2, 4] {
-        let cfg = BoundedUfpConfig::with_epsilon(0.3).parallel(Pool::new(threads));
-        let start = Instant::now();
-        let run = bounded_ufp(&inst, &cfg);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        // Determinism across thread counts.
-        let order: Vec<u32> = run.solution.routed.iter().map(|(r, _)| r.0).collect();
-        match &reference {
-            None => reference = Some(order),
-            Some(r) => assert_eq!(r, &order, "parallel run diverged from sequential"),
-        }
-        t.row(vec![
-            "220 (n=300, m=3000)".into(),
-            inst.graph().num_edges().to_string(),
-            threads.to_string(),
-            run.trace.iterations().to_string(),
-            "true".into(),
-            f2(ms),
-        ]);
-    }
-    t.note("thread sweeps route identical request sequences (deterministic reduction);");
-    t.note("speedup comes from the per-iteration Dijkstra fan-out (grouped by source,");
-    t.note("persistent worker pool) and is bounded by the hardware parallelism of the");
-    t.note(format!(
-        "machine running this table (available_parallelism = {hw})."
-    ));
+    t.note("Algorithm 1's loop is sequential (each step's shortest paths depend on");
+    t.note("the weights the previous step raised); the engine parallelizes above it,");
+    t.note("over pricing passes and shards.");
     t
 }
 

@@ -25,7 +25,6 @@ use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::path::Path;
 use ufp_obs::{Phase, Recorder};
-use ufp_par::Pool;
 
 use crate::critical::Shadow;
 use crate::instance::UfpInstance;
@@ -42,8 +41,6 @@ pub struct BoundedUfpConfig {
     /// with `ε/6` to obtain a `(1+ε)·e/(e−1)` guarantee when
     /// `B ≥ ln(m)/ε²`.
     pub epsilon: f64,
-    /// Parallelism for the selector's grouped shortest-path refreshes.
-    pub pool: Pool,
     /// Observability recorder (off by default). Strictly out-of-band:
     /// it sees guard slack, dual-weight growth, and selection phases,
     /// and feeds nothing back — runs are bit-identical with it on or
@@ -58,7 +55,6 @@ impl Default for BoundedUfpConfig {
     fn default() -> Self {
         BoundedUfpConfig {
             epsilon: 0.1,
-            pool: Pool::sequential(),
             obs: Recorder::off(),
             fan_out: false,
         }
@@ -76,12 +72,6 @@ impl BoundedUfpConfig {
             epsilon,
             ..Default::default()
         }
-    }
-
-    /// Same configuration with a parallel pool.
-    pub fn parallel(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Same configuration with an observability recorder attached.
@@ -269,11 +259,6 @@ impl EpochResumeTrace {
     /// Number of recorded selection steps.
     pub fn num_steps(&self) -> usize {
         self.steps.len()
-    }
-
-    /// The step index at which `r` was selected, if it was.
-    pub fn selection_step(&self, r: RequestId) -> Option<usize> {
-        self.steps.iter().position(|s| s.record.selected == r)
     }
 
     /// Bytes the trace holds on the heap: the recorded steps and the
@@ -558,7 +543,6 @@ fn loop_inputs<'a>(
         instance,
         weights: &state.weights,
         usable,
-        pool: &config.pool,
         obs: &config.obs,
     }
 }
@@ -649,7 +633,7 @@ fn run_epoch_loop_fanout(
     let phantom = shadow.as_ref().map(|s| s.request);
     let query = |state: &EpochRunState, targets: &[RequestId]| {
         let _span = config.obs.span(Phase::SelectionDijkstra);
-        shortest_paths_grouped(instance, targets, &state.weights, usable, &config.pool)
+        shortest_paths_grouped(instance, targets, &state.weights, usable)
     };
     let stop = loop {
         if state.remaining.is_empty() {
@@ -922,10 +906,6 @@ pub fn bounded_ufp_epoch_resume(
     finish_outcome(ctx.is_some(), state, stop_reason, ln_guard)
 }
 
-/// Shortest-path *distances* for all remaining requests, one Dijkstra
-/// per *distinct source* (requests sharing a source reuse the tree),
-/// fanned out over the pool. Results are flattened in (source-group,
-/// request) order, which is ascending request id within groups.
 /// Group requests by source vertex, deterministically: sorted by
 /// `(src, id)`, so within each group ids ascend and groups ascend by
 /// source. Both the main loop's distance fan-out and the repetitions
@@ -958,30 +938,23 @@ pub(crate) fn shortest_paths_grouped(
     remaining: &[RequestId],
     weights: &DualWeights,
     usable: Option<&[bool]>,
-    pool: &Pool,
 ) -> Vec<(RequestId, f64, Path)> {
     let graph = instance.graph();
-    let groups = group_by_source(instance, remaining);
-    let w = weights.weights();
-    let per_group: Vec<Vec<(RequestId, f64, Path)>> = pool.map_with(
-        &groups,
-        || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
-        |(dij, pbuf), _, (src, members)| {
-            let targets: Vec<NodeId> = members.iter().map(|r| instance.request(*r).dst).collect();
-            dij.run(graph, w, *src, Targets::Set(&targets), |e| {
-                usable.is_none_or(|u| u[e.index()])
-            });
-            members
-                .iter()
-                .filter_map(|&r| {
-                    let dst = instance.request(r).dst;
-                    let dist = dij.distance(dst)?;
-                    dij.path_to_into(dst, pbuf).then(|| (r, dist, pbuf.clone()))
-                })
-                .collect()
-        },
-    );
-    per_group.into_iter().flatten().collect()
+    let mut dij = Dijkstra::new(graph.num_nodes());
+    let mut pbuf = Path::trivial(NodeId(0));
+    let mut findings = Vec::with_capacity(remaining.len());
+    for (src, members) in group_by_source(instance, remaining) {
+        let targets: Vec<NodeId> = members.iter().map(|r| instance.request(*r).dst).collect();
+        dij.run(graph, weights.weights(), src, Targets::Set(&targets), |e| {
+            usable.is_none_or(|u| u[e.index()])
+        });
+        findings.extend(members.iter().zip(&targets).filter_map(|(&r, &dst)| {
+            let dist = dij.distance(dst)?;
+            dij.path_to_into(dst, &mut pbuf)
+                .then(|| (r, dist, pbuf.clone()))
+        }));
+    }
+    findings
 }
 
 #[cfg(test)]
@@ -990,6 +963,11 @@ pub(crate) mod tests {
     use crate::request::Request;
     use ufp_netgraph::graph::GraphBuilder;
     use ufp_netgraph::ids::NodeId;
+
+    /// The step index at which `r` was selected, if it was.
+    fn selection_step(trace: &EpochResumeTrace, r: RequestId) -> Option<usize> {
+        trace.steps.iter().position(|s| s.record.selected == r)
+    }
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -1079,42 +1057,6 @@ pub(crate) mod tests {
         );
         let loads = res.solution.edge_loads(&inst);
         assert!(loads[0] > 0.0 && loads[2] > 0.0, "loads {loads:?}");
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let mut gb = GraphBuilder::directed(6);
-        for i in 0..5u32 {
-            for j in 0..5u32 {
-                if i != j {
-                    gb.add_edge(n(i), n(j), 8.0);
-                }
-            }
-            gb.add_edge(n(i), n(5), 8.0);
-        }
-        let inst = UfpInstance::new(
-            gb.build(),
-            (0..40)
-                .map(|i| {
-                    Request::new(
-                        n(i % 5),
-                        n(5),
-                        0.5 + 0.1 * ((i % 4) as f64),
-                        1.0 + (i % 9) as f64,
-                    )
-                })
-                .collect(),
-        );
-        let seq = bounded_ufp(&inst, &BoundedUfpConfig::with_epsilon(0.3));
-        let par = bounded_ufp(
-            &inst,
-            &BoundedUfpConfig::with_epsilon(0.3).parallel(Pool::new(4)),
-        );
-        assert_eq!(seq.solution.routed.len(), par.solution.routed.len());
-        for (a, b) in seq.solution.routed.iter().zip(&par.solution.routed) {
-            assert_eq!(a.0, b.0, "selection order must match");
-            assert_eq!(a.1.nodes(), b.1.nodes(), "paths must match");
-        }
     }
 
     #[test]
@@ -1357,7 +1299,7 @@ pub(crate) mod tests {
         let (inst, cfg) = resume_fixture();
         let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
         for (rid, _) in &full.run.solution.routed {
-            let k = trace.selection_step(*rid).unwrap();
+            let k = selection_step(&trace, *rid).unwrap();
             let declared = inst.request(*rid).value;
             for factor in [0.9, 0.5, 0.11, 0.01] {
                 let probe =
@@ -1433,8 +1375,8 @@ pub(crate) mod tests {
         let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
         let rebuilt = reassemble(&full, &trace);
         for (rid, _) in &full.run.solution.routed {
-            let k = rebuilt.selection_step(*rid).unwrap();
-            assert_eq!(k, trace.selection_step(*rid).unwrap());
+            let k = selection_step(&rebuilt, *rid).unwrap();
+            assert_eq!(k, selection_step(&trace, *rid).unwrap());
             let declared = inst.request(*rid).value;
             for factor in [0.9, 0.5, 0.11, 0.01] {
                 let probe =

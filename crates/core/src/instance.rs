@@ -152,12 +152,6 @@ impl UfpInstance {
         self.bound_b() >= m.ln() / (epsilon * epsilon)
     }
 
-    /// The smallest ε for which the `B ≥ ln(m)/ε²` precondition holds.
-    pub fn min_supported_epsilon(&self) -> f64 {
-        let m = self.graph.num_edges().max(2) as f64;
-        (m.ln() / self.bound_b()).sqrt()
-    }
-
     /// Sum of all request values (upper bound on any solution).
     pub fn total_value(&self) -> f64 {
         self.requests.iter().map(|r| r.value).sum()
@@ -253,7 +247,8 @@ mod tests {
         let inst = simple_instance(); // B = 4, m = 2, ln 2 ≈ 0.69
         assert!(inst.meets_large_capacity_bound(0.5)); // needs B >= 2.77
         assert!(!inst.meets_large_capacity_bound(0.1)); // needs B >= 69
-        let eps = inst.min_supported_epsilon();
+                                                        // The smallest ε meeting `B ≥ ln(m)/ε²`.
+        let eps = (2f64.ln() / 4.0).sqrt();
         assert!(inst.meets_large_capacity_bound(eps + 1e-9));
         assert!(!inst.meets_large_capacity_bound(eps - 1e-3));
     }

@@ -14,8 +14,6 @@
 //! in sharp contrast with Algorithm 1, the certified gap here converges to
 //! `1 + ε` rather than `e/(e−1)`.
 
-use ufp_par::Pool;
-
 use crate::bounded_ufp::shortest_paths_grouped;
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
@@ -29,8 +27,6 @@ pub struct RepeatConfig {
     /// Accuracy parameter ε ∈ (0, 1]. Theorem 5.1 calls the algorithm
     /// with `ε/6` for a `(1+ε)` guarantee when `B ≥ ln(m)/ε²`.
     pub epsilon: f64,
-    /// Parallelism for the shortest-path fan-out.
-    pub pool: Pool,
     /// Optional cap overriding the theoretical `m·c_max/d_min` bound
     /// (useful to keep exploratory runs short). `None` = theoretical cap.
     pub max_iterations: Option<usize>,
@@ -40,7 +36,6 @@ impl Default for RepeatConfig {
     fn default() -> Self {
         RepeatConfig {
             epsilon: 0.1,
-            pool: Pool::sequential(),
             max_iterations: None,
         }
     }
@@ -128,7 +123,7 @@ pub fn bounded_ufp_repeat(instance: &UfpInstance, config: &RepeatConfig) -> Repe
             break StopReason::Guard;
         }
 
-        let findings = shortest_paths_grouped(instance, &all, &weights, None, &config.pool);
+        let findings = shortest_paths_grouped(instance, &all, &weights, None);
         let mut best: Option<(f64, usize)> = None;
         for (i, f) in findings.iter().enumerate() {
             let score = instance.request(f.0).density() * f.1;

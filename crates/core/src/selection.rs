@@ -55,8 +55,10 @@
 //! exactly the classes whose cached paths cross the bumped edges), an
 //! [`IndexedMinHeap`] over request slots holding one entry per live
 //! class, and two refresh paths: lazy single-class re-queries for small
-//! dirty sets, and the `ufp_par` grouped fan-out for large ones (classes
-//! sharing a source share one Dijkstra). The one event that invalidates
+//! dirty sets, and an eager grouped refresh for large ones (classes
+//! sharing a source share one Dijkstra). Both run on the calling thread:
+//! Algorithm 1's loop is sequential, and the parallel grains (pricing
+//! passes, shards) sit above it. The one event that invalidates
 //! everything is a [`DualWeights`] re-centering: it rescales every
 //! materialized weight, so cached distances change *scale* and stale
 //! keys stop being lower bounds — the selector detects the shift change
@@ -84,24 +86,17 @@ use ufp_netgraph::ids::{EdgeId, NodeId};
 use ufp_netgraph::path::Path;
 use ufp_netgraph::pathcache::PathCache;
 use ufp_obs::{Phase, Recorder};
-use ufp_par::Pool;
 
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
 use crate::weights::DualWeights;
 
-/// Dirty sets of at least this many *classes* are refreshed eagerly
-/// through the grouped `ufp_par` fan-out instead of lazily one-at-a-time
-/// at the heap top. Pure cost model: grouped refresh shares one Dijkstra
-/// among same-source classes and can use the worker pool; lazy refresh
-/// skips classes that never become competitive. Results are identical
-/// either way.
+/// Dirty sets of at least this many *classes* are refreshed eagerly,
+/// grouped by source, instead of lazily one-at-a-time at the heap top.
+/// Pure cost model: grouped refresh shares one Dijkstra among
+/// same-source classes; lazy refresh skips classes that never become
+/// competitive. Results are identical either way.
 const EAGER_REFRESH_MIN: usize = 64;
-
-/// Below this many source groups, the grouped refresh stays on the
-/// calling thread (`Pool::map_with_floor`) — dispatch latency would
-/// exceed the Dijkstra work.
-const PARALLEL_GROUP_FLOOR: usize = 4;
 
 /// "No heap entry", "no class", "no answer".
 const NONE: u32 = u32::MAX;
@@ -217,17 +212,12 @@ impl SelectorLog {
     }
 }
 
-/// One refreshed cache answer: the class and, when it still has a path,
-/// the new `(distance, path)` pair.
-type Refreshed = (u32, Option<(f64, Path)>);
-
 /// Everything `select` needs from the surrounding loop, bundled so the
 /// borrow of the loop state stays in one place.
 pub(crate) struct SelectInputs<'a> {
     pub instance: &'a UfpInstance,
     pub weights: &'a DualWeights,
     pub usable: Option<&'a [bool]>,
-    pub pool: &'a Pool,
     /// Observability handle (off by default; never affects selection).
     pub obs: &'a Recorder,
 }
@@ -593,12 +583,17 @@ impl IncrementalSelector {
             Targets::One(req.dst),
             |e| inputs.passable(e),
         );
-        match self.scratch.distance(req.dst) {
+        self.store_answer(c, req.dst);
+    }
+
+    /// Write the scratch tree's answer for class `c`, whose target is
+    /// `dst`: commit and log its path and re-key it, or retire it
+    /// when it has no path.
+    fn store_answer(&mut self, c: u32, dst: NodeId) {
+        match self.scratch.distance(dst) {
             None => self.retire(c),
             Some(dist) => {
-                let filled = self
-                    .scratch
-                    .path_to_into(req.dst, self.cache.refresh_buffer(c));
+                let filled = self.scratch.path_to_into(dst, self.cache.refresh_buffer(c));
                 debug_assert!(filled, "settled target must reconstruct");
                 self.cache.commit(c, dist);
                 self.log_answer(c);
@@ -607,70 +602,38 @@ impl IncrementalSelector {
         }
     }
 
-    /// Refresh every dirty class through the grouped fan-out (the
+    /// Refresh every dirty class, grouped by source (the
     /// large-dirty-set / post-flush path). Same queries as
     /// [`IncrementalSelector::refresh_one`], batched: same-source classes
-    /// share one Dijkstra and groups fan out over the worker pool.
+    /// share one Dijkstra, and each answer is stored as `refresh_one`
+    /// stores it.
     fn refresh_eager(&mut self, inputs: &SelectInputs<'_>) {
         let _span = inputs.obs.span(Phase::SelectionDirtyRefresh);
-        let mut dirty: Vec<u32> = Vec::with_capacity(self.dirty_count);
+        let mut dirty: Vec<(u32, NodeId, NodeId)> = Vec::with_capacity(self.dirty_count);
         for c in self.dirty_list.drain(..) {
             let class = &mut self.classes[c as usize];
             if class.dirty {
                 class.dirty = false;
-                dirty.push(c);
+                let q = inputs.instance.request(class.query);
+                dirty.push((c, q.src, q.dst));
             }
         }
         self.dirty_count = 0;
-        if dirty.is_empty() {
-            return;
-        }
         // Class numbers ascend with the source, so sorting groups them.
-        dirty.sort_unstable();
-        let instance = inputs.instance;
-        let graph = instance.graph();
-        let w = inputs.weights.weights();
-        let query = |c: u32| instance.request(self.classes[c as usize].query);
-
-        let mut groups: Vec<(NodeId, Vec<u32>)> = Vec::new();
-        for &c in &dirty {
-            let src = query(c).src;
-            match groups.last_mut() {
-                Some((s, members)) if *s == src => members.push(c),
-                _ => groups.push((src, vec![c])),
-            }
-        }
-        let refreshed: Vec<Vec<Refreshed>> = inputs.pool.map_with_floor(
-            &groups,
-            PARALLEL_GROUP_FLOOR,
-            || (Dijkstra::new(graph.num_nodes()), Path::trivial(NodeId(0))),
-            |(dij, pbuf), _, (src, members)| {
-                let targets: Vec<_> = members.iter().map(|&c| query(c).dst).collect();
-                dij.run(graph, w, *src, Targets::Set(&targets), |e| {
-                    inputs.passable(e)
-                });
-                members
-                    .iter()
-                    .zip(&targets)
-                    .map(|(&c, &dst)| {
-                        let found = dij.distance(dst).map(|dist| {
-                            dij.path_to_into(dst, pbuf);
-                            (dist, pbuf.clone())
-                        });
-                        (c, found)
-                    })
-                    .collect()
-            },
-        );
-
-        for (c, found) in refreshed.into_iter().flatten() {
-            match found {
-                None => self.retire(c),
-                Some((dist, path)) => {
-                    self.cache.install(c, dist, path);
-                    self.log_answer(c);
-                    self.rekey(c, dist);
-                }
+        dirty.sort_unstable_by_key(|q| q.0);
+        let mut targets = Vec::new();
+        for group in dirty.chunk_by(|a, b| a.1 == b.1) {
+            targets.clear();
+            targets.extend(group.iter().map(|q| q.2));
+            self.scratch.run(
+                inputs.instance.graph(),
+                inputs.weights.weights(),
+                group[0].1,
+                Targets::Set(&targets),
+                |e| inputs.passable(e),
+            );
+            for &(c, _, dst) in group {
+                self.store_answer(c, dst);
             }
         }
     }
@@ -686,13 +649,11 @@ mod tests {
     /// The selector's first pick on `inst` at its initial weights.
     fn first_pick(inst: &UfpInstance) -> (RequestId, f64) {
         let weights = DualWeights::new(inst.graph());
-        let pool = Pool::sequential();
         let obs = Recorder::off();
         let inputs = SelectInputs {
             instance: inst,
             weights: &weights,
             usable: None,
-            pool: &pool,
             obs: &obs,
         };
         let remaining: Vec<RequestId> = inst.request_ids().collect();

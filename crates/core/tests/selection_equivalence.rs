@@ -23,7 +23,6 @@ use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
 use ufp_netgraph::ids::NodeId;
 use ufp_obs::{Phase, Recorder};
-use ufp_par::Pool;
 
 /// Random instance with enough request mass that paths collide: a few
 /// hotspot pairs concentrate traffic (the dirty-storm case) on top of
@@ -292,9 +291,6 @@ proptest! {
     fn one_shot_runs_bit_identical((inst, eps) in arb_instance()) {
         let fan = bounded_ufp_epoch(&inst, &fan_out(eps), None);
         assert_outcomes_bit_identical(&fan, &bounded_ufp_epoch(&inst, &incremental(eps), None));
-        // Parallel pools change nothing either.
-        let inc_par = bounded_ufp_epoch(&inst, &incremental(eps).parallel(Pool::new(4)), None);
-        assert_outcomes_bit_identical(&fan, &inc_par);
     }
 
     #[test]
@@ -560,8 +556,7 @@ fn two_route_diamond() -> UfpInstance {
 }
 
 /// Runs `inst` on the fan-out reference and on the incremental
-/// selector, sequential and on `Pool::new(4)`, and demands bit-identical
-/// outcomes; `eager` further demands the storm went eager.
+/// selector and demands bit-identical outcomes; `eager` further demands the storm went eager.
 fn assert_storm_bit_identical(inst: &UfpInstance, eps: f64, eager: bool) {
     let fan = bounded_ufp_epoch(inst, &fan_out(eps), None);
     let inc_cfg = incremental(eps).with_obs(Recorder::enabled());
@@ -571,9 +566,6 @@ fn assert_storm_bit_identical(inst: &UfpInstance, eps: f64, eager: bool) {
         assert!(eager_refreshes(&inc_cfg) > 1, "storm never went eager");
     }
     assert_outcomes_bit_identical(&fan, &inc);
-    // Parallel eager refresh changes nothing.
-    let inc_par = bounded_ufp_epoch(inst, &incremental(eps).parallel(Pool::new(4)), None);
-    assert_outcomes_bit_identical(&fan, &inc_par);
 }
 
 /// A dirty storm drives the selector through its eager grouped fan-out

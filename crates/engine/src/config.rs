@@ -190,8 +190,10 @@ impl EventLevel {
 pub struct EngineConfig {
     /// Accuracy parameter handed to the per-epoch Bounded-UFP run.
     pub epsilon: f64,
-    /// Parallelism for the allocator's grouped shortest-path refreshes
-    /// and the per-winner payment passes.
+    /// Parallelism for the mechanism's independent work: one pricing
+    /// pass per winner, and one run per shard of a sharded deployment.
+    /// Everything inside a pass or a shard run, and the engine's own
+    /// Algorithm 1 loop, runs on the calling thread.
     pub pool: Pool,
     /// Multiplier applied to the carried dual exponents at the start of
     /// every epoch, in `[0, 1]`: `0.0` forgets congestion each epoch,
@@ -283,10 +285,7 @@ impl EngineConfig {
 
     /// The per-epoch allocator configuration this engine drives.
     pub fn allocator_config(&self) -> BoundedUfpConfig {
-        let mut cfg = BoundedUfpConfig::with_epsilon(self.epsilon);
-        cfg.pool = self.pool;
-        cfg.obs = self.obs.clone();
-        cfg
+        BoundedUfpConfig::with_epsilon(self.epsilon).with_obs(self.obs.clone())
     }
 
     /// Validate field ranges (called by [`crate::Engine::new`]).
@@ -418,10 +417,12 @@ mod tests {
     }
 
     #[test]
-    fn allocator_config_inherits_epsilon_and_pool() {
-        let cfg = EngineConfig::with_epsilon(0.7).parallel(Pool::new(3));
+    fn allocator_config_inherits_epsilon_and_obs() {
+        let cfg = EngineConfig::with_epsilon(0.7)
+            .parallel(Pool::new(3))
+            .with_obs(Recorder::enabled());
         let a = cfg.allocator_config();
         assert_eq!(a.epsilon, 0.7);
-        assert_eq!(a.pool.threads(), 3);
+        assert!(a.obs.is_enabled());
     }
 }

@@ -350,7 +350,6 @@ impl Engine {
         if let Some(ctx) = regret_ctx {
             run_regret_oracle(
                 &self.graph,
-                &self.config.pool,
                 &obs,
                 &self.config.health,
                 ctx,
@@ -1021,10 +1020,6 @@ impl Engine {
         if self.config.payments == PaymentPolicy::None {
             return payments;
         }
-        // Passes run *inside* pool workers and their selection fan-outs
-        // may dispatch on the same pool: nested dispatch is
-        // deadlock-free since `ufp_par` waits help-first, and results
-        // are unaffected by `ufp_par`'s ordered reduction.
         let config = &self.allocator_config;
         let total_steps = trace.num_steps();
         let steps: Vec<usize> = (0..total_steps).collect();

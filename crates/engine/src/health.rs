@@ -35,7 +35,6 @@ use ufp_lp::{
 };
 use ufp_netgraph::graph::Graph;
 use ufp_obs::{HealthAlert, Phase, Recorder, RegretSample};
-use ufp_par::Pool;
 
 use crate::config::HealthConfig;
 use crate::engine::Arrival;
@@ -98,12 +97,10 @@ impl RegretContext {
 
 /// Run the regret oracle over a captured context and publish the
 /// verdict: a [`RegretSample`] attached to the epoch's profile plus
-/// registry gauges/counters. Runs under [`Phase::HealthRegretOracle`],
-/// strictly outside the epoch bracket, with the solve dispatched onto
-/// the engine's worker pool.
+/// registry gauges/counters. Runs on the calling thread under
+/// [`Phase::HealthRegretOracle`], strictly outside the epoch bracket.
 pub(crate) fn run_regret_oracle(
     graph: &Graph,
-    pool: &Pool,
     obs: &Recorder,
     cfg: &HealthConfig,
     ctx: RegretContext,
@@ -124,18 +121,13 @@ pub(crate) fn run_regret_oracle(
         }
     } else {
         let capacities = &ctx.capacities;
-        let sol = pool
-            .map(&[()], |_, _| {
-                solve_fractional_ufp_with_caps(
-                    graph,
-                    capacities,
-                    &kept,
-                    cfg.regret_epsilon,
-                    REGRET_MAX_ITERATIONS,
-                )
-            })
-            .pop()
-            .expect("single oracle job");
+        let sol = solve_fractional_ufp_with_caps(
+            graph,
+            capacities,
+            &kept,
+            cfg.regret_epsilon,
+            REGRET_MAX_ITERATIONS,
+        );
         let bound = if sol.upper_bound.is_finite() && sol.upper_bound > 0.0 {
             sol.upper_bound
         } else {
@@ -366,7 +358,7 @@ mod tests {
         let cfg = sampling_cfg();
         let ctx =
             RegretContext::capture(&cfg, &obs, 1, &[10.0], &[true], &[arrival(1.0, 3.0)]).unwrap();
-        run_regret_oracle(&g, &Pool::sequential(), &obs, &cfg, ctx, 3.0);
+        run_regret_oracle(&g, &obs, &cfg, ctx, 3.0);
         let snap = obs.snapshot().unwrap();
         let sample = snap.profiles[0].regret.expect("sample attached");
         assert_eq!(sample.commodities, 1);
@@ -384,7 +376,7 @@ mod tests {
         obs.epoch_begin(1);
         obs.epoch_end(1);
         let ctx = RegretContext::capture(&cfg, &obs, 1, &[10.0], &[true], &[]).unwrap();
-        run_regret_oracle(&g, &Pool::sequential(), &obs, &cfg, ctx, 0.0);
+        run_regret_oracle(&g, &obs, &cfg, ctx, 0.0);
         let sample = obs.snapshot().unwrap().profiles[0].regret.unwrap();
         assert_eq!(sample.fractional_bound, 0.0);
         assert_eq!(sample.ratio, 1.0);
@@ -395,7 +387,7 @@ mod tests {
         obs.epoch_end(1);
         let ctx =
             RegretContext::capture(&cfg, &obs, 1, &[10.0], &[false], &[arrival(1.0, 3.0)]).unwrap();
-        run_regret_oracle(&g, &Pool::sequential(), &obs, &cfg, ctx, 0.0);
+        run_regret_oracle(&g, &obs, &cfg, ctx, 0.0);
         let sample = obs.snapshot().unwrap().profiles[0].regret.unwrap();
         assert_eq!(sample.fractional_bound, 0.0);
         assert_eq!(sample.ratio, 1.0);
@@ -406,7 +398,7 @@ mod tests {
         obs.epoch_end(1);
         let ctx =
             RegretContext::capture(&cfg, &obs, 1, &[10.0], &[true], &[arrival(1.0, 3.0)]).unwrap();
-        run_regret_oracle(&g, &Pool::sequential(), &obs, &cfg, ctx, 0.0);
+        run_regret_oracle(&g, &obs, &cfg, ctx, 0.0);
         let sample = obs.snapshot().unwrap().profiles[0].regret.unwrap();
         assert!(sample.fractional_bound > 0.0);
         assert_eq!(sample.ratio, 0.0);

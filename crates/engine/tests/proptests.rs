@@ -12,18 +12,22 @@
 //!   cumulative one.
 //! * **Conservation** — accepted + rejected = arrivals, and admitted
 //!   value/revenue accounting is consistent.
+//! * **Thread independence** — a parallel pool (winners priced on pool
+//!   workers) changes no report, payment or snapshot byte.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ufp_core::{bounded_ufp, BoundedUfpConfig, Request, RequestId, UfpInstance};
-use ufp_engine::{Arrival, Engine, EngineConfig, PaymentPolicy, ResidualFloor};
+use ufp_engine::{Arrival, Engine, EngineConfig, EpochReport, PaymentPolicy, ResidualFloor};
 use ufp_mechanism::{brackets_exact, CriticalValueMechanism, PaymentConfig, UfpAllocator};
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::{bfs, generators};
+use ufp_par::Pool;
 use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
+use ufp_workloads::failures::{failure_trace, DrainWindow, FailureTraceConfig};
 use ufp_workloads::random_ufp::required_b;
 
 mod common;
@@ -407,4 +411,96 @@ fn global_ids_index_the_full_history() {
         assert_eq!(adm.path.source(), req.src);
         assert_eq!(adm.path.target(), req.dst);
     }
+}
+
+/// An epoch report's deterministic fields (all but the wall-clock
+/// `elapsed`), as bits.
+fn report_bits(r: &EpochReport) -> (Vec<u64>, ufp_core::StopReason) {
+    let fields = vec![
+        r.epoch,
+        r.arrivals as u64,
+        r.accepted as u64,
+        r.rejected as u64,
+        r.released as u64,
+        r.value_admitted.to_bits(),
+        r.revenue.to_bits(),
+        r.min_residual.to_bits(),
+        r.total_utilization.to_bits(),
+    ];
+    (fields, r.stop)
+}
+
+/// A parallel pool changes nothing: on a churned, paid fault trace, an
+/// engine on `Pool::new(4)` matches one on `Pool::sequential()` after
+/// every epoch — report, every admission's payment bits, and
+/// `snapshot_bytes()`.
+#[test]
+fn parallel_pool_matches_sequential_on_a_churned_paid_fault_trace() {
+    let (nodes, edges, epsilon, seed, epochs) = (80, 160, 0.8, 7, 12);
+    let b = required_b(edges, epsilon).ceil();
+    let graph =
+        generators::gnm_digraph(nodes, edges, (b, 2.0 * b), &mut StdRng::seed_from_u64(seed));
+    let stream = arrival_trace(
+        &graph,
+        &ArrivalTraceConfig {
+            epochs,
+            process: ArrivalProcess::Poisson { mean: 90.0 },
+            hotspot_pairs: Some(4),
+            demand_range: (0.2, 1.0),
+            ttl_range: Some((1, 3)),
+            seed,
+            ..Default::default()
+        },
+    );
+    let faults = failure_trace(
+        &graph,
+        &FailureTraceConfig {
+            epochs: epochs as u32,
+            seed: 99,
+            flap_rate: 0.6,
+            flap_down_epochs: 2,
+            resize_rate: 0.4,
+            resize_range: (0.3, 1.2),
+            outage_rate: 0.1,
+            outage_radius: 1,
+            outage_down_epochs: 2,
+            drains: vec![DrainWindow {
+                node: NodeId(5),
+                start: 5,
+                duration: 3,
+            }],
+        },
+    );
+    let config = EngineConfig::with_epsilon(epsilon).with_payments(PaymentPolicy::critical_value());
+    let mut seq = Engine::new(graph.clone(), config.clone().parallel(Pool::sequential()));
+    let mut par = Engine::new(graph, config.parallel(Pool::new(4)));
+    let step = |engine: &mut Engine, events: &[_], batch: &[Arrival]| {
+        if !events.is_empty() {
+            engine
+                .apply_topology(events)
+                .expect("generated trace applies");
+        }
+        let mut merged = engine.drain_readmissions();
+        merged.extend(batch.iter().cloned());
+        engine.submit_batch(&merged)
+    };
+    for (events, batch) in faults.iter().zip(&stream) {
+        let rs = step(&mut seq, events, batch);
+        let rp = step(&mut par, events, batch);
+        let epoch = rs.epoch;
+        assert_eq!(report_bits(&rs), report_bits(&rp), "epoch {epoch} report");
+        let payments = |e: &Engine| -> Vec<u64> {
+            e.admissions().iter().map(|a| a.payment.to_bits()).collect()
+        };
+        assert_eq!(payments(&seq), payments(&par), "epoch {epoch} payments");
+        assert!(
+            seq.snapshot_bytes() == par.snapshot_bytes(),
+            "epoch {epoch} snapshot bytes diverged"
+        );
+    }
+    // The trace must reach what it is here for: charged winners and
+    // fault-driven evictions.
+    let metrics = seq.metrics();
+    assert!(metrics.revenue > 0.0, "no winner was charged");
+    assert!(metrics.evicted > 0, "the fault trace evicted nothing");
 }

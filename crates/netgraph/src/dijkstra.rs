@@ -198,23 +198,6 @@ impl Dijkstra {
         true
     }
 
-    /// Walk the shortest-path tree from `v` back to the source, calling
-    /// `visit` with each tree edge (target-to-source order). Returns
-    /// whether `v` was settled. This is path reconstruction without the
-    /// [`Path`] materialization — interest-index registration wants the
-    /// edges only.
-    pub fn for_each_path_edge<F: FnMut(EdgeId)>(&self, v: NodeId, mut visit: F) -> bool {
-        if self.settled[v.index()] != self.epoch {
-            return false;
-        }
-        let mut cur = v;
-        while self.parent_node[cur.index()] != NO_PARENT {
-            visit(EdgeId(self.parent_edge[cur.index()]));
-            cur = NodeId(self.parent_node[cur.index()]);
-        }
-        true
-    }
-
     /// Convenience single-pair query.
     pub fn shortest_path<F>(
         &mut self,
@@ -380,10 +363,6 @@ mod tests {
         for v in 0..4u32 {
             assert!(d.path_to_into(NodeId(v), &mut buf));
             assert_eq!(Some(buf.clone()), d.path_to(NodeId(v)));
-            let mut edges = Vec::new();
-            assert!(d.for_each_path_edge(NodeId(v), |e| edges.push(e)));
-            edges.reverse();
-            assert_eq!(edges, buf.edges());
         }
         // Unsettled target: report false, leave the buffer alone.
         let mut b2 = GraphBuilder::directed(3);
@@ -393,6 +372,5 @@ mod tests {
         let before = buf.clone();
         assert!(!d.path_to_into(NodeId(2), &mut buf));
         assert_eq!(before, buf);
-        assert!(!d.for_each_path_edge(NodeId(2), |_| {}));
     }
 }

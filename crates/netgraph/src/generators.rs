@@ -202,7 +202,7 @@ pub fn ring(n: usize, capacity: f64) -> Graph {
 }
 
 /// Complete directed graph on `n` vertices (both arc directions), uniform
-/// capacity. Used by stress tests.
+/// capacity.
 pub fn complete_digraph(n: usize, capacity: f64) -> Graph {
     assert!(n >= 2);
     let mut b = GraphBuilder::directed(n);

@@ -79,11 +79,6 @@ impl Graph {
         (0..self.num_nodes).map(NodeId)
     }
 
-    /// Iterator over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.edges.len() as u32).map(EdgeId)
-    }
-
     /// Outgoing adjacency of `v` (both directions for undirected graphs).
     #[inline(always)]
     pub fn neighbors(&self, v: NodeId) -> &[AdjEntry] {

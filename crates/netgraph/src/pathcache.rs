@@ -105,9 +105,9 @@ impl PathCache {
         self.present[s] = true;
     }
 
-    /// Store an owned path for `slot` (the grouped fan-out refresh path,
-    /// where workers hand back materialized paths). Equivalent to
-    /// filling the refresh buffer and committing.
+    /// Store an owned path for `slot` (a pricing pass seeding its
+    /// selector from a recorded run's answers). Equivalent to filling
+    /// the refresh buffer and committing.
     pub fn install(&mut self, slot: u32, dist: f64, path: Path) {
         self.paths[slot as usize] = Some(path);
         self.commit(slot, dist);
@@ -137,12 +137,6 @@ impl PathCache {
                 out.push(entry.slot);
             }
         }
-    }
-
-    /// Registered interest entries for `edge`, stale ones included
-    /// (diagnostics / tests).
-    pub fn interest_len(&self, edge: EdgeId) -> usize {
-        self.interest[edge.index()].len()
     }
 }
 

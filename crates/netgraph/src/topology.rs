@@ -255,18 +255,6 @@ impl Topology {
             .collect()
     }
 
-    /// Whether link `e` is up.
-    #[inline]
-    pub fn is_up(&self, e: EdgeId) -> bool {
-        self.up[e.index()]
-    }
-
-    /// Whether node `n` is drained for maintenance.
-    #[inline]
-    pub fn is_drained(&self, n: NodeId) -> bool {
-        self.drained[n.index()]
-    }
-
     /// Whether edge `e` accepts *new* admissions: link up and neither
     /// endpoint drained. (Existing flows on a drained node's edges keep
     /// their capacity — drain is graceful by design.)
@@ -276,22 +264,9 @@ impl Topology {
         self.up[e.index()] && !self.drained[src as usize] && !self.drained[dst as usize]
     }
 
-    /// Per-edge availability in edge-id order — ANDed into the epoch
-    /// usable mask by the admission engine.
-    pub fn availability(&self) -> Vec<bool> {
-        (0..self.capacity.len())
-            .map(|e| self.available(EdgeId(e as u32)))
-            .collect()
-    }
-
     /// Number of links currently down.
     pub fn links_down(&self) -> usize {
         self.up.iter().filter(|&&u| !u).count()
-    }
-
-    /// Number of nodes currently drained.
-    pub fn drained_nodes(&self) -> usize {
-        self.drained.iter().filter(|&&d| d).count()
     }
 
     /// True at version 0 with no state change (the common fast path:
@@ -337,6 +312,10 @@ mod tests {
         b.build()
     }
 
+    fn availability(t: &Topology) -> Vec<bool> {
+        (0..3).map(|e| t.available(EdgeId(e))).collect()
+    }
+
     #[test]
     fn pristine_overlay_mirrors_the_graph() {
         let g = triangle();
@@ -344,9 +323,8 @@ mod tests {
         assert!(t.is_pristine());
         assert_eq!(t.version(), 0);
         assert_eq!(t.effective_capacities(), vec![4.0, 8.0, 2.0]);
-        assert_eq!(t.availability(), vec![true; 3]);
+        assert_eq!(availability(&t), vec![true; 3]);
         assert_eq!(t.links_down(), 0);
-        assert_eq!(t.drained_nodes(), 0);
     }
 
     #[test]
@@ -364,10 +342,8 @@ mod tests {
         assert_eq!(t.version(), 3);
         assert_eq!(t.effective_capacity(EdgeId(0)), 0.0);
         assert_eq!(t.effective_capacity(EdgeId(1)), 3.5);
-        assert!(!t.is_up(EdgeId(0)));
-        assert!(t.is_drained(n(2)));
         // Edge 0 is down; edges 1 and 2 touch drained node 2.
-        assert_eq!(t.availability(), vec![false, false, false]);
+        assert_eq!(availability(&t), vec![false, false, false]);
         assert_eq!(t.links_down(), 1);
         t.apply(TopologyEvent::LinkUp { edge: EdgeId(0) }).unwrap();
         t.apply(TopologyEvent::UndrainNode { node: n(2) }).unwrap();
@@ -376,7 +352,7 @@ mod tests {
             4.0,
             "size survives down/up"
         );
-        assert_eq!(t.availability(), vec![true, true, true]);
+        assert_eq!(availability(&t), vec![true, true, true]);
         assert_eq!(t.events_since(3).len(), 2);
     }
 

@@ -306,12 +306,6 @@ impl Recorder {
         }
     }
 
-    /// Lock-free handle to counter `name` for high-frequency sites
-    /// (one map lock at acquisition, none per update). `None` when off.
-    pub fn counter_handle(&self, name: &str) -> Option<Arc<Counter>> {
-        self.core.as_ref().map(|c| c.registry.counter(name))
-    }
-
     /// Open an epoch bracket: snapshots the phase accumulators so
     /// [`Recorder::epoch_end`] can attribute activity to this epoch.
     pub fn epoch_begin(&self, epoch: u64) {
@@ -467,7 +461,6 @@ mod tests {
             observed_us: 1,
             threshold_us: 1,
         });
-        assert!(r.counter_handle("c").is_none());
         assert_eq!(r.spans_dropped(), 0);
         // Nothing observable exists: no registry, no snapshot.
         assert!(r.registry().is_none());

@@ -11,7 +11,7 @@
 //! | `selection.*`| `ufp_core`   | the incremental selection loop internals |
 //! | `payment.*`  | `ufp_engine` | one winner's exact critical-value pass   |
 //! | `shard.*`    | `ufp_shard`  | the sharded pipeline's own stages        |
-//! | `par.*`      | `ufp_par`    | pool fan-out and help-first stealing     |
+//! | `par.*`      | `ufp_par`    | pool fan-out (winners, shards)           |
 //! | `topology.*` | `ufp_engine` | one between-epochs topology repair pass  |
 //! | `repair.*`   | `ufp_engine` | eviction / re-admission inside a repair  |
 //! | `health.*`   | `ufp_engine` | out-of-band auction-health work          |
@@ -51,9 +51,12 @@ pub enum Phase {
     ShardMergeReplay,
     /// Cross-shard request routing against full global residuals.
     ShardCrossRoute,
-    /// One pool fan-out (`map`/`map_mut`/... dispatch + join).
+    /// One pool fan-out (`Pool::map` dispatch + join).
     ParDispatch,
-    /// One job executed by a waiter via help-first stealing.
+    /// No longer recorded: a `map` called from inside map work runs
+    /// inline, so no waiter ever runs a queued job. The variant stays only
+    /// because perfbench still reads it (its `par.steals` row, always
+    /// 0 now).
     ParSteal,
     /// One between-epochs topology repair pass (event application,
     /// violation scan, residual rebuild).

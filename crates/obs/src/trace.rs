@@ -67,7 +67,7 @@ pub struct EpochProfile {
 impl EpochProfile {
     /// Nanoseconds in the three `epoch.*` stages, which partition an
     /// engine epoch end to end — the profile coverage numerator.
-    pub fn epoch_stage_ns(&self) -> u64 {
+    fn epoch_stage_ns(&self) -> u64 {
         Phase::ALL
             .iter()
             .filter(|p| p.is_epoch_stage())

@@ -2,53 +2,45 @@
 //!
 //! A minimal data-parallel `map` over a **persistent** worker pool.
 //!
-//! The paper's Algorithm 1 runs, in every iteration, one shortest-path
-//! computation per remaining request ("for all r ∈ L … let p_r be the
-//! shortest path"). Those computations are independent, so the natural
-//! parallelization is a fan-out over requests with a deterministic
-//! reduction — but the fan-out happens *thousands of times per run*, so
-//! spawning scoped threads per call (the obvious `crossbeam::scope`
-//! pattern) pays thread-creation latency every iteration and can easily
-//! cost more than the work itself. This crate instead keeps one global
-//! set of workers alive (created lazily, sized to the hardware) and
-//! dispatches borrowed closures to them with a completion latch, the
-//! same architecture as rayon-core / scoped_threadpool:
+//! The mechanism's independent work sits above Algorithm 1, whose loop
+//! is sequential (each step's shortest paths depend on the weights the
+//! previous step raised): one critical-value pass per winner, and one
+//! run per shard of a sharded deployment. Those are the only two
+//! fan-outs, and each runs many times per process, so spawning scoped
+//! threads per call would pay thread creation every epoch. This crate
+//! instead keeps one global set of workers alive (created lazily, sized
+//! to the hardware) and dispatches borrowed closures to them with a
+//! completion latch, the same architecture as rayon-core /
+//! scoped_threadpool.
 //!
-//! * [`Pool::map_with`] — parallel indexed map with a **per-thread
-//!   workspace** (each worker owns one reusable Dijkstra scratch space),
-//!   dynamic chunked work distribution via an atomic cursor, and results
-//!   returned in input order regardless of scheduling.
-//! * [`Pool::map`] — the workspace-free convenience wrapper.
-//! * [`Pool::map_mut`] — parallel map over `&mut` items (one engine per
-//!   shard, each mutated by exactly one worker).
-//! * [`Pool::argmin_by_key`] — deterministic parallel argmin.
+//! [`Pool::map`] is a parallel indexed map: dynamic chunked work
+//! distribution via an atomic cursor, results returned in input order
+//! regardless of scheduling, so parallel and sequential execution
+//! produce identical results.
 //!
-//! Determinism: output is ordered by input index, so parallel and
-//! sequential execution produce identical results.
-//!
-//! **Nested dispatch is deadlock-free.** A job may itself call
-//! [`Pool::map`] (or any other combinator): every latch wait is
-//! *help-first* — a thread blocked on outstanding jobs keeps pulling
-//! queued jobs (its own sub-jobs included) and running them on its own
-//! stack, so the pool can never park all of its workers on latches whose
-//! jobs nobody is left to execute. This is the standard work-stealing
-//! discipline (rayon's `join` does the same), restricted to the one
-//! global FIFO this crate already has.
+//! **One level of parallelism.** The caller of a parallel map runs a
+//! share of the items itself, beside `threads − 1` jobs on the workers.
+//! Every worker thread is marked when it spawns, and the caller is
+//! marked while it runs its share; a [`Pool::map`] called on a marked
+//! thread runs inline. Jobs therefore never dispatch again and workers
+//! never wait on a latch, so nesting cannot deadlock, and once its
+//! share is done the caller's wait is a plain condvar wait.
 //!
 //! ## Safety
 //!
 //! Jobs sent to the long-lived workers are boxed closures whose borrows
 //! are *not* `'static`; the lifetime is erased with one `transmute`
-//! (see `dispatch`). This is sound because `map_with` blocks on a latch
+//! (see `dispatch`). This is sound because `map` blocks on a latch
 //! until every job has finished (or recorded a panic) before returning,
 //! so no borrow outlives the call — exactly the guarantee scoped threads
 //! provide, amortized over one thread spawn per process instead of one
 //! per call.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use ufp_obs::{Phase, Recorder};
 
@@ -68,11 +60,10 @@ fn obs_slot() -> &'static Mutex<Recorder> {
 }
 
 /// Install an observability recorder for pool internals (`par.dispatch`
-/// spans per fan-out, `par.steal` spans per helped job, the
-/// `par.queue_depth` gauge). The pool is a `Copy` handle over global
-/// workers, so the observer is process-global too; installing
-/// `Recorder::off()` (the initial state) silences it again. Purely
-/// observational — scheduling and results are unaffected.
+/// spans per fan-out, the `par.queue_depth` gauge). The pool is a
+/// `Copy` handle over global workers, so the observer is process-global
+/// too; installing `Recorder::off()` (the initial state) silences it
+/// again. Purely observational — scheduling and results are unaffected.
 pub fn set_recorder(recorder: Recorder) {
     let on = recorder.is_enabled();
     *obs_slot().lock() = recorder;
@@ -92,11 +83,14 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct GlobalPool {
     tx: Sender<Job>,
-    /// A receiving handle kept for **help-first waiting**: any thread
-    /// blocked on a latch pulls queued jobs and runs them itself (see
-    /// [`Latch::wait_helping`]).
-    rx: Receiver<Job>,
     workers: usize,
+}
+
+thread_local! {
+    /// Set while a thread runs map work — for good on the pool's
+    /// workers, and on a caller while it runs its own share — so a `map`
+    /// called from inside that work runs inline.
+    static IN_MAP: Cell<bool> = const { Cell::new(false) };
 }
 
 fn global_pool() -> &'static GlobalPool {
@@ -111,13 +105,14 @@ fn global_pool() -> &'static GlobalPool {
             std::thread::Builder::new()
                 .name(format!("ufp-par-{i}"))
                 .spawn(move || {
+                    IN_MAP.with(|m| m.set(true));
                     for job in rx.iter() {
                         job();
                     }
                 })
                 .expect("failed to spawn worker thread");
         }
-        GlobalPool { tx, rx, workers }
+        GlobalPool { tx, workers }
     })
 }
 
@@ -145,46 +140,12 @@ impl Latch {
         }
     }
 
-    /// Wait for every job counted by this latch, **helping** while
-    /// blocked: instead of parking unconditionally, the waiter drains
-    /// queued jobs from the global pool and executes them on its own
-    /// stack. This is what makes *nested* dispatch deadlock-free — a
-    /// worker that fans out a sub-map mid-job and waits on the inner
-    /// latch keeps executing queued jobs (its own sub-jobs included), so
-    /// the pool can never reach a state where every worker is parked on
-    /// a latch whose jobs nobody is left to run. (PR 2 worked around the
-    /// deadlock by forcing nested pools sequential; this lifts that.)
-    ///
-    /// The short timed wait covers the benign race where a job is
-    /// enqueued between `try_recv` and parking: the waiter re-polls the
-    /// queue instead of sleeping until a wakeup that may already have
-    /// been consumed by a sibling helper.
-    fn wait_helping(&self, rx: &Receiver<Job>, obs: &Recorder) {
-        loop {
-            match rx.try_recv() {
-                Ok(job) => {
-                    // Jobs are dispatch bodies that catch their own
-                    // panics (see `map_with`), so helping cannot unwind
-                    // into the waiter.
-                    let _steal = obs.span(Phase::ParSteal);
-                    job();
-                }
-                Err(_) => {
-                    let mut left = self.remaining.lock();
-                    if *left == 0 {
-                        return;
-                    }
-                    self.cv
-                        .wait_for(&mut left, std::time::Duration::from_millis(1));
-                    if *left == 0 {
-                        return;
-                    }
-                }
-            }
-            let left = self.remaining.lock();
-            if *left == 0 {
-                return;
-            }
+    /// Block until every job counted by this latch has finished. Only
+    /// callers wait (workers run nested maps inline).
+    fn wait(&self) {
+        let mut left = self.remaining.lock();
+        while *left > 0 {
+            self.cv.wait(&mut left);
         }
     }
 }
@@ -215,7 +176,7 @@ impl Pool {
     }
 
     /// Strictly sequential execution (useful for debugging and as the
-    /// baseline in the parallel-speedup experiment).
+    /// baseline parallel runs are checked against).
     pub fn sequential() -> Self {
         Pool { threads: 1 }
     }
@@ -225,29 +186,21 @@ impl Pool {
         self.threads
     }
 
-    /// Parallel indexed map with per-thread workspaces.
-    ///
-    /// `init()` runs once per participating worker to build its private
-    /// workspace `W` (e.g. a Dijkstra scratch space);
-    /// `f(&mut w, i, &items[i])` computes the result for item `i`. Work
-    /// is distributed dynamically in chunks, so uneven per-item cost
-    /// balances automatically. Results come back in input order.
-    pub fn map_with<T, U, W, I, F>(&self, items: &[T], init: I, f: F) -> Vec<U>
+    /// Parallel indexed map: `f(i, &items[i])` for every item, on the
+    /// calling thread and up to `threads − 1` workers. Work is
+    /// distributed dynamically in chunks, so uneven per-item cost
+    /// balances automatically. Results come back in input order. Called
+    /// from inside another map's work, it runs inline.
+    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
         U: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, usize, &T) -> U + Sync,
+        F: Fn(usize, &T) -> U + Sync,
     {
         let n = items.len();
-        let workers = self.threads.min(n.max(1)).min(global_pool().workers);
-        if workers <= 1 {
-            let mut w = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| f(&mut w, i, t))
-                .collect();
+        let shares = self.threads.min(n.max(1)).min(global_pool().workers);
+        if shares <= 1 || IN_MAP.with(Cell::get) {
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
 
         let obs = obs_recorder();
@@ -263,50 +216,48 @@ impl Pool {
 
         // Dynamic scheduling through an atomic cursor; 4x chunk
         // oversubscription balances uneven costs.
-        let chunk = (n / (workers * 4)).max(1);
+        let chunk = (n / (shares * 4)).max(1);
         let cursor = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
-        let latch = Arc::new(Latch::new(workers));
-
-        {
-            let cursor = &cursor;
-            let collected = &collected;
-            let init = &init;
-            let f = &f;
-            for _ in 0..workers {
-                let latch = Arc::clone(&latch);
-                let body = move || {
-                    // Catch panics so the latch always resolves; the
-                    // panic is surfaced to the caller below.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut workspace = init();
-                        let mut local: Vec<(usize, U)> = Vec::new();
-                        loop {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= n {
-                                break;
-                            }
-                            let end = (start + chunk).min(n);
-                            for (off, item) in items[start..end].iter().enumerate() {
-                                let i = start + off;
-                                local.push((i, f(&mut workspace, i, item)));
-                            }
-                        }
-                        if !local.is_empty() {
-                            collected.lock().append(&mut local);
-                        }
-                    }));
-                    if result.is_err() {
-                        latch.panicked.fetch_add(1, Ordering::SeqCst);
+        // One share: take chunks until the cursor runs out. Panics are
+        // caught so the latch always resolves; they resurface below.
+        let share = || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut local: Vec<(usize, U)> = Vec::new();
+                loop {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        break;
                     }
-                    latch.job_done();
-                };
-                dispatch(body);
-            }
+                    let end = (start + chunk).min(n);
+                    for (off, item) in items[start..end].iter().enumerate() {
+                        let i = start + off;
+                        local.push((i, f(i, item)));
+                    }
+                }
+                if !local.is_empty() {
+                    collected.lock().append(&mut local);
+                }
+            }))
+            .is_ok()
+        };
+        let latch = Arc::new(Latch::new(shares - 1));
+        for _ in 1..shares {
+            let latch = Arc::clone(&latch);
+            let share = &share;
+            dispatch(move || {
+                if !share() {
+                    latch.panicked.fetch_add(1, Ordering::SeqCst);
+                }
+                latch.job_done();
+            });
         }
-        latch.wait_helping(&global_pool().rx, &obs);
-        if latch.panicked.load(Ordering::SeqCst) > 0 {
-            panic!("worker thread panicked during Pool::map_with");
+        IN_MAP.with(|m| m.set(true));
+        let mine = share();
+        IN_MAP.with(|m| m.set(false));
+        latch.wait();
+        if !mine || latch.panicked.load(Ordering::SeqCst) > 0 {
+            panic!("a share of Pool::map panicked");
         }
 
         let mut pairs = collected.into_inner();
@@ -314,106 +265,13 @@ impl Pool {
         pairs.sort_unstable_by_key(|&(i, _)| i);
         pairs.into_iter().map(|(_, u)| u).collect()
     }
-
-    /// [`Pool::map_with`] that stays on the calling thread when `items`
-    /// is shorter than `floor`.
-    ///
-    /// The incremental selection loop's dirty-set refresh calls this
-    /// thousands of times per epoch with wildly varying batch sizes: a
-    /// winner whose path crosses a quiet edge dirties two or three
-    /// requests (dispatching those to workers costs more in latch
-    /// traffic than the Dijkstra work itself), while a winner on a
-    /// hotspot edge dirties hundreds (worth fanning out). Results are
-    /// identical either way — `map_with` already reduces in input order
-    /// — so the floor is purely a cost model, never a semantics switch.
-    pub fn map_with_floor<T, U, W, I, F>(&self, items: &[T], floor: usize, init: I, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, usize, &T) -> U + Sync,
-    {
-        if items.len() < floor {
-            let mut w = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| f(&mut w, i, t))
-                .collect();
-        }
-        self.map_with(items, init, f)
-    }
-
-    /// Parallel indexed map over **mutable** items: each item is handed
-    /// to exactly one invocation of `f` as `&mut T`, results return in
-    /// input order. This is the per-shard dispatch primitive — a sharded
-    /// engine runs one epoch per shard concurrently, each shard mutating
-    /// its own engine — and it composes with nested dispatch: `f` may
-    /// itself fan out on any [`Pool`] (see `Latch::wait_helping`).
-    pub fn map_mut<T, U, F>(&self, items: &mut [T], f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(usize, &mut T) -> U + Sync,
-    {
-        // Hand the base pointer to the workers; disjoint indices mean
-        // disjoint `&mut` borrows, and `map` completes before this frame
-        // returns, so no borrow outlives `items`.
-        struct BasePtr<T>(*mut T);
-        unsafe impl<T: Send> Sync for BasePtr<T> {}
-        let base = BasePtr(items.as_mut_ptr());
-        // Borrow the wrapper, not its field: closures capture disjoint
-        // fields in edition 2021, and the bare `*mut T` is not `Sync`.
-        let base = &base;
-        let indices: Vec<usize> = (0..items.len()).collect();
-        self.map(&indices, |_, &i| {
-            // SAFETY: every index appears exactly once in `indices`, so
-            // each `&mut` is unique; the latch in `map` keeps `items`
-            // borrowed until all jobs finish.
-            let item = unsafe { &mut *base.0.add(i) };
-            f(i, item)
-        })
-    }
-
-    /// Parallel indexed map without a per-thread workspace.
-    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        self.map_with(items, || (), |_, i, t| f(i, t))
-    }
-
-    /// Parallel argmin: the index and key minimizing `key(i, &items[i])`,
-    /// ties broken toward the smaller index (the deterministic tie-break
-    /// every solver in this workspace relies on). `None` on empty input.
-    pub fn argmin_by_key<T, K, F>(&self, items: &[T], key: F) -> Option<(usize, K)>
-    where
-        T: Sync,
-        K: PartialOrd + Send,
-        F: Fn(usize, &T) -> K + Sync,
-    {
-        let keys = self.map(items, &key);
-        let mut best: Option<(usize, K)> = None;
-        for (i, k) in keys.into_iter().enumerate() {
-            let better = match &best {
-                None => true,
-                Some((_, bk)) => k < *bk,
-            };
-            if better {
-                best = Some((i, k));
-            }
-        }
-        best
-    }
 }
 
 /// Send a borrowed closure to the global workers, erasing its lifetime.
 ///
 /// # Safety
 /// Callers must not return until the job has run to completion (enforced
-/// in `map_with` by `Latch::wait`), so the erased borrows stay valid for
+/// in `map` by `Latch::wait`), so the erased borrows stay valid for
 /// the job's whole execution.
 fn dispatch<'a, F: FnOnce() + Send + 'a>(job: F) {
     QUEUE_DEPTH.fetch_add(1, Ordering::Relaxed);
@@ -465,46 +323,11 @@ mod tests {
     }
 
     #[test]
-    fn map_with_reuses_workspace() {
-        // Count workspace initializations: at most `threads` per call.
-        let _serial = serial();
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..256).collect();
-        let pool = Pool::new(4);
-        let out = pool.map_with(
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                Vec::<u32>::new()
-            },
-            |w, _, &x| {
-                w.push(x);
-                x + 1
-            },
-        );
-        assert_eq!(out, (1..257).collect::<Vec<_>>());
-        assert!(inits.load(Ordering::SeqCst) <= 4);
-    }
-
-    #[test]
-    fn map_with_floor_matches_map_with() {
-        let _serial = serial();
-        let items: Vec<u64> = (0..100).collect();
-        let pool = Pool::new(4);
-        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        for floor in [0, 1, 50, 100, 101, usize::MAX] {
-            let got = pool.map_with_floor(&items, floor, || (), |_, _, &x| x * 3);
-            assert_eq!(got, expect, "floor={floor}");
-        }
-    }
-
-    #[test]
     fn empty_input() {
         let _serial = serial();
         let pool = Pool::new(4);
         let out: Vec<u32> = pool.map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
-        assert!(pool.argmin_by_key(&[] as &[u32], |_, &x| x).is_none());
     }
 
     #[test]
@@ -512,18 +335,6 @@ mod tests {
         let _serial = serial();
         let pool = Pool::new(8);
         assert_eq!(pool.map(&[5u32], |_, &x| x * 2), vec![10]);
-    }
-
-    #[test]
-    fn argmin_breaks_ties_toward_lower_index() {
-        let _serial = serial();
-        let items = vec![3.0f64, 1.0, 2.0, 1.0, 5.0];
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let (i, k) = pool.argmin_by_key(&items, |_, &x| x).unwrap();
-            assert_eq!(i, 1);
-            assert_eq!(k, 1.0);
-        }
     }
 
     #[test]
@@ -590,29 +401,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn map_mut_mutates_each_item_once() {
-        let _serial = serial();
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let mut items: Vec<u64> = (0..257).collect();
-            let out = pool.map_mut(&mut items, |i, x| {
-                *x += 1;
-                *x * i as u64
-            });
-            for (i, x) in items.iter().enumerate() {
-                assert_eq!(*x, i as u64 + 1, "threads={threads}");
-            }
-            let expect: Vec<u64> = (0..257u64).map(|i| (i + 1) * i).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    /// Regression test for the PR 2 nested-dispatch deadlock: a parallel
-    /// map whose jobs themselves fan out on parallel pools must complete.
-    /// Before help-first waiting, this configuration (outer jobs ≥
-    /// workers, every outer job blocking on an inner latch) wedged the
-    /// pool permanently.
+    /// A parallel map whose jobs themselves call parallel maps must
+    /// complete: outer jobs ≥ workers, each fanning out again, is the
+    /// shape that wedges a pool whose workers wait on inner latches.
     #[test]
     fn nested_dispatch_completes() {
         let _serial = serial();
@@ -641,25 +432,33 @@ mod tests {
         }
     }
 
-    /// Three levels of nesting with mutation at the leaves — the shape a
-    /// sharded engine produces (shards in parallel, each shard's epoch
-    /// fanning out shortest-path queries, payments fanning out below
-    /// that).
+    /// Three levels of nesting: a map inside a job returns in input
+    /// order and runs inline, so the whole tree costs one `par.dispatch`
+    /// (the outer one) and none when the host has a single worker.
     #[test]
-    fn deeply_nested_map_mut_completes() {
+    fn deeply_nested_map_completes() {
         let _serial = serial();
         let pool = Pool::auto();
-        let mut shards: Vec<Vec<u64>> = (0..8).map(|s| vec![s; 32]).collect();
-        let totals = pool.map_mut(&mut shards, |_, shard| {
-            let doubled = pool.map(shard, |_, &x| {
+        let shards: Vec<Vec<u64>> = (0..8).map(|s| vec![s; 32]).collect();
+        let r = ufp_obs::Recorder::enabled();
+        set_recorder(r.clone());
+        let totals = pool.map(&shards, |_, shard| {
+            let idx: Vec<usize> = (0..shard.len()).collect();
+            let doubled = pool.map(&idx, |i, &j| {
+                assert_eq!(i, j, "nested map out of input order");
+                let x = shard[j];
                 pool.map(&[x, x + 1], |_, &y| y).iter().sum::<u64>()
             });
-            shard.copy_from_slice(&doubled);
-            shard.iter().sum::<u64>()
+            assert!(doubled.iter().all(|&d| d == 2 * shard[0] + 1));
+            doubled.iter().sum::<u64>()
         });
+        set_recorder(ufp_obs::Recorder::off());
         for (s, t) in totals.iter().enumerate() {
             assert_eq!(*t, (2 * s as u64 + 1) * 32);
         }
+        let dispatches = r.snapshot().unwrap().phase_hits[Phase::ParDispatch.index()];
+        let expect = u64::from(pool.threads().min(global_pool().workers) > 1);
+        assert_eq!(dispatches, expect, "a nested map dispatched");
     }
 
     /// The installed recorder observes fan-outs without changing

@@ -15,7 +15,8 @@
 //! 3. **Lease**: each boundary edge's residual is cut into leases for
 //!    its two adjacent shards.
 //! 4. **Plan** every shard's sub-batch in parallel on the `ufp_par`
-//!    pool as a stateless traced [`bounded_ufp_epoch_traced`] run over
+//!    pool, one job per shard and sequential within it, as a stateless
+//!    traced [`bounded_ufp_epoch_traced`] run over
 //!    the *global* capacities/usable/carry plus the shard's `routable`
 //!    territory — so `B`, the guard threshold and the weight arithmetic
 //!    match a single global engine bit for bit.

@@ -96,11 +96,6 @@ impl LeaseLedger {
         }
     }
 
-    /// Last epoch's `(granted, used)` for shard `s`.
-    pub fn last_epoch(&self, s: usize) -> (f64, f64) {
-        (self.last_granted[s], self.last_used[s])
-    }
-
     /// Serializable state, flattened in a fixed field order (granted,
     /// used, last_granted, last_used per shard, then the epoch count).
     pub fn export(&self) -> (Vec<f64>, u64) {
@@ -141,7 +136,7 @@ mod tests {
         assert_eq!(l.epochs(), 2);
         assert_eq!(l.granted(0), 18.0);
         assert_eq!(l.used(0), 10.5);
-        assert_eq!(l.last_epoch(0), (8.0, 8.0));
+        assert_eq!((l.last_granted[0], l.last_used[0]), (8.0, 8.0));
         assert!((l.utilization(0) - 10.5 / 18.0).abs() < 1e-12);
         assert_eq!(l.utilization(1), 1.0);
     }

@@ -81,7 +81,7 @@ impl ShardPlan {
 
     /// Shard of node `v`.
     #[inline]
-    pub fn shard_of(&self, v: NodeId) -> u32 {
+    fn shard_of(&self, v: NodeId) -> u32 {
         self.node_shard[v.index()]
     }
 

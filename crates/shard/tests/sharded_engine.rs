@@ -13,7 +13,8 @@
 //! * unroutable cross-shard arrivals (disconnected communities) leave
 //!   the paid equivalence intact: both engines reject them identically;
 //! * general cross-shard traffic stays feasible, deterministic, and
-//!   respects the lease ledger;
+//!   respects the lease ledger, and a parallel pool (shards and winners
+//!   on pool workers) changes no report, payment or snapshot byte;
 //! * snapshots restore and continue in lockstep, and refuse a changed
 //!   shard layout;
 //! * the recorder sees one deployment: engine and residual gauges equal
@@ -28,6 +29,7 @@ use ufp_engine::{Arrival, Engine, EngineConfig, EngineEvent, EventLevel, Payment
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::Graph;
 use ufp_obs::{ObsSnapshot, Recorder};
+use ufp_par::Pool;
 use ufp_shard::{NodeBlocks, Partitioner, ShardConfig, ShardedEngine};
 use ufp_workloads::arrivals::ArrivalProcess;
 use ufp_workloads::sharded::{block_shard_map, sharded_arrival_trace, ShardedTraceConfig};
@@ -42,13 +44,33 @@ fn community_scenario(
     epochs: usize,
     seed: u64,
 ) -> (Arc<Graph>, Vec<u32>, Vec<Vec<Arrival>>) {
+    community_scenario_sized(
+        inter_edges,
+        cross_fraction,
+        epochs,
+        seed,
+        (60.0, 90.0),
+        30.0,
+    )
+}
+
+/// [`community_scenario`] with the edge capacity range and the mean
+/// arrivals per epoch given: small capacities under heavy traffic make
+/// epochs contended, so winners pay.
+fn community_scenario_sized(
+    inter_edges: usize,
+    cross_fraction: f64,
+    epochs: usize,
+    seed: u64,
+    capacity: (f64, f64),
+    mean: f64,
+) -> (Arc<Graph>, Vec<u32>, Vec<Vec<Arrival>>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let graph =
-        generators::community_digraph(4, 12, 60, inter_edges, (60.0, 90.0), (60.0, 90.0), &mut rng);
+    let graph = generators::community_digraph(4, 12, 60, inter_edges, capacity, capacity, &mut rng);
     let map = block_shard_map(graph.num_nodes(), 4);
     let cfg = ShardedTraceConfig {
         epochs,
-        process: ArrivalProcess::Poisson { mean: 30.0 },
+        process: ArrivalProcess::Poisson { mean },
         cross_fraction,
         hotspot_pairs: Some(3),
         ttl_range: Some((1, 3)),
@@ -421,6 +443,56 @@ fn cross_traffic_is_feasible_deterministic_and_leased() {
             "shard {s} over-used its lease"
         );
     }
+}
+
+/// A parallel pool changes nothing: 4 shards with cross traffic on
+/// `Pool::new(4)` (shard runs and pricing passes on pool workers)
+/// match `Pool::sequential()` after every epoch — report, every
+/// admission's payment bits, and `snapshot_bytes()`.
+#[test]
+fn parallel_pool_matches_sequential_with_cross_traffic() {
+    let (graph, _, trace) = community_scenario_sized(30, 0.3, 8, 42, (14.0, 18.0), 80.0);
+    let build = |pool: Pool| {
+        ShardedEngine::new(
+            Arc::clone(&graph),
+            NodeBlocks.partition(&graph, 4),
+            ShardConfig {
+                engine: engine_config(PaymentPolicy::critical_value()).parallel(pool),
+                lease_fraction: 0.6,
+            },
+        )
+    };
+    let (mut seq, mut par) = (build(Pool::sequential()), build(Pool::new(4)));
+    let payments = |e: &ShardedEngine| -> Vec<u64> {
+        e.admissions().iter().map(|a| a.payment.to_bits()).collect()
+    };
+    for batch in &trace {
+        let (rs, rp) = (seq.submit_batch(batch), par.submit_batch(batch));
+        let epoch = rs.epoch;
+        assert_eq!(
+            (rs.epoch, rs.accepted, rs.rejected, rs.released, rs.stop),
+            (rp.epoch, rp.accepted, rp.rejected, rp.released, rp.stop),
+            "epoch {epoch} report"
+        );
+        for (x, y) in [
+            (rs.value_admitted, rp.value_admitted),
+            (rs.revenue, rp.revenue),
+            (rs.min_residual, rp.min_residual),
+            (rs.total_utilization, rp.total_utilization),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "epoch {epoch} report: {x} vs {y}");
+        }
+        assert_eq!(payments(&seq), payments(&par), "epoch {epoch} payments");
+        assert!(
+            seq.snapshot_bytes() == par.snapshot_bytes(),
+            "epoch {epoch} snapshot bytes diverged"
+        );
+    }
+    assert!(seq.metrics().revenue > 0.0, "no winner was charged");
+    assert!(
+        seq.shard_stats()[4].admissions > 0,
+        "no cross-shard traffic was admitted"
+    );
 }
 
 #[test]

@@ -32,8 +32,8 @@ fn main() {
         instance.total_value()
     );
 
-    // Admission control via Algorithm 1, parallel shortest-path fan-out.
-    let config = BoundedUfpConfig::with_epsilon(eps).parallel(Pool::auto());
+    // Admission control via Algorithm 1.
+    let config = BoundedUfpConfig::with_epsilon(eps);
     let run = bounded_ufp(&instance, &config);
     run.solution
         .check_feasible(&instance, false)

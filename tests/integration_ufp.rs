@@ -180,18 +180,3 @@ fn stop_reasons_cover_the_three_regimes() {
     let run = bounded_ufp(&inst, &BoundedUfpConfig::with_epsilon(0.3));
     assert_eq!(run.trace.stop_reason, StopReason::NoPath);
 }
-
-#[test]
-fn parallel_pool_is_bit_identical_on_integration_workload() {
-    let inst = contended_instance(19, 0.35);
-    let seq = bounded_ufp(&inst, &BoundedUfpConfig::with_epsilon(0.35));
-    let par = bounded_ufp(
-        &inst,
-        &BoundedUfpConfig::with_epsilon(0.35).parallel(Pool::new(4)),
-    );
-    assert_eq!(seq.solution.routed.len(), par.solution.routed.len());
-    for (a, b) in seq.solution.routed.iter().zip(&par.solution.routed) {
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1.nodes(), b.1.nodes());
-    }
-}
