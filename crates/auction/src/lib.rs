@@ -20,6 +20,8 @@
 //! demands; the shared analysis is why [`bounded_muca()`] carries the same
 //! per-run dual certificate as the flow algorithm.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod bounded_muca;
 pub mod instance;

@@ -70,6 +70,8 @@
 //!     --process diurnal --churn 20,60 --payments critical --json
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,9 +90,7 @@ use ufp_netgraph::generators;
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_par::Pool;
-use ufp_shard::{
-    EdgeCut, HotspotPairs, NodeBlocks, Partitioner, ShardConfig, ShardStats, ShardedEngine,
-};
+use ufp_shard::{EdgeCut, NodeBlocks, Partitioner, ShardConfig, ShardStats, ShardedEngine};
 use ufp_workloads::arrivals::{arrival_trace, ArrivalProcess, ArrivalTraceConfig};
 use ufp_workloads::failures::{failure_trace, DrainWindow, FailureTraceConfig};
 use ufp_workloads::random_ufp::required_b;
@@ -802,24 +802,8 @@ fn main() -> ExitCode {
         let plan = match options.partitioner.as_str() {
             "blocks" => NodeBlocks.partition(&graph, options.shards),
             "edge-cut" => EdgeCut.partition(&graph, options.shards),
-            "hotspot" => {
-                // Seed territories from the trace's observed endpoint
-                // pairs, in order of first appearance.
-                let mut seen = std::collections::HashSet::new();
-                let mut pairs = Vec::new();
-                for a in trace.iter().flatten() {
-                    if seen.insert((a.request.src, a.request.dst)) {
-                        pairs.push((a.request.src, a.request.dst));
-                    }
-                }
-                if pairs.is_empty() {
-                    eprintln!("engine_sim: empty trace cannot seed the hotspot partitioner");
-                    return ExitCode::FAILURE;
-                }
-                HotspotPairs { pairs }.partition(&graph, options.shards)
-            }
             other => {
-                eprintln!("engine_sim: unknown partitioner {other} (blocks|edge-cut|hotspot)");
+                eprintln!("engine_sim: unknown partitioner {other} (blocks|edge-cut)");
                 return ExitCode::FAILURE;
             }
         };

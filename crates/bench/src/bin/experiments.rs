@@ -8,6 +8,8 @@
 //! experiments --list         # list experiment ids
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ufp_bench::{run_experiment, ALL_IDS};
 
 fn main() {

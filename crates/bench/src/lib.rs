@@ -14,7 +14,10 @@
 //! cargo run -p ufp-bench --release --bin experiments -- e2 e3
 //! ```
 //!
-//! Criterion timing benches (`cargo bench`) live in `benches/`.
+//! Timing is perfbench's job (the separate `perfbench/` workspace); this
+//! crate only checks and tabulates results.
+
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod table;

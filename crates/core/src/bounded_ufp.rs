@@ -83,8 +83,8 @@ impl BoundedUfpConfig {
     /// Same configuration driving the paper-literal loop: one
     /// shortest-path query per remaining request, every iteration. Its
     /// outputs are bit-identical to the incremental selector's; it
-    /// exists only as the reference the equivalence tests and
-    /// `selection_benches` compare against.
+    /// exists only as the reference the equivalence tests compare
+    /// against.
     #[doc(hidden)]
     pub fn fan_out_reference(mut self) -> Self {
         self.fan_out = true;

@@ -37,6 +37,8 @@
 //! resume, the winner masked out: its critical value is
 //! `min_t d_r·|p_r^t| / s_t` over that run's steps (see [`critical`]).
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod bounded_ufp;
 pub mod critical;

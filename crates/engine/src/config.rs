@@ -113,9 +113,9 @@ pub struct HealthConfig {
     /// Readmission age (epochs spent in the queue) at which a flow
     /// counts as starved (`0` = no starvation tracking).
     pub starvation_epochs: u64,
-    /// Rolling window (epochs) over which the eviction rate is averaged.
-    pub eviction_window: usize,
-    /// Evictions-per-epoch (averaged over the window) that trips an
+    /// Evictions per epoch, averaged over the last
+    /// [`EVICTION_WINDOW`](crate::health::EVICTION_WINDOW) epochs, that
+    /// trips an
     /// [`ufp_obs::HealthAlert::EvictionStorm`] (`0.0` = never).
     pub eviction_storm_threshold: f64,
 }
@@ -127,7 +127,6 @@ impl Default for HealthConfig {
             regret_epsilon: 0.05,
             slo_us: 0,
             starvation_epochs: 0,
-            eviction_window: 8,
             eviction_storm_threshold: 0.0,
         }
     }
@@ -148,11 +147,6 @@ impl HealthConfig {
             self.regret_epsilon > 0.0 && self.regret_epsilon <= 0.5,
             "regret_epsilon must lie in (0, 0.5], got {}",
             self.regret_epsilon
-        );
-        assert!(
-            self.eviction_window >= 1,
-            "eviction_window must be at least 1, got {}",
-            self.eviction_window
         );
         assert!(
             self.eviction_storm_threshold >= 0.0 && self.eviction_storm_threshold.is_finite(),
@@ -385,19 +379,6 @@ mod tests {
         let cfg = EngineConfig {
             health: HealthConfig {
                 regret_epsilon: 0.0,
-                ..HealthConfig::default()
-            },
-            ..Default::default()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "eviction_window")]
-    fn zero_eviction_window_rejected() {
-        let cfg = EngineConfig {
-            health: HealthConfig {
-                eviction_window: 0,
                 ..HealthConfig::default()
             },
             ..Default::default()

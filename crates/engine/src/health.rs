@@ -42,6 +42,9 @@ use crate::engine::Arrival;
 /// Packing-solver iteration cap for regret-oracle runs.
 pub const REGRET_MAX_ITERATIONS: usize = 200_000;
 
+/// Rolling window (epochs) over which the eviction rate is averaged.
+pub const EVICTION_WINDOW: usize = 8;
+
 /// Frozen inputs for one regret-oracle run, captured between plan and
 /// commit (clones only — the live epoch state is never shared with the
 /// oracle).
@@ -265,7 +268,7 @@ impl HealthState {
             let delta = evictions_total.saturating_sub(self.evictions_seen);
             self.evictions_seen = evictions_total;
             self.eviction_window.push_back(delta);
-            while self.eviction_window.len() > cfg.eviction_window.max(1) {
+            while self.eviction_window.len() > EVICTION_WINDOW {
                 self.eviction_window.pop_front();
             }
             let rate =
@@ -410,7 +413,6 @@ mod tests {
         let cfg = HealthConfig {
             slo_us: 100,
             starvation_epochs: 2,
-            eviction_window: 2,
             eviction_storm_threshold: 3.0,
             ..HealthConfig::default()
         };
@@ -450,6 +452,27 @@ mod tests {
         // Drain clears the ages.
         st.note_drain();
         assert!(st.readmit_enqueued.is_empty());
+
+        // Quiet epochs fill the window: the rate decays as the average
+        // over every epoch seen so far, and no further storm trips.
+        let last = EVICTION_WINDOW as u64 + 1;
+        for epoch in 4..=last {
+            st.epoch_tick(&cfg, &obs, epoch, 50, 8);
+        }
+        let rate = |obs: &Recorder| {
+            let snap = obs.snapshot().unwrap();
+            snap.gauges
+                .iter()
+                .find(|(name, _)| name == "health.eviction_rate")
+                .map(|(_, v)| *v)
+                .unwrap()
+        };
+        assert_eq!(rate(&obs), 8.0 / EVICTION_WINDOW as f64);
+        // One more quiet epoch pushes epoch 2's four evictions out.
+        st.epoch_tick(&cfg, &obs, last + 1, 50, 8);
+        assert_eq!(rate(&obs), 4.0 / EVICTION_WINDOW as f64);
+        let snap = obs.snapshot().unwrap();
+        assert_eq!(snap.alerts.len(), kinds.len(), "a quiet epoch alerted");
     }
 
     #[test]

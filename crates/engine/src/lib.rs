@@ -125,6 +125,8 @@
 //! whose topology fell behind the live one catches up through
 //! [`Engine::migrate_to`].
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod config;
 pub mod engine;

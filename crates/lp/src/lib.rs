@@ -17,6 +17,8 @@
 //! ratio computed elsewhere in the workspace is certified rather than
 //! assumed. [`duality`] provides the weak-duality checkers used in tests.
 
+#![forbid(unsafe_code)]
+
 pub mod dense;
 pub mod duality;
 pub mod mcf;

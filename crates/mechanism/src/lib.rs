@@ -13,6 +13,8 @@
 //!   UFP-specific joint (demand, value) misreport check with the paper's
 //!   exactness semantics.
 
+#![forbid(unsafe_code)]
+
 pub mod allocator;
 pub mod mechanism;
 pub mod payment;

@@ -32,6 +32,8 @@
 //! All node/edge handles are `u32` newtypes ([`NodeId`], [`EdgeId`]); dense
 //! `Vec` indexing everywhere, no hashing on the hot path.
 
+#![forbid(unsafe_code)]
+
 pub mod bellman;
 pub mod bfs;
 pub mod csr;

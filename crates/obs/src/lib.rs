@@ -20,6 +20,8 @@
 //! `crates/obs/README.md` for the full statement and the span
 //! taxonomy table.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod phase;
 pub mod registry;

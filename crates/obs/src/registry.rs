@@ -24,14 +24,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: bucket 0 for zero, buckets 1..=64 for
-/// each bit length, plus bucket 65 is *not* used — see [`bucket_index`].
+/// each bit length (see `bucket_index`).
 pub const BUCKETS: usize = 65;
 
 /// Bucket index for a recorded value: `0` for zero, else the bit
 /// length of `v` (so powers of two open a fresh bucket: `2^k` is the
 /// first value of bucket `k + 1`).
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -40,7 +40,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Smallest value that lands in bucket `i`.
-pub fn bucket_lower(i: usize) -> u64 {
+fn bucket_lower(i: usize) -> u64 {
     assert!(i < BUCKETS);
     if i == 0 {
         0
@@ -50,7 +50,7 @@ pub fn bucket_lower(i: usize) -> u64 {
 }
 
 /// Largest value that lands in bucket `i`.
-pub fn bucket_upper(i: usize) -> u64 {
+fn bucket_upper(i: usize) -> u64 {
     assert!(i < BUCKETS);
     match i {
         0 => 0,

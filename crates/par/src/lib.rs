@@ -11,7 +11,9 @@
 //! instead keeps one global set of workers alive (created lazily, sized
 //! to the hardware) and dispatches borrowed closures to them with a
 //! completion latch, the same architecture as rayon-core /
-//! scoped_threadpool.
+//! scoped_threadpool. Everything is built on `std::sync`: the job queue
+//! is a `Mutex<VecDeque>` with a `Condvar`, and no job runs while any of
+//! this crate's locks is held, so a panicking job cannot poison one.
 //!
 //! [`Pool::map`] is a parallel indexed map: dynamic chunked work
 //! distribution via an atomic cursor, results returned in input order
@@ -30,18 +32,19 @@
 //!
 //! Jobs sent to the long-lived workers are boxed closures whose borrows
 //! are *not* `'static`; the lifetime is erased with one `transmute`
-//! (see `dispatch`). This is sound because `map` blocks on a latch
-//! until every job has finished (or recorded a panic) before returning,
-//! so no borrow outlives the call — exactly the guarantee scoped threads
-//! provide, amortized over one thread spawn per process instead of one
-//! per call.
+//! (see `dispatch`, the only `unsafe` in the workspace). This is sound
+//! because `map` blocks on a latch until every job has finished (or
+//! recorded a panic) before returning, so no borrow outlives the call —
+//! exactly the guarantee scoped threads provide, amortized over one
+//! thread spawn per process instead of one per call.
+
+#![deny(unsafe_code)]
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
 use ufp_obs::{Phase, Recorder};
 
 /// Jobs currently enqueued (or started but not yet decremented) on the
@@ -66,7 +69,7 @@ fn obs_slot() -> &'static Mutex<Recorder> {
 /// again. Purely observational — scheduling and results are unaffected.
 pub fn set_recorder(recorder: Recorder) {
     let on = recorder.is_enabled();
-    *obs_slot().lock() = recorder;
+    *obs_slot().lock().unwrap() = recorder;
     OBS_ENABLED.store(on, Ordering::Release);
 }
 
@@ -74,17 +77,18 @@ fn obs_recorder() -> Recorder {
     if !OBS_ENABLED.load(Ordering::Acquire) {
         return Recorder::off();
     }
-    obs_slot().lock().clone()
+    obs_slot().lock().unwrap().clone()
 }
 
 /// A type-erased unit of work with its lifetime erased to `'static`
 /// (see module-level safety note).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct GlobalPool {
-    tx: Sender<Job>,
-    workers: usize,
-}
+/// The global job queue. Workers pop from the front under the lock and
+/// run the job after releasing it. Nothing ever closes the queue: the
+/// workers live as long as the process.
+static JOBS: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
+static JOB_READY: Condvar = Condvar::new();
 
 thread_local! {
     /// Set while a thread runs map work — for good on the pool's
@@ -93,26 +97,31 @@ thread_local! {
     static IN_MAP: Cell<bool> = const { Cell::new(false) };
 }
 
-fn global_pool() -> &'static GlobalPool {
-    static POOL: OnceLock<GlobalPool> = OnceLock::new();
-    POOL.get_or_init(|| {
+/// Number of global workers, spawning them on first use.
+fn workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let (tx, rx) = unbounded::<Job>();
         for i in 0..workers {
-            let rx = rx.clone();
             std::thread::Builder::new()
                 .name(format!("ufp-par-{i}"))
-                .spawn(move || {
+                .spawn(|| {
                     IN_MAP.with(|m| m.set(true));
-                    for job in rx.iter() {
-                        job();
+                    loop {
+                        let job = JOB_READY
+                            .wait_while(JOBS.lock().unwrap(), |q| q.is_empty())
+                            .unwrap()
+                            .pop_front();
+                        if let Some(job) = job {
+                            job();
+                        }
                     }
                 })
                 .expect("failed to spawn worker thread");
         }
-        GlobalPool { tx, workers }
+        workers
     })
 }
 
@@ -133,7 +142,7 @@ impl Latch {
     }
 
     fn job_done(&self) {
-        let mut left = self.remaining.lock();
+        let mut left = self.remaining.lock().unwrap();
         *left -= 1;
         if *left == 0 {
             self.cv.notify_all();
@@ -143,10 +152,8 @@ impl Latch {
     /// Block until every job counted by this latch has finished. Only
     /// callers wait (workers run nested maps inline).
     fn wait(&self) {
-        let mut left = self.remaining.lock();
-        while *left > 0 {
-            self.cv.wait(&mut left);
-        }
+        let left = self.remaining.lock().unwrap();
+        drop(self.cv.wait_while(left, |left| *left > 0).unwrap());
     }
 }
 
@@ -198,7 +205,7 @@ impl Pool {
         F: Fn(usize, &T) -> U + Sync,
     {
         let n = items.len();
-        let shares = self.threads.min(n.max(1)).min(global_pool().workers);
+        let shares = self.threads.min(n.max(1)).min(workers());
         if shares <= 1 || IN_MAP.with(Cell::get) {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
@@ -236,7 +243,7 @@ impl Pool {
                     }
                 }
                 if !local.is_empty() {
-                    collected.lock().append(&mut local);
+                    collected.lock().unwrap().append(&mut local);
                 }
             }))
             .is_ok()
@@ -260,7 +267,7 @@ impl Pool {
             panic!("a share of Pool::map panicked");
         }
 
-        let mut pairs = collected.into_inner();
+        let mut pairs = collected.into_inner().unwrap();
         debug_assert_eq!(pairs.len(), n);
         pairs.sort_unstable_by_key(|&(i, _)| i);
         pairs.into_iter().map(|(_, u)| u).collect()
@@ -273,6 +280,7 @@ impl Pool {
 /// Callers must not return until the job has run to completion (enforced
 /// in `map` by `Latch::wait`), so the erased borrows stay valid for
 /// the job's whole execution.
+#[allow(unsafe_code)]
 fn dispatch<'a, F: FnOnce() + Send + 'a>(job: F) {
     QUEUE_DEPTH.fetch_add(1, Ordering::Relaxed);
     let job = move || {
@@ -283,10 +291,8 @@ fn dispatch<'a, F: FnOnce() + Send + 'a>(job: F) {
     // SAFETY: see function docs — completion is awaited before any
     // borrow captured by `job` can expire.
     let boxed: Job = unsafe { std::mem::transmute(boxed) };
-    global_pool()
-        .tx
-        .send(boxed)
-        .expect("global worker pool disconnected");
+    JOBS.lock().unwrap().push_back(boxed);
+    JOB_READY.notify_one();
 }
 
 impl Default for Pool {
@@ -432,6 +438,47 @@ mod tests {
         }
     }
 
+    /// Maps issued at the same time from several threads share the one
+    /// global queue; every one must complete with its results in input
+    /// order. A lost wakeup or a job run against the wrong latch shows
+    /// as a hang (bounded below) or as a wrong result.
+    #[test]
+    fn concurrent_callers_share_the_pool() {
+        let _serial = serial();
+        const CALLERS: u64 = 4;
+        const MAPS: u64 = 200;
+        let pool = Pool::new(4);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handles: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for m in 0..MAPS {
+                        let items: Vec<u64> =
+                            (0..97).map(|i| c * 1_000_000 + m * 1_000 + i).collect();
+                        let got = pool.map(&items, |i, &x| (i, x + 1));
+                        for (i, (j, y)) in got.into_iter().enumerate() {
+                            assert_eq!((j, y), (i, items[i] + 1), "caller {c} map {m}");
+                        }
+                    }
+                    tx.send(c).unwrap();
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut done: Vec<u64> = (0..CALLERS)
+            .map(|_| {
+                rx.recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("a caller thread deadlocked or panicked")
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        done.sort_unstable();
+        assert_eq!(done, (0..CALLERS).collect::<Vec<_>>());
+    }
+
     /// Three levels of nesting: a map inside a job returns in input
     /// order and runs inline, so the whole tree costs one `par.dispatch`
     /// (the outer one) and none when the host has a single worker.
@@ -457,7 +504,7 @@ mod tests {
             assert_eq!(*t, (2 * s as u64 + 1) * 32);
         }
         let dispatches = r.snapshot().unwrap().phase_hits[Phase::ParDispatch.index()];
-        let expect = u64::from(pool.threads().min(global_pool().workers) > 1);
+        let expect = u64::from(pool.threads().min(workers()) > 1);
         assert_eq!(dispatches, expect, "a nested map dispatched");
     }
 
@@ -477,7 +524,7 @@ mod tests {
         set_recorder(ufp_obs::Recorder::off());
         assert_eq!(got, expect);
         let snap = r.snapshot().unwrap();
-        if global_pool().workers > 1 {
+        if workers() > 1 {
             assert!(snap.phase_hits[Phase::ParDispatch.index()] >= 1);
             assert!(snap.gauges.iter().any(|(n, _)| n == "par.queue_depth"));
         }

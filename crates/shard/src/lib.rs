@@ -28,8 +28,8 @@
 //! ## The three mechanisms
 //!
 //! **Partition** ([`partition`]): a [`Partitioner`] assigns nodes to
-//! shards ([`NodeBlocks`], [`EdgeCut`], [`HotspotPairs`]); edges are
-//! *interior* to a shard or *boundary* between two. Requests local to a
+//! shards ([`NodeBlocks`], [`EdgeCut`]); edges are *interior* to a
+//! shard or *boundary* between two. Requests local to a
 //! shard are its traffic; spanning requests go to the cross-shard pass.
 //!
 //! **Leases** ([`ledger`]): each epoch, every boundary edge's global
@@ -72,6 +72,8 @@
 //! are still priced against the globally merged trace, and the whole
 //! run is deterministic and replayable.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod ledger;
 pub mod partition;
@@ -79,4 +81,4 @@ pub mod snapshot;
 
 pub use engine::{ShardConfig, ShardStats, ShardedEngine};
 pub use ledger::LeaseLedger;
-pub use partition::{EdgeCut, EdgeOwner, HotspotPairs, NodeBlocks, Partitioner, ShardPlan};
+pub use partition::{EdgeCut, EdgeOwner, NodeBlocks, Partitioner, ShardPlan};

@@ -232,46 +232,6 @@ impl Partitioner for EdgeCut {
     }
 }
 
-/// Hotspot-pair partitioner: the workload's known hotspot pairs are
-/// dealt round-robin to shards, their endpoints seed the territories,
-/// and regions grow by balanced BFS — so each shard owns the
-/// neighborhoods its own hotspot traffic actually routes through.
-#[derive(Clone, Debug)]
-pub struct HotspotPairs {
-    /// The hotspot `(src, dst)` pairs, in workload order.
-    pub pairs: Vec<(NodeId, NodeId)>,
-}
-
-impl Partitioner for HotspotPairs {
-    fn partition(&self, graph: &Graph, shards: usize) -> ShardPlan {
-        assert!(
-            !self.pairs.is_empty(),
-            "hotspot partitioner needs at least one pair"
-        );
-        let n = graph.num_nodes();
-        assert!(n >= shards, "need at least one node per shard");
-        let mut seeds = Vec::with_capacity(self.pairs.len() * 2);
-        for (i, &(s, t)) in self.pairs.iter().enumerate() {
-            let shard = (i % shards) as u32;
-            seeds.push((s.0, shard));
-            seeds.push((t.0, shard));
-        }
-        // Guarantee every shard at least one seed even with fewer pairs
-        // than shards.
-        for s in 0..shards as u32 {
-            if !seeds.iter().any(|&(_, x)| x == s) {
-                seeds.push((((s as usize * n) / shards) as u32, s));
-            }
-        }
-        let node_shard = grow_regions(graph, &seeds, shards);
-        ShardPlan::from_node_shard(graph, node_shard, shards)
-    }
-
-    fn name(&self) -> &'static str {
-        "hotspot"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,26 +277,6 @@ mod tests {
         assert_eq!(plan.shard_of(n(1)), s0);
         assert_eq!(plan.shard_of(n(2)), s0);
         assert_ne!(plan.shard_of(n(3)), s0);
-    }
-
-    #[test]
-    fn hotspot_partitioner_seeds_territories() {
-        let g = two_cliques();
-        let plan = HotspotPairs {
-            pairs: vec![(n(0), n(1)), (n(4), n(5))],
-        }
-        .partition(&g, 2);
-        assert_eq!(plan.shard_of(n(0)), 0);
-        assert_eq!(plan.shard_of(n(4)), 1);
-        assert_eq!(plan.boundary_edges().len(), 1);
-        assert_eq!(
-            plan.request_shard(&Request::new(n(0), n(2), 0.5, 1.0)),
-            Some(0)
-        );
-        assert_eq!(
-            plan.request_shard(&Request::new(n(0), n(4), 0.5, 1.0)),
-            None
-        );
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! All generators are deterministic functions of their seed, so every
 //! number in EXPERIMENTS.md is reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod auctions;
 pub(crate) mod endpoints;

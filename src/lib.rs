@@ -44,13 +44,15 @@
 //! |---|---|
 //! | [`ufp_netgraph`] | capacitated graphs, Dijkstra, path enumeration, generators, residual views |
 //! | [`ufp_lp`] | exact simplex + Garg–Könemann fractional solvers (certified bounds) |
-//! | [`ufp_par`] | crossbeam-based parallel map with per-thread workspaces |
+//! | [`ufp_par`] | input-order parallel map over a persistent `std::sync` worker pool |
 //! | [`ufp_core`] | Algorithms 1 & 3, the reasonable-algorithm engine, baselines |
 //! | [`ufp_auction`] | Algorithm 2 and the auction substrate |
 //! | [`ufp_mechanism`] | critical-value payments and truthfulness verification |
 //! | [`ufp_workloads`] | Figure 2/3/4 constructions, random workloads, arrival traces |
 //! | [`ufp_engine`] | streaming admission-control engine (epochs, residual capacities, payments, metrics) |
 //! | [`ufp_shard`] | sharded engine: one engine book, parallel shard planners, capacity leases, global-guard merge |
+
+#![forbid(unsafe_code)]
 
 pub use ufp_auction;
 pub use ufp_core;
