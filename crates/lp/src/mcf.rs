@@ -7,13 +7,23 @@
 //! realizing `Σ_{s∈S_r} x_s ≤ 1`). The oracle that finds the most-violated
 //! dual constraint is a shortest-path query per commodity — the same
 //! structural fact Algorithm 1 exploits.
+//!
+//! The oracle also borrows Algorithm 1's incremental machinery. One
+//! Garg–Könemann step raises the weights of a single column's edges, so
+//! the oracle caches one `(distance, path)` per route class (distinct
+//! `(src, dst)`) and re-queries only the classes whose cached path
+//! crosses an edge that rose; a renormalization of the weights flushes
+//! every class. The cached answers are bit-exact by the argument of
+//! Invariant 2 in `crates/core/README.md`, so the solve is the one a
+//! full re-query per call would give, at about one Dijkstra per step.
 
 use std::cell::RefCell;
 
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::graph::Graph;
-use ufp_netgraph::ids::NodeId;
+use ufp_netgraph::ids::{EdgeId, NodeId};
 use ufp_netgraph::path::Path;
+use ufp_netgraph::pathcache::PathCache;
 
 use crate::duality::weak_duality_gap;
 use crate::packing::{solve_packing, Column, ColumnOracle, PackingConfig, PackingSolution};
@@ -73,6 +83,28 @@ pub struct FracUfpSolution {
     pub duals: Vec<f64>,
 }
 
+/// The Dijkstra oracle of the packing solve, with one cached answer per
+/// route class.
+///
+/// A route class is a distinct `(src, dst)` pair. Each keeps its last
+/// `(distance, path)` in a [`PathCache`], whose interest index maps an
+/// edge to the classes whose cached paths cross it. Between two calls the
+/// solver raises `y` only on the previous column's rows, multiplying by
+/// `exp(·) ≥ 1`, so the oracle diffs `y` against its own weight copy:
+///
+/// * an edge whose weight **rose** dirties exactly the classes whose
+///   cached path crosses it;
+/// * an edge whose weight **fell** (or is NaN) means the solver
+///   renormalized `y`, and every class is flushed;
+/// * a class with no usable path stays pathless, because the `alive`
+///   mask is fixed for the whole solve.
+///
+/// Only dirty classes are re-queried, one `Targets::Set` run per source.
+/// An untouched cached answer is bit-exact, the distance *and* the path
+/// a fresh query would return, by the argument of Invariant 2 in
+/// `crates/core/README.md`: Dijkstra pops by `(distance, node-id)`, the
+/// weights never decrease between flushes, and a targeted query settles
+/// the same nodes in the same order as a `Set` query up to its target.
 struct UfpOracle<'a> {
     graph: &'a Graph,
     /// Per-edge capacities (the oracle's `b_e`); may differ from the
@@ -85,15 +117,32 @@ struct UfpOracle<'a> {
     row_of_edge: Vec<usize>,
     /// Edge index per dense edge row (inverse of `row_of_edge`).
     edge_of_row: Vec<usize>,
-    /// Commodity indices grouped by source vertex: one Dijkstra per
-    /// distinct source per oracle call instead of one per commodity.
-    by_source: Vec<(NodeId, Vec<usize>)>,
-    // Interior mutability: the oracle trait takes &self, but we reuse one
-    // Dijkstra workspace, a per-edge weight scratch, and accumulate
-    // discovered paths for tag lookup.
-    dijkstra: RefCell<Dijkstra>,
-    weights: RefCell<Vec<f64>>,
-    paths: RefCell<Vec<(usize, Path)>>,
+    /// `(commodity, class)` in argmin scan order: by `(src, r)`.
+    scan: Vec<(usize, u32)>,
+    /// Target vertex per route class.
+    class_dst: Vec<NodeId>,
+    /// Route classes grouped by source vertex, so dirty classes that
+    /// share a source share one Dijkstra run.
+    by_source: Vec<(NodeId, Vec<u32>)>,
+    // Interior mutability: the oracle trait takes &self.
+    state: RefCell<OracleState>,
+}
+
+/// The oracle's mutable half: the class cache, the weights it answers
+/// for, and the paths handed out as columns (for tag lookup).
+struct OracleState {
+    dijkstra: Dijkstra,
+    /// Per-edge copy of `y` as of the last call; dead edges keep ∞ and
+    /// are filtered out by the `alive` mask anyway.
+    weights: Vec<f64>,
+    cache: PathCache,
+    dirty: Vec<bool>,
+    pathless: Vec<bool>,
+    /// Scratch: classes drained from the interest index.
+    drained: Vec<u32>,
+    /// Scratch: one source's dirty targets.
+    targets: Vec<NodeId>,
+    paths: Vec<(usize, Path)>,
 }
 
 impl<'a> UfpOracle<'a> {
@@ -107,26 +156,115 @@ impl<'a> UfpOracle<'a> {
                 edge_of_row.push(e);
             }
         }
-        let mut by_source: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        let mut order: Vec<usize> = (0..commodities.len()).collect();
-        order.sort_unstable_by_key(|&r| (commodities[r].src, r));
-        for r in order {
-            let src = commodities[r].src;
+        let mut pairs: Vec<(NodeId, NodeId)> = commodities.iter().map(|c| (c.src, c.dst)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut by_source: Vec<(NodeId, Vec<u32>)> = Vec::new();
+        for (class, &(src, _)) in pairs.iter().enumerate() {
             match by_source.last_mut() {
-                Some((s, members)) if *s == src => members.push(r),
-                _ => by_source.push((src, vec![r])),
+                Some((s, classes)) if *s == src => classes.push(class as u32),
+                _ => by_source.push((src, vec![class as u32])),
             }
         }
+        let mut scan: Vec<(usize, u32)> = commodities
+            .iter()
+            .enumerate()
+            .map(|(r, c)| {
+                let class = pairs
+                    .binary_search(&(c.src, c.dst))
+                    .expect("every pair has a class");
+                (r, class as u32)
+            })
+            .collect();
+        scan.sort_unstable_by_key(|&(r, _)| (commodities[r].src, r));
+        let classes = pairs.len();
         UfpOracle {
             graph,
             capacities,
             commodities,
             row_of_edge,
             edge_of_row,
+            scan,
+            class_dst: pairs.iter().map(|&(_, dst)| dst).collect(),
             by_source,
-            dijkstra: RefCell::new(Dijkstra::new(graph.num_nodes())),
-            weights: RefCell::new(vec![f64::INFINITY; graph.num_edges()]),
-            paths: RefCell::new(Vec::new()),
+            state: RefCell::new(OracleState {
+                dijkstra: Dijkstra::new(graph.num_nodes()),
+                weights: vec![f64::INFINITY; graph.num_edges()],
+                cache: PathCache::new(classes, graph.num_edges()),
+                dirty: vec![true; classes],
+                pathless: vec![false; classes],
+                drained: Vec::new(),
+                targets: Vec::new(),
+                paths: Vec::new(),
+            }),
+        }
+    }
+
+    /// Copy `y`'s edge rows into the weight copy, dirtying the classes
+    /// whose cached paths cross an edge that rose, or every class with a
+    /// path when any edge changed without rising (a renormalization).
+    /// Every class starts dirty, so the first call queries them all.
+    fn sync_weights(&self, st: &mut OracleState, y: &[f64]) {
+        let mut flush = false;
+        for (row, &e) in self.edge_of_row.iter().enumerate() {
+            let (new, old) = (y[row], st.weights[e]);
+            if new > old {
+                st.cache.drain_interested(EdgeId(e as u32), &mut st.drained);
+            } else if new != old {
+                flush = true;
+            }
+            st.weights[e] = new;
+        }
+        if flush {
+            for (dirty, &pathless) in st.dirty.iter_mut().zip(&st.pathless) {
+                *dirty = !pathless;
+            }
+        } else {
+            for &class in &st.drained {
+                st.dirty[class as usize] = true;
+            }
+        }
+        st.drained.clear();
+    }
+
+    /// Re-query every dirty class: one `Set` run per source that has
+    /// any, committing each answer to the cache.
+    fn refresh_dirty(&self, st: &mut OracleState) {
+        let alive = |e: EdgeId| self.row_of_edge[e.index()] != usize::MAX;
+        for (src, classes) in &self.by_source {
+            st.targets.clear();
+            st.targets.extend(
+                classes
+                    .iter()
+                    .filter(|&&k| st.dirty[k as usize])
+                    .map(|&k| self.class_dst[k as usize]),
+            );
+            if st.targets.is_empty() {
+                continue;
+            }
+            st.dijkstra.run(
+                self.graph,
+                &st.weights,
+                *src,
+                Targets::Set(&st.targets),
+                alive,
+            );
+            for &k in classes {
+                if !std::mem::take(&mut st.dirty[k as usize]) {
+                    continue;
+                }
+                let dst = self.class_dst[k as usize];
+                match st.dijkstra.distance(dst) {
+                    Some(dist) => {
+                        st.dijkstra.path_to_into(dst, st.cache.refresh_buffer(k));
+                        st.cache.commit(k, dist);
+                    }
+                    None => {
+                        st.cache.evict(k);
+                        st.pathless[k as usize] = true;
+                    }
+                }
+            }
         }
     }
 }
@@ -147,53 +285,36 @@ impl<'a> ColumnOracle for UfpOracle<'a> {
 
     fn best_column(&self, y: &[f64]) -> Option<Column> {
         let nu = self.edge_of_row.len();
-        // Scatter the dense edge-row weights back to per-edge indices
-        // for Dijkstra; dead edges keep ∞ and are filtered out anyway.
-        let mut weights = self.weights.borrow_mut();
-        for (row, &e) in self.edge_of_row.iter().enumerate() {
-            weights[e] = y[row];
-        }
-        let alive = |e: ufp_netgraph::ids::EdgeId| self.row_of_edge[e.index()] != usize::MAX;
-        let mut dij = self.dijkstra.borrow_mut();
-        let mut best: Option<(f64, usize)> = None;
-        // One shortest-path tree per distinct source covers all of its
-        // commodities.
-        for (src, members) in &self.by_source {
-            let targets: Vec<NodeId> = members.iter().map(|&r| self.commodities[r].dst).collect();
-            dij.run(self.graph, &weights, *src, Targets::Set(&targets), alive);
-            for &r in members {
-                let c = &self.commodities[r];
-                let Some(dist) = dij.distance(c.dst) else {
-                    continue;
-                };
-                // Ratio of the (request, path) column: (d_r·|p| + z_r)/v_r.
-                let ratio = (c.demand * dist + y[nu + r]) / c.value;
-                let better = match &best {
-                    None => true,
-                    Some((b, _)) => ratio < *b,
-                };
-                if better {
-                    best = Some((ratio, r));
-                }
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
+        self.sync_weights(st, y);
+        self.refresh_dirty(st);
+        let mut best: Option<(f64, usize, &Path)> = None;
+        for &(r, class) in &self.scan {
+            let Some((dist, path)) = st.cache.get(class) else {
+                continue;
+            };
+            let c = &self.commodities[r];
+            // Ratio of the (request, path) column: (d_r·|p| + z_r)/v_r.
+            let ratio = (c.demand * dist + y[nu + r]) / c.value;
+            let better = match &best {
+                None => true,
+                Some((b, _, _)) => ratio < *b,
+            };
+            if better {
+                best = Some((ratio, r, path));
             }
         }
-        let (_, r) = best?;
-        // Re-run the winner's source to extract its path (the workspace
-        // was clobbered by later groups).
+        let (_, r, path) = best?;
         let c = &self.commodities[r];
-        let path = dij
-            .shortest_path(self.graph, &weights, c.src, c.dst, alive)
-            .expect("winner was reachable a moment ago")
-            .path;
         let mut entries: Vec<(usize, f64)> = path
             .edges()
             .iter()
             .map(|e| (self.row_of_edge[e.index()], c.demand))
             .collect();
         entries.push((nu + r, 1.0));
-        let mut paths = self.paths.borrow_mut();
-        let tag = paths.len() as u64;
-        paths.push((r, path));
+        let tag = st.paths.len() as u64;
+        st.paths.push((r, path.clone()));
         Some(Column {
             value: c.value,
             entries,
@@ -254,7 +375,7 @@ pub fn solve_fractional_ufp_with_caps(
         full[m..].copy_from_slice(&sol.duals[nu..]);
         full
     };
-    let paths = oracle.paths.into_inner();
+    let paths = oracle.state.into_inner().paths;
     let flows = sol
         .columns
         .into_iter()

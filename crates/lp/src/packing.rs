@@ -103,9 +103,14 @@ impl PackingSolution {
 pub fn solve_packing<O: ColumnOracle>(oracle: &O, config: PackingConfig) -> PackingSolution {
     let rows = oracle.num_rows();
     let eps = config.epsilon.clamp(1e-4, 0.5);
-    let mut y: Vec<f64> = (0..rows).map(|i| 1.0 / oracle.row_limit(i)).collect();
+    let limits: Vec<f64> = (0..rows).map(|i| oracle.row_limit(i)).collect();
+    let mut y: Vec<f64> = limits.iter().map(|&b| 1.0 / b).collect();
     let mut raw: Vec<(Column, f64)> = Vec::new();
     let mut loads = vec![0.0f64; rows];
+    // Max row overload `loads[i] / b_i`, kept as a running max over the
+    // rows each column touches: loads only grow, so every ratio only
+    // grows, and the max over the touched rows is the max over all rows.
+    let mut overload = 0.0f64;
     let mut raw_value = 0.0f64;
     let mut best_dual = f64::INFINITY;
     let mut best_duals: Vec<f64> = Vec::new();
@@ -126,11 +131,7 @@ pub fn solve_packing<O: ColumnOracle>(oracle: &O, config: PackingConfig) -> Pack
         let weighted: f64 = col.entries.iter().map(|&(i, a)| a * y[i]).sum();
         let alpha = weighted / col.value;
         if alpha > 0.0 {
-            let dual_sum: f64 = y
-                .iter()
-                .enumerate()
-                .map(|(i, &yi)| oracle.row_limit(i) * yi)
-                .sum();
+            let dual_sum: f64 = limits.iter().zip(&y).map(|(&b, &yi)| b * yi).sum();
             let bound = dual_sum / alpha;
             if bound < best_dual {
                 best_dual = bound;
@@ -148,7 +149,7 @@ pub fn solve_packing<O: ColumnOracle>(oracle: &O, config: PackingConfig) -> Pack
         let delta = col
             .entries
             .iter()
-            .map(|&(i, a)| oracle.row_limit(i) / a)
+            .map(|&(i, a)| limits[i] / a)
             .fold(f64::INFINITY, f64::min);
         if !delta.is_finite() || delta <= 0.0 {
             break;
@@ -156,17 +157,13 @@ pub fn solve_packing<O: ColumnOracle>(oracle: &O, config: PackingConfig) -> Pack
         raw_value += col.value * delta;
         for &(i, a) in &col.entries {
             loads[i] += delta * a;
+            overload = overload.max(loads[i] / limits[i]);
             // Multiplicative update; exponent ≤ eps because of bottleneck Δ.
-            y[i] *= (eps * delta * a / oracle.row_limit(i)).exp();
+            y[i] *= (eps * delta * a / limits[i]).exp();
         }
         raw.push((col, delta));
 
         // Certified primal value: scale by max overload.
-        let overload = loads
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| l / oracle.row_limit(i))
-            .fold(0.0f64, f64::max);
         let primal = if overload > 1.0 {
             raw_value / overload
         } else {
@@ -186,11 +183,6 @@ pub fn solve_packing<O: ColumnOracle>(oracle: &O, config: PackingConfig) -> Pack
     }
 
     // Final scaling to a feasible primal.
-    let overload = loads
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| l / oracle.row_limit(i))
-        .fold(0.0f64, f64::max);
     let scale = if overload > 1.0 { 1.0 / overload } else { 1.0 };
     let primal_value = raw_value * scale;
     let columns = raw.into_iter().map(|(c, amt)| (c, amt * scale)).collect();

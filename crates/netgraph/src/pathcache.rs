@@ -2,7 +2,8 @@
 //!
 //! The incremental selection loop in `ufp-core` keeps, for every route
 //! class (the still-unrouted requests sharing one shortest-path query),
-//! its last shortest path and distance. The
+//! its last shortest path and distance; the Garg–Könemann column oracle
+//! in `ufp-lp` does the same for its `(src, dst)` pairs. The
 //! monotone weight dynamics of Algorithm 1 (edge weights only grow,
 //! residuals only shrink within an epoch) guarantee that a cached answer
 //! stays **exact** until one of the edges *on the cached path* changes —

@@ -18,20 +18,27 @@
 //! * snapshots restore and continue in lockstep, and refuse a changed
 //!   shard layout;
 //! * the recorder sees one deployment: engine and residual gauges equal
-//!   a single engine's bit for bit, with one epoch sample per epoch.
+//!   a single engine's bit for bit, with one epoch sample per epoch;
+//! * the regret oracle stays out of band on the sharded path: sampling
+//!   every epoch of a cross-traffic stream with link failures changes no
+//!   report, payment or snapshot byte.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ufp_engine::{Arrival, Engine, EngineConfig, EngineEvent, EventLevel, PaymentPolicy};
+use ufp_engine::{
+    Arrival, Engine, EngineConfig, EngineEvent, EpochReport, EventLevel, HealthConfig,
+    PaymentPolicy,
+};
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::Graph;
 use ufp_obs::{ObsSnapshot, Recorder};
 use ufp_par::Pool;
 use ufp_shard::{NodeBlocks, Partitioner, ShardConfig, ShardedEngine};
 use ufp_workloads::arrivals::ArrivalProcess;
+use ufp_workloads::failures::{failure_trace, FailureTraceConfig};
 use ufp_workloads::sharded::{block_shard_map, sharded_arrival_trace, ShardedTraceConfig};
 
 /// Disconnected 4-community graph, block shard map, and a shard-local
@@ -468,20 +475,8 @@ fn parallel_pool_matches_sequential_with_cross_traffic() {
     };
     for batch in &trace {
         let (rs, rp) = (seq.submit_batch(batch), par.submit_batch(batch));
+        assert_same_report(&rs, &rp);
         let epoch = rs.epoch;
-        assert_eq!(
-            (rs.epoch, rs.accepted, rs.rejected, rs.released, rs.stop),
-            (rp.epoch, rp.accepted, rp.rejected, rp.released, rp.stop),
-            "epoch {epoch} report"
-        );
-        for (x, y) in [
-            (rs.value_admitted, rp.value_admitted),
-            (rs.revenue, rp.revenue),
-            (rs.min_residual, rp.min_residual),
-            (rs.total_utilization, rp.total_utilization),
-        ] {
-            assert_eq!(x.to_bits(), y.to_bits(), "epoch {epoch} report: {x} vs {y}");
-        }
         assert_eq!(payments(&seq), payments(&par), "epoch {epoch} payments");
         assert!(
             seq.snapshot_bytes() == par.snapshot_bytes(),
@@ -493,6 +488,111 @@ fn parallel_pool_matches_sequential_with_cross_traffic() {
         seq.shard_stats()[4].admissions > 0,
         "no cross-shard traffic was admitted"
     );
+}
+
+/// The deterministic fields of two epoch reports, floats by their bits.
+fn assert_same_report(a: &EpochReport, b: &EpochReport) {
+    let epoch = a.epoch;
+    assert_eq!(
+        (a.epoch, a.arrivals, a.accepted, a.rejected, a.released, a.stop),
+        (b.epoch, b.arrivals, b.accepted, b.rejected, b.released, b.stop),
+        "epoch {epoch} report"
+    );
+    for (x, y) in [
+        (a.value_admitted, b.value_admitted),
+        (a.revenue, b.revenue),
+        (a.min_residual, b.min_residual),
+        (a.total_utilization, b.total_utilization),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "epoch {epoch} report: {x} vs {y}");
+    }
+}
+
+/// The regret oracle is out of band on the sharded path: 4 shards with
+/// cross traffic and link failures, run once with the oracle sampling
+/// every epoch into a recorder and once with health off, agree after
+/// every epoch — report, every admission's payment bits, and
+/// `snapshot_bytes()` — and every epoch carries a regret sample with a
+/// ratio in (0, 1].
+#[test]
+fn regret_oracle_on_matches_health_off_with_cross_traffic_and_faults() {
+    let (graph, _, trace) = community_scenario_sized(30, 0.3, 12, 42, (14.0, 18.0), 80.0);
+    let faults = failure_trace(
+        &graph,
+        &FailureTraceConfig {
+            epochs: trace.len() as u32,
+            seed: 9,
+            flap_rate: 0.5,
+            outage_rate: 0.1,
+            outage_radius: 1,
+            ..FailureTraceConfig::default()
+        },
+    );
+    assert!(
+        faults.iter().any(|events| !events.is_empty()),
+        "the fault stream must fail some link"
+    );
+    let build = |engine: EngineConfig| {
+        ShardedEngine::new(
+            Arc::clone(&graph),
+            NodeBlocks.partition(&graph, 4),
+            ShardConfig {
+                engine,
+                lease_fraction: 0.6,
+            },
+        )
+    };
+    let obs = Recorder::enabled();
+    let base = engine_config(PaymentPolicy::critical_value());
+    let mut plain = build(base.clone());
+    let mut healthy = build(base.with_obs(obs.clone()).with_health(HealthConfig {
+        regret_every: 1,
+        ..HealthConfig::default()
+    }));
+    let payments = |e: &ShardedEngine| -> Vec<u64> {
+        e.admissions().iter().map(|a| a.payment.to_bits()).collect()
+    };
+    for (events, batch) in faults.iter().zip(&trace) {
+        if !events.is_empty() {
+            let rp = plain.apply_topology(events).expect("trace applies");
+            let rh = healthy.apply_topology(events).expect("trace applies");
+            assert_eq!(rp.evicted, rh.evicted, "eviction counts diverged");
+            assert_eq!(rp.refunded.to_bits(), rh.refunded.to_bits());
+        }
+        let mut merged = plain.drain_readmissions();
+        assert_eq!(
+            merged,
+            healthy.drain_readmissions(),
+            "re-admissions diverged"
+        );
+        merged.extend(batch.iter().cloned());
+        let (rp, rh) = (plain.submit_batch(&merged), healthy.submit_batch(&merged));
+        assert_same_report(&rp, &rh);
+        let epoch = rp.epoch;
+        assert_eq!(
+            payments(&plain),
+            payments(&healthy),
+            "epoch {epoch} payments"
+        );
+        assert!(
+            plain.snapshot_bytes() == healthy.snapshot_bytes(),
+            "epoch {epoch} snapshot bytes diverged"
+        );
+    }
+    assert!(plain.metrics().revenue > 0.0, "no winner was charged");
+    assert!(
+        plain.shard_stats()[4].admissions > 0,
+        "no cross-shard traffic was admitted"
+    );
+    let snap = obs.snapshot().expect("enabled recorder snapshots");
+    assert_eq!(snap.profiles.len(), trace.len());
+    for p in &snap.profiles {
+        let sample = p.regret.expect("every epoch is sampled");
+        assert!(
+            sample.ratio > 0.0 && sample.ratio <= 1.0,
+            "epoch ratio out of (0, 1]: {sample:?}"
+        );
+    }
 }
 
 #[test]
