@@ -195,7 +195,8 @@ pub(crate) struct ResumeStep {
     /// Raw (materialized-scale) argmin score `(d/v)·|p|` at selection
     /// time — the exact `f64` the selection loop compared, before the
     /// `ln`+shift round-trip that produces `record.ln_alpha`. Kept so
-    /// external mergers can break `ln α` ties by the loop's own key.
+    /// [`EpochResumeTrace::merge`] can break `ln α` ties by the loop's
+    /// own key.
     raw_score: f64,
     record: IterationRecord,
 }
@@ -225,34 +226,31 @@ pub struct EpochResumeTrace {
     log: SelectorLog,
 }
 
-/// Read-only view of one recorded selection step, exposed so external
-/// replayers — in particular `ufp_shard`'s cross-shard reconciliation,
-/// which merges several shards' traces into one global order and
-/// re-applies the recorded bumps through a global [`DualWeights`] — can
-/// reproduce the exact arithmetic of the traced run without re-running
-/// any shortest-path work.
+/// Read-only view of one recorded selection step.
 #[derive(Clone, Copy, Debug)]
-pub struct TraceStep<'a> {
+pub struct TraceStep {
     /// The request this step selected.
     pub selected: RequestId,
-    /// `ln α` of the selected path at selection time (shift-invariant,
-    /// so scores recorded by runs with different materialization scales
-    /// remain comparable).
-    pub ln_alpha: f64,
-    /// Raw argmin score `(d/v)·|p|` exactly as the selection loop
-    /// compared it — the full-precision key behind `ln_alpha`, which
-    /// loses up to one ulp in the `ln` round-trip. Tie-break on this
-    /// (then on id) to reproduce single-run selection order exactly.
-    /// Unlike `ln_alpha` it is in the run's materialization scale, so it
-    /// is only comparable across runs whose `DualWeights` shifts agree
-    /// (true for shards replaying the same epoch context until a
-    /// re-center diverges — and a divergent re-center already perturbs
-    /// `ln_alpha`'s own bits).
-    pub raw_score: f64,
-    /// The routed path.
-    pub path: &'a Path,
-    /// Line-10 exponent per path edge, verbatim as applied.
-    pub bumps: &'a [f64],
+}
+
+/// Result of [`EpochResumeTrace::merge`]: the one run the merged steps
+/// make up over the epoch's batch.
+#[derive(Clone, Debug)]
+pub struct MergedEpoch {
+    /// Routes (batch positions), iteration records with the global
+    /// `ln D₁` and running value, the carry, and the stop reason a
+    /// single run would report where the merge ended: `Exhausted` when
+    /// every request was merged, else `Guard` when the dual mass is over
+    /// the guard, else `NoPath`.
+    pub outcome: EpochOutcome,
+    /// The merged steps as one trace over the batch. It has no selector
+    /// log, so its pricing passes start cold; payments are the same bits
+    /// either way.
+    pub trace: EpochResumeTrace,
+    /// `(part, step)` of every merged step, in merged order.
+    pub order: Vec<(usize, usize)>,
+    /// The guard stopped the merge with recorded steps left over.
+    pub truncated: bool,
 }
 
 impl EpochResumeTrace {
@@ -278,64 +276,97 @@ impl EpochResumeTrace {
     }
 
     /// Read-only view of step `i` (panics past the end of the trace).
-    pub fn step(&self, i: usize) -> TraceStep<'_> {
-        let s = &self.steps[i];
+    pub fn step(&self, i: usize) -> TraceStep {
         TraceStep {
-            selected: s.record.selected,
-            ln_alpha: s.record.ln_alpha,
-            raw_score: s.raw_score,
-            path: &s.path,
-            bumps: &s.bumps,
+            selected: self.steps[i].record.selected,
         }
     }
 
-    /// Append one externally supplied step — the assembly primitive for
-    /// *merged* traces. A sharded engine's merge-replay interleaves the
-    /// shards' recorded steps into the global `(ln α, raw score, id)`
-    /// order; pushing each merged step here (with its request id remapped
-    /// into the global epoch instance, `ln_d1` read from the global dual
-    /// weights, and `routed_value_before` the global running value sum)
-    /// yields an [`EpochResumeTrace`] over the global instance that
-    /// behaves exactly like one produced by [`bounded_ufp_epoch_traced`]:
-    /// [`Self::checkpoint`] replays it by arithmetic, and
-    /// [`crate::critical_value_exact`] prices winners against it with the
-    /// same O(suffix) resume discipline.
+    /// Merge recorded runs over disjoint sub-batches of `instance` (the
+    /// epoch's batch) into the one run a single traced run over the
+    /// whole batch would have recorded — the reconciliation a sharded
+    /// deployment runs after planning its shards in parallel.
     ///
-    /// `bumps` must hold one line-10 exponent per `path.edges()` entry,
-    /// and `routed_value_before` must equal the sum of the previously
-    /// pushed steps' request values in push order (the replay
-    /// debug-asserts this ordering invariant).
+    /// Steps are consumed in the selection loop's own argmin order:
+    /// `ln α` (shift-invariant, so comparable across runs), then the raw
+    /// pre-`ln` score (the full-precision key that `ln` rounding can
+    /// collapse; it is in each run's materialization scale, so it orders
+    /// steps exactly while the parts' weight re-centerings agree), then
+    /// batch position, the single run's id rule. Before each step the
+    /// guard is checked as the loop checks it; once the merged dual mass
+    /// is over `ε(B−1)`, every part's remaining steps are dropped. Each
+    /// consumed step is applied by the replay every checkpoint uses,
+    /// with its request remapped to its batch position, the global
+    /// `ln D₁` and the running routed value written into its record. No
+    /// shortest-path work is done.
     ///
-    /// A pushed trace carries no selector log, so its pricing passes
-    /// start cold: each pass re-queries every route class at its resume
-    /// point. Payments are the same bits either way.
-    #[allow(clippy::too_many_arguments)] // mirrors the recorded step verbatim
-    pub fn push_step(
-        &mut self,
-        selected: RequestId,
-        ln_alpha: f64,
-        raw_score: f64,
-        ln_d1: f64,
-        routed_value_before: f64,
-        path: Path,
-        bumps: Vec<f64>,
-    ) {
-        assert_eq!(
-            path.edges().len(),
-            bumps.len(),
-            "one bump exponent per path edge"
-        );
-        self.steps.push(ResumeStep {
-            path,
-            bumps,
-            raw_score,
-            record: IterationRecord {
-                selected,
-                ln_alpha,
-                ln_d1,
-                routed_value_before,
-            },
-        });
+    /// Each part is one recorded run: its trace over a sub-batch, and
+    /// the batch position of each of the sub-batch's requests
+    /// (`positions[local id]`). `config` and `ctx` must be the ones the
+    /// parts were recorded under (each part may further restrict
+    /// `ctx.routable`).
+    pub fn merge(
+        instance: &UfpInstance,
+        config: &BoundedUfpConfig,
+        ctx: Option<&EpochContext<'_>>,
+        parts: &[(&EpochResumeTrace, &[u32])],
+    ) -> MergedEpoch {
+        validate_epoch_inputs(instance, config, ctx);
+        let ln_guard = config.epsilon * (epoch_bound_b(instance, ctx) - 1.0);
+        let mut state = EpochRunState::init(instance, ctx);
+        let mut trace = EpochResumeTrace::default();
+        let mut cursors = vec![0usize; parts.len()];
+        let mut order = Vec::new();
+        let mut truncated = false;
+        loop {
+            let mut best: Option<(&ResumeStep, u32, usize)> = None;
+            for (p, (part, positions)) in parts.iter().enumerate() {
+                let Some(step) = part.steps.get(cursors[p]) else {
+                    continue;
+                };
+                let pos = positions[step.record.selected.index()];
+                let key = (step.record.ln_alpha, step.raw_score, pos);
+                if best.is_none_or(|(b, bpos, _)| key < (b.record.ln_alpha, b.raw_score, bpos)) {
+                    best = Some((step, pos, p));
+                }
+            }
+            let Some((step, pos, p)) = best else { break };
+            let ln_d1 = state.weights.ln_dual_sum();
+            if ln_d1 > ln_guard {
+                truncated = true;
+                break;
+            }
+            let merged = ResumeStep {
+                path: step.path.clone(),
+                bumps: step.bumps.clone(),
+                raw_score: step.raw_score,
+                record: IterationRecord {
+                    selected: RequestId(pos),
+                    ln_alpha: step.record.ln_alpha,
+                    ln_d1,
+                    routed_value_before: state.routed_value,
+                },
+            };
+            state.replay(instance, &merged);
+            trace.steps.push(merged);
+            order.push((p, cursors[p]));
+            cursors[p] += 1;
+        }
+        let stop = if truncated {
+            StopReason::Guard
+        } else if state.steps_done == instance.num_requests() {
+            StopReason::Exhausted
+        } else if state.weights.ln_dual_sum() > ln_guard {
+            StopReason::Guard
+        } else {
+            StopReason::NoPath
+        };
+        MergedEpoch {
+            outcome: finish_outcome(ctx.is_some(), state, stop, ln_guard),
+            trace,
+            order,
+            truncated,
+        }
     }
 
     /// Reconstruct the run state after the first `steps` selections, by
@@ -1312,26 +1343,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// Reassemble a recorded trace step by step through the public
-    /// [`EpochResumeTrace::push_step`] API — the merged-trace assembly
-    /// path a sharded engine uses — from the read-only step views plus
-    /// the run's iteration records. The result has no selector log.
-    pub(crate) fn reassemble(full: &EpochOutcome, trace: &EpochResumeTrace) -> EpochResumeTrace {
-        let mut rebuilt = EpochResumeTrace::default();
-        for i in 0..trace.num_steps() {
-            let s = trace.step(i);
-            let rec = &full.run.trace.records[i];
-            rebuilt.push_step(
-                s.selected,
-                s.ln_alpha,
-                s.raw_score,
-                rec.ln_d1,
-                rec.routed_value_before,
-                s.path.clone(),
-                s.bumps.to_vec(),
-            );
-        }
-        rebuilt
+    /// A recorded trace rebuilt as a one-part merge — the assembly a
+    /// sharded deployment uses — with identity batch positions. The
+    /// result has no selector log.
+    pub(crate) fn reassemble(
+        inst: &UfpInstance,
+        cfg: &BoundedUfpConfig,
+        ctx: Option<&EpochContext<'_>>,
+        trace: &EpochResumeTrace,
+    ) -> EpochResumeTrace {
+        let positions: Vec<u32> = (0..inst.num_requests() as u32).collect();
+        EpochResumeTrace::merge(inst, cfg, ctx, &[(trace, &positions)]).trace
     }
 
     #[test]
@@ -1346,9 +1368,21 @@ pub(crate) mod tests {
             carry: &carry,
             routable: None,
         };
-        let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, Some(&ctx));
-        let rebuilt = reassemble(&full, &trace);
+        let (_, trace) = bounded_ufp_epoch_traced(&inst, &cfg, Some(&ctx));
+        let rebuilt = reassemble(&inst, &cfg, Some(&ctx), &trace);
         assert_eq!(rebuilt.num_steps(), trace.num_steps());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in trace.steps.iter().zip(&rebuilt.steps) {
+            assert_eq!(a.path.edges(), b.path.edges());
+            assert_eq!(bits(&a.bumps), bits(&b.bumps));
+            assert_eq!(a.raw_score.to_bits(), b.raw_score.to_bits());
+            let (x, y) = (&a.record, &b.record);
+            assert_eq!(x.selected, y.selected);
+            assert_eq!(
+                bits(&[x.ln_alpha, x.ln_d1, x.routed_value_before]),
+                bits(&[y.ln_alpha, y.ln_d1, y.routed_value_before])
+            );
+        }
         for prefix in 0..=rebuilt.num_steps() {
             let a = bounded_ufp_epoch_resume(
                 &inst,
@@ -1373,7 +1407,7 @@ pub(crate) mod tests {
         // engine-recorded one bit for bit.
         let (inst, cfg) = resume_fixture();
         let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
-        let rebuilt = reassemble(&full, &trace);
+        let rebuilt = reassemble(&inst, &cfg, None, &trace);
         for (rid, _) in &full.run.solution.routed {
             let k = selection_step(&rebuilt, *rid).unwrap();
             assert_eq!(k, selection_step(&trace, *rid).unwrap());
@@ -1387,8 +1421,70 @@ pub(crate) mod tests {
                 assert_outcomes_identical(&scratch, &resumed);
             }
             let recorded = crate::critical_value_exact(&inst, &cfg, None, &trace, k);
-            let pushed = crate::critical_value_exact(&inst, &cfg, None, &rebuilt, k);
-            assert_eq!(recorded.to_bits(), pushed.to_bits());
+            let merged = crate::critical_value_exact(&inst, &cfg, None, &rebuilt, k);
+            assert_eq!(recorded.to_bits(), merged.to_bits());
+        }
+    }
+
+    #[test]
+    fn merge_trips_the_global_guard_where_a_single_run_stops() {
+        // Two disjoint unit-demand lanes `0 → 1` and `2 → 3`, one part
+        // each, both planned against the global context: each part sees
+        // only its own lane's dual mass grow and runs past the point at
+        // which the two lanes together cross `ε(B−1)`.
+        let mut gb = GraphBuilder::directed(4);
+        gb.add_edge(n(0), n(1), 10.0);
+        gb.add_edge(n(2), n(3), 10.0);
+        let requests: Vec<Request> = (0..24)
+            .map(|i| {
+                let lane = (i % 2) as u32 * 2;
+                Request::new(n(lane), n(lane + 1), 1.0, 1.0 + 0.13 * i as f64)
+            })
+            .collect();
+        let inst = UfpInstance::new(gb.build(), requests.clone());
+        let cfg = BoundedUfpConfig::with_epsilon(0.5);
+        let caps = [10.0; 2];
+        let usable = [true; 2];
+        let carry = [0.0; 2];
+        let ctx = EpochContext {
+            capacities: &caps,
+            usable: &usable,
+            carry: &carry,
+            routable: None,
+        };
+        let (single, single_trace) = bounded_ufp_epoch_traced(&inst, &cfg, Some(&ctx));
+        assert_eq!(single.run.trace.stop_reason, StopReason::Guard);
+
+        let lanes = [[true, false], [false, true]];
+        let runs: Vec<(Vec<u32>, EpochResumeTrace)> = lanes
+            .iter()
+            .enumerate()
+            .map(|(lane, routable)| {
+                let positions: Vec<u32> = (lane as u32..24).step_by(2).collect();
+                let batch = positions.iter().map(|&i| requests[i as usize]).collect();
+                let sub =
+                    UfpInstance::from_shared(std::sync::Arc::clone(inst.shared_graph()), batch);
+                let part_ctx = EpochContext {
+                    routable: Some(routable),
+                    ..ctx
+                };
+                let (_, trace) = bounded_ufp_epoch_traced(&sub, &cfg, Some(&part_ctx));
+                (positions, trace)
+            })
+            .collect();
+        let parts: Vec<_> = runs.iter().map(|(p, t)| (t, &p[..])).collect();
+        let merged = EpochResumeTrace::merge(&inst, &cfg, Some(&ctx), &parts);
+
+        assert!(merged.truncated);
+        let recorded: usize = runs.iter().map(|(_, t)| t.num_steps()).sum();
+        assert!(merged.order.len() < recorded, "the guard cut no part short");
+        assert!(merged.order.iter().any(|&(p, _)| p == 0));
+        assert!(merged.order.iter().any(|&(p, _)| p == 1));
+        assert_outcomes_identical(&single, &merged.outcome);
+        for k in 0..single_trace.num_steps() {
+            let a = crate::critical_value_exact(&inst, &cfg, Some(&ctx), &single_trace, k);
+            let b = crate::critical_value_exact(&inst, &cfg, Some(&ctx), &merged.trace, k);
+            assert_eq!(a.to_bits(), b.to_bits(), "step {k}");
         }
     }
 
@@ -1402,13 +1498,13 @@ pub(crate) mod tests {
         let (inst, cfg) = resume_fixture();
         let (_, trace) = bounded_ufp_epoch_traced(&inst, &cfg, None);
         assert!(trace.num_steps() > 1);
-        let shift = trace.step(0).ln_alpha - trace.step(0).raw_score.ln();
+        let shift = trace.steps[0].record.ln_alpha - trace.steps[0].raw_score.ln();
         let mut prev = f64::NEG_INFINITY;
-        for i in 0..trace.num_steps() {
-            let s = trace.step(i);
+        for (i, s) in trace.steps.iter().enumerate() {
             assert!(s.raw_score > 0.0 && s.raw_score.is_finite());
             assert!(
-                (s.ln_alpha - s.raw_score.ln() - shift).abs() <= 1e-12 * shift.abs().max(1.0),
+                (s.record.ln_alpha - s.raw_score.ln() - shift).abs()
+                    <= 1e-12 * shift.abs().max(1.0),
                 "step {i}: ln_alpha is not ln(raw_score) + shift"
             );
             assert!(s.raw_score >= prev, "argmin scores must be nondecreasing");

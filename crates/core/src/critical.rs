@@ -430,7 +430,7 @@ mod tests {
                 .recenters()
         };
         assert_eq!((recenters(600), recenters(601)), (0, 1));
-        let cold = reassemble(&full, &trace);
+        let cold = reassemble(&inst, &inc, None, &trace);
         for k in [596, 599, 600] {
             let p = critical_value_exact(&inst, &inc, None, &trace, k);
             let pf = critical_value_exact(&inst, &fan, None, &trace, k);

@@ -36,6 +36,9 @@
 //! checkpoint. [`critical_value_exact`] prices a winner with one such
 //! resume, the winner masked out: its critical value is
 //! `min_t d_r·|p_r^t| / s_t` over that run's steps (see [`critical`]).
+//! [`EpochResumeTrace::merge`] builds the same trace for an epoch planned
+//! in parts (a sharded deployment's shards) by replaying their recorded
+//! steps in the loop's argmin order under one global guard.
 
 #![forbid(unsafe_code)]
 
@@ -54,8 +57,8 @@ pub mod weights;
 
 pub use bounded_ufp::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
-    BoundedUfpConfig, EpochCheckpoint, EpochContext, EpochOutcome, EpochResumeTrace, TraceStep,
-    UfpRunResult,
+    BoundedUfpConfig, EpochCheckpoint, EpochContext, EpochOutcome, EpochResumeTrace, MergedEpoch,
+    TraceStep, UfpRunResult,
 };
 pub use critical::{critical_value_exact, VALUE_FLOOR};
 pub use exact::{exact_optimum, ExactConfig, ExactResult};

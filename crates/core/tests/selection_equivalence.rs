@@ -16,8 +16,8 @@ use rand::{Rng, SeedableRng};
 
 use ufp_core::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
-    critical_value_exact, BoundedUfpConfig, EpochContext, EpochOutcome, EpochResumeTrace, Request,
-    UfpInstance,
+    critical_value_exact, BoundedUfpConfig, EpochContext, EpochOutcome, EpochResumeTrace,
+    MergedEpoch, Request, UfpInstance,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
@@ -149,24 +149,17 @@ fn arb_distinct_pair_instance() -> impl Strategy<Value = (UfpInstance, f64)> {
     )
 }
 
-/// `trace`'s steps pushed one by one into a fresh trace, the way a
-/// sharded merge assembles one: the same steps without the selector
-/// log, so its pricing passes start cold.
-fn without_log(full: &EpochOutcome, trace: &EpochResumeTrace) -> EpochResumeTrace {
-    let mut cold = EpochResumeTrace::default();
-    for (i, rec) in full.run.trace.records.iter().enumerate() {
-        let s = trace.step(i);
-        cold.push_step(
-            s.selected,
-            s.ln_alpha,
-            s.raw_score,
-            rec.ln_d1,
-            rec.routed_value_before,
-            s.path.clone(),
-            s.bumps.to_vec(),
-        );
-    }
-    cold
+/// `trace` as a one-part merge, with identity batch positions — the
+/// assembly a sharded deployment uses. Its trace has the same steps
+/// without the selector log, so its pricing passes start cold.
+fn one_part_merge(
+    inst: &UfpInstance,
+    cfg: &BoundedUfpConfig,
+    ctx: Option<&EpochContext<'_>>,
+    trace: &EpochResumeTrace,
+) -> MergedEpoch {
+    let positions: Vec<u32> = (0..inst.num_requests() as u32).collect();
+    EpochResumeTrace::merge(inst, cfg, ctx, &[(trace, &positions)])
 }
 
 /// The exact critical value of every winner in `steps`, priced from an
@@ -180,8 +173,8 @@ fn assert_seeded_pricing_exact(
     steps: impl Fn(&EpochResumeTrace) -> Vec<usize>,
 ) {
     let (inc_cfg, fan_cfg) = (incremental(eps), fan_out(eps));
-    let (full, seeded) = bounded_ufp_epoch_traced(inst, &inc_cfg, ctx);
-    let cold = without_log(&full, &seeded);
+    let (_, seeded) = bounded_ufp_epoch_traced(inst, &inc_cfg, ctx);
+    let cold = one_part_merge(inst, &inc_cfg, ctx, &seeded).trace;
     for k in steps(&seeded) {
         let warm = critical_value_exact(inst, &inc_cfg, ctx, &seeded, k);
         let from_cold = critical_value_exact(inst, &inc_cfg, ctx, &cold, k);
@@ -349,6 +342,37 @@ proptest! {
                 prop_assert_eq!(fan.to_bits(), inc.to_bits(),
                     "step {} priced {} vs {}", k, fan, inc);
                 prop_assert!((0.0..=inst.request(trace.step(k).selected).value).contains(&inc));
+            }
+        }
+    }
+
+    #[test]
+    fn one_part_merge_reproduces_the_recorded_run(
+        (inst, eps) in arb_instance(),
+        seed in any::<u64>(),
+    ) {
+        // Merging one recorded run replays it: the same steps in the same
+        // order, the same iteration records and carry, and the same
+        // payment for every winner, bit for bit — one-shot and under an
+        // epoch context.
+        let (caps, usable, carry) = context_vectors(&inst, seed);
+        let ctx = EpochContext { capacities: &caps, usable: &usable, carry: &carry,
+            routable: None,
+        };
+        let cfg = incremental(eps);
+        for ctx in [None, Some(&ctx)] {
+            let (full, trace) = bounded_ufp_epoch_traced(&inst, &cfg, ctx);
+            let merged = one_part_merge(&inst, &cfg, ctx, &trace);
+            prop_assert!(!merged.truncated);
+            assert_outcomes_bit_identical(&full, &merged.outcome);
+            prop_assert_eq!(merged.trace.num_steps(), trace.num_steps());
+            for k in 0..trace.num_steps() {
+                prop_assert_eq!(merged.order[k], (0, k));
+                prop_assert_eq!(merged.trace.step(k).selected, trace.step(k).selected);
+                let recorded = critical_value_exact(&inst, &cfg, ctx, &trace, k);
+                let replayed = critical_value_exact(&inst, &cfg, ctx, &merged.trace, k);
+                prop_assert_eq!(recorded.to_bits(), replayed.to_bits(),
+                    "step {} priced {} vs {}", k, recorded, replayed);
             }
         }
     }
@@ -640,8 +664,8 @@ fn default_strategy_is_incremental_and_equivalent() {
 #[test]
 fn seeded_pricing_passes_skip_the_opening_refresh() {
     let inst = bottleneck_storm(|i| 0.5 + 0.05 * (i % 10) as f64);
-    let (full, seeded) = bounded_ufp_epoch_traced(&inst, &incremental(0.8), None);
-    let cold = without_log(&full, &seeded);
+    let (_, seeded) = bounded_ufp_epoch_traced(&inst, &incremental(0.8), None);
+    let cold = one_part_merge(&inst, &incremental(0.8), None, &seeded).trace;
     assert!(seeded.heap_bytes() > cold.heap_bytes());
     let price_all = |trace: &EpochResumeTrace| {
         let cfg = incremental(0.8).with_obs(Recorder::enabled());

@@ -168,36 +168,9 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-/// Incremental FNV-1a 64-bit checksum — the container integrity check.
-/// Not cryptographic: it guards against storage corruption and
-/// truncation, not adversarial tampering.
-#[derive(Clone, Debug)]
-pub struct Fnv64 {
-    state: u64,
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64 {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-}
-
-impl Fnv64 {
-    /// Fold `bytes` into the running checksum.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// The checksum of everything written so far.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
+/// Incremental FNV-1a 64-bit checksum — the container integrity check
+/// (`ufp_netgraph`'s, which also fingerprints topologies).
+pub use ufp_netgraph::topology::Fnv64;
 
 /// One-shot FNV-1a 64 of `bytes`.
 pub fn fnv64(bytes: &[u8]) -> u64 {

@@ -997,10 +997,10 @@ impl Engine {
     }
 
     /// Price every winner of `trace` at its exact critical value:
-    /// `instance` and `ctx` are what `trace` was recorded (or assembled
-    /// with [`EpochResumeTrace::push_step`] from a cross-shard merge)
-    /// under. This is the engine's own plan-time pricing and the
-    /// payment entry point of sharded deployments.
+    /// `instance` and `ctx` are what `trace` was recorded (or, for a
+    /// sharded epoch, merged with [`EpochResumeTrace::merge`]) under.
+    /// This is the engine's own plan-time pricing and the payment entry
+    /// point of sharded deployments.
     ///
     /// Each winner costs one resume of its selection step with itself
     /// masked out ([`ufp_core::critical_value_exact`]). The passes are

@@ -15,8 +15,6 @@
 //! * [`pathcache`] — per-slot shortest-path cache with a reverse
 //!   edge→slot interest index, the storage layer of `ufp-core`'s
 //!   incremental (dirty-set) selection loop.
-//! * [`bellman`] — a Bellman–Ford reference implementation used as a test
-//!   oracle against Dijkstra.
 //! * [`enumerate`] — bounded simple-path enumeration, used by the
 //!   "reasonable iterative path-minimizing algorithm" engine on the paper's
 //!   lower-bound constructions where scores are not edge-additive.
@@ -34,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bellman;
 pub mod bfs;
 pub mod csr;
 pub mod dijkstra;

@@ -111,13 +111,35 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x00000100000001b3;
+/// Incremental FNV-1a 64-bit hash, behind [`Topology::fingerprint`] and
+/// the snapshot container's checksums. Not cryptographic: it guards
+/// against storage corruption and truncation, not adversarial
+/// tampering.
+#[derive(Clone, Debug)]
+pub struct Fnv64 {
+    state: u64,
+}
 
-fn fnv_push(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64 {
+            state: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+}
+
+impl Fnv64 {
+    /// Fold `bytes` into the running hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= b as u64;
+            self.state = self.state.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -281,17 +303,17 @@ impl Topology {
     /// fingerprint)` so a restore detects both divergence (same
     /// version, different state) and lag (older version, migratable).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv_push(&mut h, &(self.capacity.len() as u64).to_le_bytes());
-        fnv_push(&mut h, &(self.drained.len() as u64).to_le_bytes());
+        let mut h = Fnv64::default();
+        h.write(&(self.capacity.len() as u64).to_le_bytes());
+        h.write(&(self.drained.len() as u64).to_le_bytes());
         for (e, &c) in self.capacity.iter().enumerate() {
-            fnv_push(&mut h, &c.to_bits().to_le_bytes());
-            fnv_push(&mut h, &[self.up[e] as u8]);
+            h.write(&c.to_bits().to_le_bytes());
+            h.write(&[self.up[e] as u8]);
         }
         for &d in &self.drained {
-            fnv_push(&mut h, &[d as u8]);
+            h.write(&[d as u8]);
         }
-        h
+        h.finish()
     }
 }
 

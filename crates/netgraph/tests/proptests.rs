@@ -9,12 +9,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ufp_netgraph::bellman::BellmanFord;
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::enumerate::simple_paths;
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::{Graph, GraphBuilder};
 use ufp_netgraph::ids::NodeId;
+
+use bellman::BellmanFord;
 
 /// Strategy: a random directed graph (adjacency by arc list) plus positive
 /// weights per edge.
@@ -141,4 +142,118 @@ fn builder_rejects_bad_graphs() {
         b.add_edge(NodeId(0), NodeId(1), -1.0);
     })
     .is_err());
+}
+
+/// Bellman–Ford single-source shortest paths: a deliberately simple
+/// O(n·m) oracle that Dijkstra must agree with on non-negative weights.
+mod bellman {
+    use ufp_netgraph::graph::{Graph, GraphBuilder};
+    use ufp_netgraph::ids::{EdgeId, NodeId};
+    use ufp_netgraph::path::Path;
+
+    /// Distances and parent pointers from a single source.
+    #[derive(Clone, Debug)]
+    pub struct BellmanFord {
+        dist: Vec<f64>,
+        parent_node: Vec<Option<NodeId>>,
+        parent_edge: Vec<Option<EdgeId>>,
+    }
+
+    impl BellmanFord {
+        /// Run Bellman–Ford from `src`. Panics on negative cycles (cannot occur
+        /// with the non-negative weights used throughout this workspace; the
+        /// check documents the assumption).
+        pub fn run(graph: &Graph, weights: &[f64], src: NodeId) -> Self {
+            let n = graph.num_nodes();
+            let mut dist = vec![f64::INFINITY; n];
+            let mut parent_node = vec![None; n];
+            let mut parent_edge = vec![None; n];
+            dist[src.index()] = 0.0;
+
+            // Relax via adjacency so undirected edges work in both directions.
+            for round in 0..n {
+                let mut changed = false;
+                for v in graph.node_ids() {
+                    if dist[v.index()].is_infinite() {
+                        continue;
+                    }
+                    for adj in graph.neighbors(v) {
+                        let cand = dist[v.index()] + weights[adj.edge.index()];
+                        if cand < dist[adj.to.index()] - 1e-15 {
+                            dist[adj.to.index()] = cand;
+                            parent_node[adj.to.index()] = Some(v);
+                            parent_edge[adj.to.index()] = Some(adj.edge);
+                            changed = true;
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+                assert!(round + 1 < n || !changed, "negative cycle detected");
+            }
+            BellmanFord {
+                dist,
+                parent_node,
+                parent_edge,
+            }
+        }
+
+        /// Distance to `v`, or `None` if unreachable.
+        pub fn distance(&self, v: NodeId) -> Option<f64> {
+            let d = self.dist[v.index()];
+            d.is_finite().then_some(d)
+        }
+
+        /// Shortest path to `v`, or `None` if unreachable.
+        pub fn path_to(&self, v: NodeId) -> Option<Path> {
+            if self.dist[v.index()].is_infinite() {
+                return None;
+            }
+            let mut nodes = vec![v];
+            let mut edges = Vec::new();
+            let mut cur = v;
+            while let Some(p) = self.parent_node[cur.index()] {
+                edges.push(self.parent_edge[cur.index()].expect("parent edge set with node"));
+                cur = p;
+                nodes.push(cur);
+            }
+            nodes.reverse();
+            edges.reverse();
+            Some(Path::new(nodes, edges))
+        }
+    }
+
+    #[test]
+    fn matches_hand_computation() {
+        let mut b = GraphBuilder::directed(4);
+        b.add_edge(NodeId(0), NodeId(1), 1.0);
+        b.add_edge(NodeId(0), NodeId(2), 1.0);
+        b.add_edge(NodeId(1), NodeId(3), 1.0);
+        b.add_edge(NodeId(2), NodeId(3), 1.0);
+        let g = b.build();
+        let w = vec![1.0, 4.0, 2.0, 0.5];
+        let bf = BellmanFord::run(&g, &w, NodeId(0));
+        assert_eq!(bf.distance(NodeId(3)), Some(3.0));
+        let p = bf.path_to(NodeId(3)).unwrap();
+        assert_eq!(p.nodes(), &[NodeId(0), NodeId(1), NodeId(3)]);
+    }
+
+    #[test]
+    fn unreachable_is_none() {
+        let g = GraphBuilder::directed(2).build();
+        let bf = BellmanFord::run(&g, &[], NodeId(0));
+        assert_eq!(bf.distance(NodeId(1)), None);
+        assert!(bf.path_to(NodeId(1)).is_none());
+    }
+
+    #[test]
+    fn undirected_relaxes_both_ways() {
+        let mut b = GraphBuilder::undirected(3);
+        b.add_edge(NodeId(1), NodeId(0), 1.0);
+        b.add_edge(NodeId(1), NodeId(2), 1.0);
+        let g = b.build();
+        let bf = BellmanFord::run(&g, &[5.0, 7.0], NodeId(0));
+        assert_eq!(bf.distance(NodeId(2)), Some(12.0));
+    }
 }

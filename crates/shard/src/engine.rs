@@ -20,14 +20,13 @@
 //!    the *global* capacities/usable/carry plus the shard's `routable`
 //!    territory — so `B`, the guard threshold and the weight arithmetic
 //!    match a single global engine bit for bit.
-//! 5. **Merge-replay**: consume the shards' recorded selection steps in
-//!    global score order, re-applying each step's dual-weight bumps
-//!    through one global [`DualWeights`] and enforcing the *global*
-//!    guard — truncating any shard's over-admission the moment the
-//!    merged dual mass crosses the threshold. Pure arithmetic replay; no
-//!    shortest-path work. When payments are on, the pass also assembles
-//!    the merged steps into a global [`EpochResumeTrace`] over the
-//!    epoch's full batch.
+//! 5. **Merge-replay**: [`EpochResumeTrace::merge`], `ufp_core`'s own
+//!    replay, consumes the shards' recorded selection steps in global
+//!    score order under the *global* guard — truncating any shard's
+//!    over-admission the moment the merged dual mass crosses the
+//!    threshold — and assembles the merged steps into one global
+//!    [`EpochResumeTrace`] over the epoch's full batch. Pure arithmetic
+//!    replay; no shortest-path work.
 //! 6. **Price** every surviving winner at its exact critical value
 //!    against the merged trace under the frozen context (one read-only
 //!    resumed pass per winner — the passes a single global engine would
@@ -40,13 +39,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ufp_core::{
-    bounded_ufp_epoch_traced, Certificate, DualWeights, EpochContext, EpochOutcome,
-    EpochResumeTrace, Request, RequestId, RunTrace, StopReason, UfpInstance, UfpRunResult,
-    UfpSolution,
+    bounded_ufp_epoch_traced, Certificate, EpochContext, EpochOutcome, EpochResumeTrace, Request,
+    RequestId, RunTrace, StopReason, UfpInstance, UfpRunResult, UfpSolution,
 };
 use ufp_engine::{
     Admission, Arrival, Engine, EngineConfig, EngineEvent, EngineMetrics, EpochPlanner,
-    EpochReport, PaymentPolicy, PlannedEpoch, TopologyReport,
+    EpochReport, PlannedEpoch, TopologyReport,
 };
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::EdgeId;
@@ -158,28 +156,6 @@ struct ShardRun {
     trace: EpochResumeTrace,
     stop: StopReason,
     elapsed_us: u64,
-}
-
-/// Result of the merge-replay pass.
-struct MergeOutcome {
-    /// `(shard, step index)` in merged (global selection) order; every
-    /// entry survived the global guard.
-    merged: Vec<(usize, usize)>,
-    /// Steps each shard keeps (prefix length).
-    keep: Vec<usize>,
-    /// `ε(B−1)` over the global context.
-    ln_guard: f64,
-    /// The global guard tripped mid-merge.
-    guard_tripped: bool,
-    /// The post-merge dual mass exceeds the guard (used to classify
-    /// leftover-rejection as `Guard` rather than `NoPath`, matching
-    /// the single engine's check-before-discover order).
-    final_over_guard: bool,
-    /// The merged steps assembled as one global [`EpochResumeTrace`]
-    /// over the epoch's batch (requests id'd by batch position), built
-    /// only when payments are priced. Step `k`'s `selected` is winner
-    /// `k` in merged order.
-    global_trace: Option<EpochResumeTrace>,
 }
 
 impl ShardPlanner {
@@ -308,51 +284,44 @@ impl EpochPlanner for ShardPlanner {
 
         // Merge-replay with the global guard; bumps land in the carry
         // in merged order (the order a single engine applies them).
-        let priced = engine_config.payments != PaymentPolicy::None;
-        let mut carry = ctx.carry.to_vec();
-        let merge = {
+        let merged = {
             let steps = runs.iter().map(|r| r.trace.num_steps() as u64).sum();
             let _span = obs.span_attr(Phase::ShardMergeReplay, "steps", steps);
-            merge_replay(
-                ctx,
-                &mut carry,
-                engine_config.epsilon,
-                &runs,
-                &members,
-                requests,
-                priced,
-            )
+            let parts: Vec<_> = runs
+                .iter()
+                .zip(&members)
+                .map(|(run, rows)| (&run.trace, &rows[..]))
+                .collect();
+            EpochResumeTrace::merge(instance, &allocator, Some(ctx), &parts)
         };
 
         // Price every surviving winner against the merged trace, under
         // the frozen context — the passes a single engine would run.
-        let mut payments = match &merge.global_trace {
-            Some(trace) => book.price_trace(instance, ctx, trace),
-            None => vec![0.0f64; requests.len()],
-        };
+        let mut payments = book.price_trace(instance, ctx, &merged.trace);
 
         // The merged winners and their lease use.
-        let mut routed = Vec::with_capacity(merge.merged.len());
         let mut lease_used = vec![0.0f64; shards];
-        for &(s, j) in &merge.merged {
-            let step = runs[s].trace.step(j);
-            let pos = members[s][step.selected.index()];
-            let demand = requests[pos as usize].demand;
-            for &e in step.path.edges() {
+        for (&(s, _), (pos, path)) in merged.order.iter().zip(&merged.outcome.run.solution.routed) {
+            let demand = requests[pos.index()].demand;
+            for &e in path.edges() {
                 if matches!(self.partition.edge_owner(e), EdgeOwner::Boundary(..)) {
                     lease_used[s] += demand;
                 }
             }
-            routed.push((RequestId(pos), step.path.clone()));
+            self.counters[s].admissions += 1;
         }
-        for (s, run) in runs.iter().enumerate() {
-            self.counters[s].admissions += merge.keep[s] as u64;
-            self.counters[s].epoch_time_us += run.elapsed_us;
+        for (row, run) in self.counters.iter_mut().zip(&runs) {
+            row.epoch_time_us += run.elapsed_us;
         }
         self.ledger.settle_epoch(&lease_granted, &lease_used);
         if obs.is_enabled() {
             self.record_lease_gauges(obs);
         }
+
+        let merge_trace = &merged.outcome.run.trace;
+        let (merge_stop, ln_guard) = (merge_trace.stop_reason, merge_trace.ln_guard_threshold);
+        let mut routed = merged.outcome.run.solution.routed;
+        let mut carry = merged.outcome.carry;
 
         // Cross-shard pass against the post-merge residuals and carry.
         let cross = &members[shards];
@@ -391,7 +360,8 @@ impl EpochPlanner for ShardPlanner {
         let stop = derive_stop(
             requests.len(),
             routed.len(),
-            &merge,
+            merged.truncated,
+            merge_stop,
             &shard_stops,
             cross_stop,
         );
@@ -401,7 +371,7 @@ impl EpochPlanner for ShardPlanner {
                     solution: UfpSolution { routed },
                     trace: RunTrace {
                         records: Vec::new(),
-                        ln_guard_threshold: merge.ln_guard,
+                        ln_guard_threshold: ln_guard,
                         stop_reason: stop,
                         certificate: Certificate::None,
                     },
@@ -590,119 +560,18 @@ impl ShardedEngine {
     }
 }
 
-/// The merge-replay pass: consume shard selection steps in global score
-/// order through one global [`DualWeights`], enforcing the global
-/// guard. Applies every consumed step's bumps to `carry` (the frozen,
-/// already decayed carry) in merged order.
-///
-/// With `build_trace` set, the consumed steps are simultaneously
-/// assembled into a global [`EpochResumeTrace`] over the epoch's batch
-/// (requests id'd by batch position): each pushed step carries the
-/// shard-recorded `ln α` / raw score / path / bumps verbatim, plus the
-/// *global* `ln D₁` (the dual sum this merge checks against the guard)
-/// and the global running routed value — exactly the record a single
-/// engine's traced run would have produced, so pricing passes can
-/// checkpoint and resume against it.
-fn merge_replay(
-    ctx: &EpochContext<'_>,
-    carry: &mut [f64],
-    epsilon: f64,
-    runs: &[ShardRun],
-    members: &[Vec<u32>],
-    requests: &[Request],
-    build_trace: bool,
-) -> MergeOutcome {
-    let shards = runs.len();
-    let b = ctx
-        .capacities
-        .iter()
-        .zip(ctx.usable)
-        .filter(|&(_, &u)| u)
-        .map(|(&c, _)| c)
-        .fold(f64::INFINITY, f64::min);
-    let ln_guard = epsilon * (b - 1.0);
-    let mut weights = DualWeights::with_context(ctx.capacities, ctx.usable, ctx.carry);
-    let mut cursors = vec![0usize; shards];
-    let mut merged = Vec::new();
-    let mut guard_tripped = false;
-    let mut global_trace = build_trace.then(EpochResumeTrace::default);
-    let mut routed_value = 0.0f64;
-    loop {
-        // The next candidate per shard is its first unconsumed step;
-        // global order is (ln α, raw score, batch position). The raw
-        // score is the selection loop's own full-precision argmin key —
-        // ln α, its shift-invariant ln round-trip, can collapse two
-        // scores one ulp apart onto the same bits, so ties break on the
-        // raw key first and only then on the single engine's id rule.
-        let mut best: Option<(f64, f64, u32, usize)> = None;
-        for (s, run) in runs.iter().enumerate() {
-            if cursors[s] >= run.trace.num_steps() {
-                continue;
-            }
-            let step = run.trace.step(cursors[s]);
-            let g = members[s][step.selected.index()];
-            let better = match best {
-                None => true,
-                Some((la, rs, gid, _)) => {
-                    step.ln_alpha < la
-                        || (step.ln_alpha == la
-                            && (step.raw_score < rs || (step.raw_score == rs && g < gid)))
-                }
-            };
-            if better {
-                best = Some((step.ln_alpha, step.raw_score, g, s));
-            }
-        }
-        let Some((_, _, g, s)) = best else { break };
-        // The single engine checks the guard at the top of every
-        // iteration, before selecting; reproduce that exactly. The dual
-        // sum it checks is the ln D₁ its record would carry.
-        let ln_d1 = weights.ln_dual_sum();
-        if ln_d1 > ln_guard {
-            guard_tripped = true;
-            break;
-        }
-        let step = runs[s].trace.step(cursors[s]);
-        for (&e, &bump) in step.path.edges().iter().zip(step.bumps) {
-            weights.bump(e, bump);
-            carry[e.index()] += bump;
-        }
-        if let Some(gt) = global_trace.as_mut() {
-            gt.push_step(
-                RequestId(g),
-                step.ln_alpha,
-                step.raw_score,
-                ln_d1,
-                routed_value,
-                step.path.clone(),
-                step.bumps.to_vec(),
-            );
-            routed_value += requests[g as usize].value;
-        }
-        merged.push((s, cursors[s]));
-        cursors[s] += 1;
-    }
-    let final_over_guard = guard_tripped || weights.ln_dual_sum() > ln_guard;
-    MergeOutcome {
-        merged,
-        keep: cursors,
-        ln_guard,
-        guard_tripped,
-        final_over_guard,
-        global_trace,
-    }
-}
-
 /// Derive the epoch's stop reason, reproducing the single engine's
-/// check order (guard before path discovery) on the merged state.
+/// check order (guard before path discovery) on the merged state:
+/// `truncated` and `merge_stop` are [`ufp_core::MergedEpoch`]'s.
 fn derive_stop(
     arrivals: usize,
     accepted: usize,
-    merge: &MergeOutcome,
+    truncated: bool,
+    merge_stop: StopReason,
     shard_stops: &[StopReason],
     cross_stop: Option<StopReason>,
 ) -> StopReason {
-    if merge.guard_tripped || cross_stop == Some(StopReason::Guard) {
+    if truncated || cross_stop == Some(StopReason::Guard) {
         return StopReason::Guard;
     }
     if accepted == arrivals {
@@ -711,7 +580,7 @@ fn derive_stop(
     // Leftovers exist. A single engine would have checked the guard one
     // more time before discovering it cannot route them; shards that
     // stopped on their own (smaller) guard view imply the same.
-    if merge.final_over_guard || shard_stops.contains(&StopReason::Guard) {
+    if merge_stop == StopReason::Guard || shard_stops.contains(&StopReason::Guard) {
         return StopReason::Guard;
     }
     StopReason::NoPath

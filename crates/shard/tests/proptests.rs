@@ -2,8 +2,9 @@
 //!
 //! * **Zero-cross equivalence** — over random disconnected community
 //!   networks with component-aligned partitions and purely shard-local
-//!   (randomly churned, critically-priced) traffic, `ShardedEngine` is
-//!   bit-identical to a single `Engine` fed the same stream: records
+//!   (randomly churned) traffic, critically priced or unpriced,
+//!   `ShardedEngine` is bit-identical to a single `Engine` fed the same
+//!   stream under the same payment policy: records
 //!   (admissions with routes and epochs), payments, events, residual
 //!   loads.
 //! * **Paid guard-pressure + cross equivalence** — the same
@@ -104,17 +105,21 @@ fn engine_config(epsilon: f64) -> EngineConfig {
     }
 }
 
-/// Drive a sharded run and a single-engine run over the same stream and
-/// assert bit-identity on every deterministic observable: per-epoch
-/// reports, admissions (routes, epochs, payments), events, residual
-/// loads.
+/// Drive a sharded run and a single-engine run over the same stream,
+/// both under `payments`, and assert bit-identity on every
+/// deterministic observable: per-epoch reports, admissions (routes,
+/// epochs, payments), events, residual loads.
 fn run_pair_and_assert_identical(
     graph: &Arc<Graph>,
     shards: usize,
     trace: &[Vec<Arrival>],
     epsilon: f64,
+    payments: PaymentPolicy,
 ) -> Result<(), TestCaseError> {
-    let cfg = engine_config(epsilon);
+    let cfg = EngineConfig {
+        payments,
+        ..engine_config(epsilon)
+    };
     let plan = NodeBlocks.partition(graph, shards);
     let mut sharded = ShardedEngine::new(
         Arc::clone(graph),
@@ -173,22 +178,28 @@ fn run_pair_and_assert_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Zero cross-shard traffic ⇒ bit-identical to a single engine.
+    /// Zero cross-shard traffic ⇒ bit-identical to a single engine,
+    /// priced and unpriced.
     #[test]
     fn zero_cross_is_bit_identical_to_single_engine(
         (graph, shards, trace, epsilon) in arb_scenario(2..5, 0..1, false, false, (50.0, 90.0), 14.0)
     ) {
-        run_pair_and_assert_identical(&graph, shards, &trace, epsilon)?;
+        for payments in [PaymentPolicy::None, PaymentPolicy::critical_value()] {
+            run_pair_and_assert_identical(&graph, shards, &trace, epsilon, payments)?;
+        }
     }
 
     /// Tight capacities (guard-stopping epochs and pricing passes) plus
     /// unroutable cross-shard arrivals ⇒ still bit-identical, payments
     /// included: the full contract PR 8 upgraded the zero-cross one to.
+    /// The unpriced twin runs the same merge without pricing passes.
     #[test]
     fn paid_guard_pressure_and_cross_traffic_are_bit_identical(
         (graph, shards, trace, epsilon) in arb_scenario(2..5, 0..1, true, true, (6.0, 12.0), 30.0)
     ) {
-        run_pair_and_assert_identical(&graph, shards, &trace, epsilon)?;
+        for payments in [PaymentPolicy::None, PaymentPolicy::critical_value()] {
+            run_pair_and_assert_identical(&graph, shards, &trace, epsilon, payments)?;
+        }
     }
 
     /// Snapshots of sharded runs (cross traffic + leases + the deferred

@@ -27,6 +27,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use ufp_netgraph::bfs::hop_distances_within;
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::{EdgeId, NodeId};
 use ufp_netgraph::topology::TopologyEvent;
@@ -119,29 +120,6 @@ impl FailureTraceConfig {
             assert!(d.duration >= 1, "drain window duration must be >= 1");
         }
     }
-}
-
-/// Nodes within `radius` BFS hops of `center` (inclusive of `center`).
-fn bfs_region(graph: &Graph, center: NodeId, radius: u32) -> Vec<bool> {
-    let mut seen = vec![false; graph.num_nodes()];
-    seen[center.index()] = true;
-    let mut frontier = vec![center];
-    for _ in 0..radius {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for adj in graph.neighbors(v) {
-                if !seen[adj.to.index()] {
-                    seen[adj.to.index()] = true;
-                    next.push(adj.to);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    seen
 }
 
 /// Generate a deterministic failure trace over `graph`: one
@@ -249,9 +227,10 @@ pub fn failure_trace(graph: &Graph, config: &FailureTraceConfig) -> Vec<Vec<Topo
         // 5. Correlated regional outage (at most one per epoch).
         if config.outage_rate > 0.0 && rng.random_range(0.0..1.0) < config.outage_rate && n > 0 {
             let center = NodeId(rng.random_range(0..n as u32));
-            let region = bfs_region(graph, center, config.outage_radius);
+            let hops = hop_distances_within(graph, center, config.outage_radius as usize);
+            let in_region = |v: NodeId| hops[v.index()] != usize::MAX;
             for (e, edge) in graph.edges().iter().enumerate() {
-                if up[e] && (region[edge.src.index()] || region[edge.dst.index()]) {
+                if up[e] && (in_region(edge.src) || in_region(edge.dst)) {
                     up[e] = false;
                     events.push(TopologyEvent::LinkDown {
                         edge: EdgeId(e as u32),
