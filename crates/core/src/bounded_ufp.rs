@@ -29,7 +29,7 @@ use ufp_obs::{Phase, Recorder};
 use crate::critical::Shadow;
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
-use crate::selection::{IncrementalSelector, SelectInputs, SelectorLog};
+use crate::selection::{Argmin, IncrementalSelector, SelectInputs, SelectorLog};
 use crate::solution::UfpSolution;
 use crate::trace::{Certificate, IterationRecord, RunTrace, StopReason};
 use crate::weights::DualWeights;
@@ -226,13 +226,6 @@ pub struct EpochResumeTrace {
     log: SelectorLog,
 }
 
-/// Read-only view of one recorded selection step.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceStep {
-    /// The request this step selected.
-    pub selected: RequestId,
-}
-
 /// Result of [`EpochResumeTrace::merge`]: the one run the merged steps
 /// make up over the epoch's batch.
 #[derive(Clone, Debug)]
@@ -275,11 +268,9 @@ impl EpochResumeTrace {
         steps + self.log.heap_bytes()
     }
 
-    /// Read-only view of step `i` (panics past the end of the trace).
-    pub fn step(&self, i: usize) -> TraceStep {
-        TraceStep {
-            selected: self.steps[i].record.selected,
-        }
+    /// The request step `i` selected (panics past the end of the trace).
+    pub fn selected(&self, i: usize) -> RequestId {
+        self.steps[i].record.selected
     }
 
     /// Merge recorded runs over disjoint sub-batches of `instance` (the
@@ -295,9 +286,9 @@ impl EpochResumeTrace {
     /// batch position, the single run's id rule. Before each step the
     /// guard is checked as the loop checks it; once the merged dual mass
     /// is over `ε(B−1)`, every part's remaining steps are dropped. Each
-    /// consumed step is applied by the replay every checkpoint uses,
-    /// with its request remapped to its batch position, the global
-    /// `ln D₁` and the running routed value written into its record. No
+    /// consumed step is applied as the loop applies its own steps, with
+    /// its request remapped to its batch position, the global `ln D₁`
+    /// and the running routed value written into its record. No
     /// shortest-path work is done.
     ///
     /// Each part is one recorded run: its trace over a sub-batch, and
@@ -311,9 +302,8 @@ impl EpochResumeTrace {
         ctx: Option<&EpochContext<'_>>,
         parts: &[(&EpochResumeTrace, &[u32])],
     ) -> MergedEpoch {
-        validate_epoch_inputs(instance, config, ctx);
-        let ln_guard = config.epsilon * (epoch_bound_b(instance, ctx) - 1.0);
-        let mut state = EpochRunState::init(instance, ctx);
+        let lp = EpochLoop::new(instance, config, ctx);
+        let mut state = lp.start();
         let mut trace = EpochResumeTrace::default();
         let mut cursors = vec![0usize; parts.len()];
         let mut order = Vec::new();
@@ -332,23 +322,23 @@ impl EpochResumeTrace {
             }
             let Some((step, pos, p)) = best else { break };
             let ln_d1 = state.weights.ln_dual_sum();
-            if ln_d1 > ln_guard {
+            if ln_d1 > lp.ln_guard {
                 truncated = true;
                 break;
             }
-            let merged = ResumeStep {
+            let record = IterationRecord {
+                selected: RequestId(pos),
+                ln_alpha: step.record.ln_alpha,
+                ln_d1,
+                routed_value_before: state.routed_value,
+            };
+            state.apply(instance, record, step.path.clone(), &step.bumps);
+            trace.steps.push(ResumeStep {
                 path: step.path.clone(),
                 bumps: step.bumps.clone(),
                 raw_score: step.raw_score,
-                record: IterationRecord {
-                    selected: RequestId(pos),
-                    ln_alpha: step.record.ln_alpha,
-                    ln_d1,
-                    routed_value_before: state.routed_value,
-                },
-            };
-            state.replay(instance, &merged);
-            trace.steps.push(merged);
+                record,
+            });
             order.push((p, cursors[p]));
             cursors[p] += 1;
         }
@@ -356,13 +346,13 @@ impl EpochResumeTrace {
             StopReason::Guard
         } else if state.steps_done == instance.num_requests() {
             StopReason::Exhausted
-        } else if state.weights.ln_dual_sum() > ln_guard {
+        } else if state.weights.ln_dual_sum() > lp.ln_guard {
             StopReason::Guard
         } else {
             StopReason::NoPath
         };
         MergedEpoch {
-            outcome: finish_outcome(ctx.is_some(), state, stop, ln_guard),
+            outcome: lp.finish(state, stop),
             trace,
             order,
             truncated,
@@ -381,25 +371,9 @@ impl EpochResumeTrace {
         ctx: Option<&EpochContext<'_>>,
         steps: usize,
     ) -> EpochCheckpoint {
-        assert!(
-            steps <= self.steps.len(),
-            "checkpoint past the end of the trace ({steps} > {})",
-            self.steps.len()
-        );
-        validate_epoch_inputs(instance, config, ctx);
-        let mut state = EpochRunState::init(instance, ctx);
-        let prefix = &self.steps[..steps];
-        for step in prefix {
-            state.replay(instance, step);
+        EpochCheckpoint {
+            state: EpochLoop::new(instance, config, ctx).checkpoint(self, steps),
         }
-        // The prefix's selections leave the remaining set in one
-        // order-preserving pass, not one `retain` per step.
-        let mut selected = vec![false; instance.num_requests()];
-        for step in prefix {
-            selected[step.record.selected.index()] = true;
-        }
-        state.remaining.retain(|r| !selected[r.index()]);
-        EpochCheckpoint { state }
     }
 }
 
@@ -432,18 +406,115 @@ pub(crate) struct EpochRunState {
 }
 
 impl EpochRunState {
-    fn init(instance: &UfpInstance, ctx: Option<&EpochContext<'_>>) -> Self {
-        let graph = instance.graph();
-        let weights = match ctx {
-            None => DualWeights::new(graph),
+    /// Apply one selection step: its iteration record, the line-10
+    /// exponents `bumps` along `path` (weights and carry), the routed
+    /// value and the solution. This is the only code that applies a
+    /// step: the loop applies the steps it selects through it, and
+    /// checkpoints and the merge the steps they replay, so a replayed
+    /// state is bit-identical to the one the loop reached. The remaining
+    /// set is left to the caller; a checkpoint removes a whole prefix's
+    /// selections at once.
+    fn apply(
+        &mut self,
+        instance: &UfpInstance,
+        record: IterationRecord,
+        path: Path,
+        bumps: &[f64],
+    ) {
+        debug_assert_eq!(
+            record.routed_value_before, self.routed_value,
+            "steps applied out of order"
+        );
+        self.records.push(record);
+        for (&e, &exponent) in path.edges().iter().zip(bumps) {
+            self.weights.bump(e, exponent);
+            if let Some(k) = self.carry.as_mut() {
+                k[e.index()] += exponent;
+            }
+        }
+        self.routed_value += instance.request(record.selected).value;
+        self.solution.routed.push((record.selected, path));
+        self.steps_done += 1;
+    }
+}
+
+/// One epoch run's setup, built once per entry point: the validated
+/// inputs, the guard bound `B` and threshold `ε(B−1)`, and the
+/// path-search filter. Every run of Algorithm 1 goes through it — the
+/// real run, traced or not, a resumed run, every pricing pass, the merge
+/// and the fan-out reference — and through its one loop skeleton
+/// ([`EpochLoop::drive`]) and one way to apply a step
+/// ([`EpochRunState::apply`]).
+pub(crate) struct EpochLoop<'a> {
+    instance: &'a UfpInstance,
+    config: &'a BoundedUfpConfig,
+    ctx: Option<EpochContext<'a>>,
+    /// The guard bound `B`: minimum capacity over (usable) edges.
+    b: f64,
+    /// The guard threshold `ε(B−1)` on `ln D₁`.
+    pub(crate) ln_guard: f64,
+    /// `usable ∧ routable`, materialized only when the context restricts
+    /// routing beyond usability.
+    mask: Option<Vec<bool>>,
+}
+
+impl<'a> EpochLoop<'a> {
+    pub(crate) fn new(
+        instance: &'a UfpInstance,
+        config: &'a BoundedUfpConfig,
+        ctx: Option<&EpochContext<'a>>,
+    ) -> Self {
+        assert!(
+            instance.is_normalized(),
+            "Bounded-UFP requires a normalized instance (demands in (0,1]); \
+             call UfpInstance::normalized() first"
+        );
+        assert!(
+            config.epsilon > 0.0 && config.epsilon <= 1.0,
+            "epsilon must lie in (0, 1]"
+        );
+        let m = instance.graph().num_edges();
+        let (b, mask) = match ctx {
+            None => (instance.graph().min_capacity(), None),
+            Some(c) => {
+                assert_eq!(c.capacities.len(), m);
+                assert_eq!(c.usable.len(), m);
+                assert_eq!(c.carry.len(), m);
+                let b = c
+                    .capacities
+                    .iter()
+                    .zip(c.usable)
+                    .filter(|&(_, &u)| u)
+                    .map(|(&cap, _)| cap)
+                    .fold(f64::INFINITY, f64::min);
+                let mask = c.routable.map(|r| {
+                    assert_eq!(r.len(), m);
+                    c.usable.iter().zip(r).map(|(&u, &x)| u && x).collect()
+                });
+                (b, mask)
+            }
+        };
+        EpochLoop {
+            instance,
+            config,
+            ctx: ctx.copied(),
+            b,
+            ln_guard: config.epsilon * (b - 1.0),
+            mask,
+        }
+    }
+
+    /// The run state before the first step.
+    fn start(&self) -> EpochRunState {
+        let weights = match self.ctx {
+            None => DualWeights::new(self.instance.graph()),
             Some(c) => DualWeights::with_context(c.capacities, c.usable, c.carry),
         };
-        let carry: Option<Vec<f64>> = ctx.map(|c| c.carry.to_vec());
-        let remaining: Vec<RequestId> = instance.request_ids().collect();
+        let remaining: Vec<RequestId> = self.instance.request_ids().collect();
         let n = remaining.len();
         EpochRunState {
             weights,
-            carry,
+            carry: self.ctx.map(|c| c.carry.to_vec()),
             remaining,
             solution: UfpSolution::empty(),
             routed_value: 0.0,
@@ -452,247 +523,218 @@ impl EpochRunState {
         }
     }
 
-    /// Re-apply one recorded step: identical mutation order (record,
-    /// bumps, carry, value, solution) and identical arithmetic
-    /// to the live loop. The remaining set is left to the caller, which
-    /// removes a whole prefix's selections at once; with that done, the
-    /// state is bit-identical to having executed the steps.
-    fn replay(&mut self, instance: &UfpInstance, step: &ResumeStep) {
-        let req = *instance.request(step.record.selected);
-        debug_assert_eq!(
-            step.record.routed_value_before, self.routed_value,
-            "resume trace replayed out of order"
+    /// The run state after the first `steps` steps of `trace`, replayed
+    /// (no shortest-path queries).
+    pub(crate) fn checkpoint(&self, trace: &EpochResumeTrace, steps: usize) -> EpochRunState {
+        assert!(
+            steps <= trace.steps.len(),
+            "checkpoint past the end of the trace ({steps} > {})",
+            trace.steps.len()
         );
-        self.records.push(step.record);
-        for (&e, &exponent) in step.path.edges().iter().zip(&step.bumps) {
-            self.weights.bump(e, exponent);
-            if let Some(k) = self.carry.as_mut() {
-                k[e.index()] += exponent;
+        let mut state = self.start();
+        let prefix = &trace.steps[..steps];
+        for step in prefix {
+            state.apply(self.instance, step.record, step.path.clone(), &step.bumps);
+        }
+        // The prefix's selections leave the remaining set in one
+        // order-preserving pass, not one `retain` per step.
+        let mut selected = vec![false; self.instance.num_requests()];
+        for step in prefix {
+            selected[step.record.selected.index()] = true;
+        }
+        state.remaining.retain(|r| !selected[r.index()]);
+        state
+    }
+
+    /// What the argmin reads of the loop state.
+    fn inputs<'s>(&'s self, state: &'s EpochRunState) -> SelectInputs<'s> {
+        SelectInputs {
+            instance: self.instance,
+            weights: &state.weights,
+            remaining: &state.remaining,
+            usable: self.mask.as_deref().or(self.ctx.map(|c| c.usable)),
+            obs: &self.config.obs,
+        }
+    }
+
+    /// Run Algorithm 1's main loop from `state` until it stops, with the
+    /// incremental selector as its argmin, or the fan-out reference
+    /// under [`BoundedUfpConfig::fan_out_reference`]. The two argmins
+    /// are bit-identical by the monotonicity contract (proptested): the
+    /// reference changes cost, never results.
+    ///
+    /// * `trace` — when set, every step is appended to it as a
+    ///   [`ResumeStep`], and the incremental selector logs its class
+    ///   answers there (the traced run).
+    /// * `shadow` — when set, the run is a pricing pass for one request
+    ///   that is *not* in the remaining set: the argmin keeps it as a
+    ///   phantom target, the shadow sees its distance at every step's
+    ///   argmin (before the step is applied), and learns at a `NoPath`
+    ///   or `Exhausted` stop whether it still has a path, which is all
+    ///   exact critical-value pricing needs ([`crate::critical`]). The
+    ///   incremental selector starts from the shadow's trace log.
+    pub(crate) fn run(
+        &self,
+        state: &mut EpochRunState,
+        trace: Option<&mut EpochResumeTrace>,
+        shadow: Option<&mut Shadow<'_>>,
+    ) -> StopReason {
+        let phantom = shadow.as_ref().map(|s| s.request);
+        if self.config.fan_out {
+            let fan_out = FanOut {
+                phantom,
+                phantom_dist: None,
+            };
+            return self.drive(fan_out, state, trace, shadow);
+        }
+        // Selector state is *derived*: a cold selector rebuilds it from
+        // the loop state at any point, so checkpoints and snapshots need
+        // no knowledge of it. A traced run logs it, and a pricing pass
+        // seeds from that log.
+        let mut selector = IncrementalSelector::new(phantom, &self.inputs(state));
+        if let Some(s) = shadow.as_deref() {
+            selector.seed(&s.trace.log, s.step);
+        }
+        if trace.is_some() {
+            selector.record();
+        }
+        self.drive(selector, state, trace, shadow)
+    }
+
+    /// The loop skeleton, the one copy: exhaustion check, guard check,
+    /// argmin (`NoPath` when it finds none), the shadow's look at its
+    /// phantom, the step, and at a pass's end its phantom's
+    /// reachability.
+    fn drive<A: Argmin>(
+        &self,
+        mut argmin: A,
+        state: &mut EpochRunState,
+        mut trace: Option<&mut EpochResumeTrace>,
+        mut shadow: Option<&mut Shadow<'_>>,
+    ) -> StopReason {
+        let instance = self.instance;
+        // The current step's line-10 exponents, one buffer for the run.
+        let mut bumps = Vec::new();
+        let stop = loop {
+            if state.remaining.is_empty() {
+                break StopReason::Exhausted;
+            }
+            let ln_d1 = state.weights.ln_dual_sum();
+            if ln_d1 > self.ln_guard {
+                break StopReason::Guard;
+            }
+            let inputs = self.inputs(state);
+            let Some((selected, score, path)) = argmin.select(&inputs) else {
+                break StopReason::NoPath;
+            };
+            if let Some(s) = shadow.as_deref_mut() {
+                s.observe(instance, argmin.phantom_distance(&inputs), selected, score);
+            }
+
+            // Claim 3.6 bookkeeping: α(i) in log space (the shift
+            // restores the true scale of the materialized distance).
+            let record = IterationRecord {
+                selected,
+                ln_alpha: if score > 0.0 {
+                    score.ln() + state.weights.shift()
+                } else {
+                    f64::NEG_INFINITY
+                },
+                ln_d1,
+                routed_value_before: state.routed_value,
+            };
+            // Line 10: y_e ← y_e · e^{εB d / c_e} along the chosen path.
+            let scale = self.config.epsilon * self.b * instance.request(selected).demand;
+            bumps.clear();
+            bumps.extend(
+                path.edges()
+                    .iter()
+                    .map(|&e| scale / state.weights.capacity(e)),
+            );
+            if let Some(t) = trace.as_deref_mut() {
+                t.steps.push(ResumeStep {
+                    path: path.clone(),
+                    bumps: bumps.clone(),
+                    raw_score: score,
+                    record,
+                });
+            }
+            state.apply(instance, record, path, &bumps);
+            state.remaining.retain(|&r| r != selected);
+            let (_, path) = state.solution.routed.last().expect("the step was routed");
+            argmin.after_step(selected, path, &state.weights);
+        };
+        if let Some(s) = shadow {
+            if matches!(stop, StopReason::NoPath | StopReason::Exhausted) {
+                s.reachable = argmin.phantom_reachable(&self.inputs(state));
             }
         }
-        self.routed_value += req.value;
-        self.solution
-            .routed
-            .push((step.record.selected, step.path.clone()));
-        self.steps_done += 1;
+        if let Some(t) = trace {
+            t.log = argmin.take_log();
+        }
+        stop
     }
-}
 
-/// Shared input validation for all epoch entry points.
-fn validate_epoch_inputs(
-    instance: &UfpInstance,
-    config: &BoundedUfpConfig,
-    ctx: Option<&EpochContext<'_>>,
-) {
-    assert!(
-        instance.is_normalized(),
-        "Bounded-UFP requires a normalized instance (demands in (0,1]); \
-         call UfpInstance::normalized() first"
-    );
-    assert!(
-        config.epsilon > 0.0 && config.epsilon <= 1.0,
-        "epsilon must lie in (0, 1]"
-    );
-    if let Some(c) = ctx {
-        let m = instance.graph().num_edges();
-        assert_eq!(c.capacities.len(), m);
-        assert_eq!(c.usable.len(), m);
-        assert_eq!(c.carry.len(), m);
-        if let Some(r) = c.routable {
-            assert_eq!(r.len(), m);
+    /// Package a finished run state into an [`EpochOutcome`].
+    pub(crate) fn finish(&self, state: EpochRunState, stop_reason: StopReason) -> EpochOutcome {
+        let trace = RunTrace {
+            records: state.records,
+            ln_guard_threshold: self.ln_guard,
+            stop_reason,
+            certificate: if self.ctx.is_some() {
+                Certificate::None
+            } else {
+                Certificate::Claim36
+            },
+        };
+        EpochOutcome {
+            run: UfpRunResult {
+                solution: state.solution,
+                trace,
+            },
+            carry: state.carry.unwrap_or_default(),
         }
     }
 }
 
-/// The loop's path-search filter: `usable ∧ routable`, materialized only
-/// when the context actually restricts routing beyond usability.
-pub(crate) fn path_mask(ctx: Option<&EpochContext<'_>>) -> Option<Vec<bool>> {
-    let c = ctx?;
-    let r = c.routable?;
-    Some(c.usable.iter().zip(r).map(|(&u, &x)| u && x).collect())
+/// The paper-literal argmin: a full shortest-path fan-out every
+/// iteration, grouped by source vertex, with the `(score, id)`
+/// tie-break. The reference the incremental selector is proptested
+/// against. A pricing pass's phantom is one more target of the fan-out,
+/// left out of the argmin.
+struct FanOut {
+    phantom: Option<RequestId>,
+    /// The phantom's distance in the last fan-out (`None`: no path).
+    phantom_dist: Option<f64>,
 }
 
-/// The guard bound `B`: minimum capacity over (usable) edges.
-pub(crate) fn epoch_bound_b(instance: &UfpInstance, ctx: Option<&EpochContext<'_>>) -> f64 {
-    match ctx {
-        None => instance.graph().min_capacity(),
-        Some(c) => c
-            .capacities
-            .iter()
-            .zip(c.usable)
-            .filter(|&(_, &u)| u)
-            .map(|(&cap, _)| cap)
-            .fold(f64::INFINITY, f64::min),
+impl FanOut {
+    fn query(inputs: &SelectInputs<'_>, targets: &[RequestId]) -> Vec<(RequestId, f64, Path)> {
+        let _span = inputs.obs.span(Phase::SelectionDijkstra);
+        shortest_paths_grouped(inputs.instance, targets, inputs.weights, inputs.usable)
     }
 }
 
-/// The Algorithm 1 main loop over an [`EpochRunState`]: the incremental
-/// selector, or the fan-out reference under
-/// [`BoundedUfpConfig::fan_out_reference`]. Both bodies drive the same
-/// [`apply_step`], and their selections are bit-identical by the
-/// monotonicity contract (proptested) — the reference changes cost,
-/// never results.
-///
-/// * `record` — when set, every executed step is appended to it as a
-///   [`ResumeStep`], and the incremental selector logs its class
-///   answers there (the traced run).
-/// * `shadow` — when set, the run is a pricing pass for one request
-///   that is *not* in the remaining set: both loop bodies keep it as a
-///   phantom target, show the shadow its distance at every step's argmin
-///   (before the step is applied), and report at a `NoPath` or
-///   `Exhausted` stop whether it still has a path, which is all exact
-///   critical-value pricing needs ([`crate::critical`]). The
-///   incremental selector starts from the shadow's trace log.
-#[allow(clippy::too_many_arguments)] // internal: one call site per entry point
-pub(crate) fn run_epoch_loop(
-    instance: &UfpInstance,
-    config: &BoundedUfpConfig,
-    usable: Option<&[bool]>,
-    b: f64,
-    ln_guard: f64,
-    state: &mut EpochRunState,
-    record: Option<&mut EpochResumeTrace>,
-    shadow: Option<&mut Shadow<'_>>,
-) -> StopReason {
-    let body = if config.fan_out {
-        run_epoch_loop_fanout
-    } else {
-        run_epoch_loop_incremental
-    };
-    body(instance, config, usable, b, ln_guard, state, record, shadow)
-}
-
-/// The loop state as the incremental selector reads it at the top of
-/// an iteration.
-fn loop_inputs<'a>(
-    instance: &'a UfpInstance,
-    config: &'a BoundedUfpConfig,
-    usable: Option<&'a [bool]>,
-    state: &'a EpochRunState,
-) -> SelectInputs<'a> {
-    SelectInputs {
-        instance,
-        weights: &state.weights,
-        usable,
-        obs: &config.obs,
-    }
-}
-
-/// Apply one selected step to the loop state: the iteration record, the
-/// line-10 weight bumps, carry, routed value, the remaining set, and
-/// the solution/trace appends — in exactly this order, which
-/// [`EpochRunState::replay`] reproduces for bit-identical resumes. Both
-/// loop bodies funnel through here so the mutation sequence cannot
-/// diverge between them.
-#[allow(clippy::too_many_arguments)] // internal: the loop bodies are the only callers
-fn apply_step(
-    instance: &UfpInstance,
-    config: &BoundedUfpConfig,
-    b: f64,
-    state: &mut EpochRunState,
-    record_steps: Option<&mut Vec<ResumeStep>>,
-    selected: RequestId,
-    score: f64,
-    ln_d1: f64,
-    path: Path,
-) {
-    let eps = config.epsilon;
-    let req = *instance.request(selected);
-
-    // Claim 3.6 bookkeeping: α(i) in log space (shift restores the
-    // true scale of the materialized distance).
-    let ln_alpha = if score > 0.0 {
-        score.ln() + state.weights.shift()
-    } else {
-        f64::NEG_INFINITY
-    };
-    let record = IterationRecord {
-        selected,
-        ln_alpha,
-        ln_d1,
-        routed_value_before: state.routed_value,
-    };
-    state.records.push(record);
-
-    // Line 10: y_e ← y_e · e^{εB d / c_e} along the chosen path.
-    let mut bumps = record_steps
-        .is_some()
-        .then(|| Vec::with_capacity(path.edges().len()));
-    for &e in path.edges() {
-        let c = state.weights.capacity(e);
-        let exponent = eps * b * req.demand / c;
-        state.weights.bump(e, exponent);
-        if let Some(k) = state.carry.as_mut() {
-            k[e.index()] += exponent;
-        }
-        if let Some(bs) = bumps.as_mut() {
-            bs.push(exponent);
-        }
-    }
-
-    state.routed_value += req.value;
-    state.remaining.retain(|r| *r != selected);
-    state.steps_done += 1;
-    if let Some(steps) = record_steps {
-        state.solution.routed.push((selected, path.clone()));
-        steps.push(ResumeStep {
-            path,
-            bumps: bumps.unwrap_or_default(),
-            raw_score: score,
-            record,
-        });
-    } else {
-        state.solution.routed.push((selected, path));
-    }
-}
-
-/// The paper-literal loop: full shortest-path fan-out every iteration,
-/// grouped by source vertex. The reference the incremental loop is
-/// proptested against. A pricing pass's phantom is one more target of
-/// the fan-out, left out of the argmin.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_loop_fanout(
-    instance: &UfpInstance,
-    config: &BoundedUfpConfig,
-    usable: Option<&[bool]>,
-    b: f64,
-    ln_guard: f64,
-    state: &mut EpochRunState,
-    mut record: Option<&mut EpochResumeTrace>,
-    mut shadow: Option<&mut Shadow<'_>>,
-) -> StopReason {
-    let phantom = shadow.as_ref().map(|s| s.request);
-    let query = |state: &EpochRunState, targets: &[RequestId]| {
-        let _span = config.obs.span(Phase::SelectionDijkstra);
-        shortest_paths_grouped(instance, targets, &state.weights, usable)
-    };
-    let stop = loop {
-        if state.remaining.is_empty() {
-            break StopReason::Exhausted;
-        }
-        let ln_d1 = state.weights.ln_dual_sum();
-        if ln_d1 > ln_guard {
-            break StopReason::Guard;
-        }
-
-        let mut targets = std::borrow::Cow::Borrowed(&state.remaining[..]);
-        if let Some(p) = phantom {
+impl Argmin for FanOut {
+    fn select(&mut self, inputs: &SelectInputs<'_>) -> Option<(RequestId, f64, Path)> {
+        let mut targets = std::borrow::Cow::Borrowed(inputs.remaining);
+        if let Some(p) = self.phantom {
             targets.to_mut().push(p);
         }
-        let mut findings = query(state, &targets);
+        let mut findings = Self::query(inputs, &targets);
 
         // Select r̂ minimizing (d/v)·|p| — deterministic tie-break on
         // request id (`<` keeps the first minimum among equal scores,
         // and the fan-out yields findings in `(src, id)` order, where
         // explicit id comparison resolves ties identically).
         let mut best: Option<(f64, usize)> = None;
-        let mut phantom_dist = None;
+        self.phantom_dist = None;
         for (i, (request, dist, _)) in findings.iter().enumerate() {
-            if Some(*request) == phantom {
-                phantom_dist = Some(*dist);
+            if Some(*request) == self.phantom {
+                self.phantom_dist = Some(*dist);
                 continue;
             }
-            let score = instance.request(*request).density() * dist;
+            let score = inputs.instance.request(*request).density() * dist;
             let better = match best {
                 None => true,
                 Some((bs, bi)) => score < bs || (score == bs && *request < findings[bi].0),
@@ -701,145 +743,25 @@ fn run_epoch_loop_fanout(
                 best = Some((score, i));
             }
         }
-        let Some((score, idx)) = best else {
-            break StopReason::NoPath;
-        };
-        let selected = findings[idx].0;
-        if let Some(s) = shadow.as_deref_mut() {
-            s.observe(instance, phantom_dist, selected, score);
-        }
+        let (score, idx) = best?;
         // Findings order is dead after the argmin.
-        let path = findings.swap_remove(idx).2;
-
-        apply_step(
-            instance,
-            config,
-            b,
-            state,
-            record.as_deref_mut().map(|t| &mut t.steps),
-            selected,
-            score,
-            ln_d1,
-            path,
-        );
-    };
-    if let Some(s) = shadow {
-        if matches!(stop, StopReason::NoPath | StopReason::Exhausted) {
-            s.reachable = !query(state, &[s.request]).is_empty();
-        }
+        let (selected, _, path) = findings.swap_remove(idx);
+        Some((selected, score, path))
     }
-    stop
-}
 
-/// The path [`apply_step`] just appended to the solution.
-fn last_routed(state: &EpochRunState) -> &Path {
-    &state
-        .solution
-        .routed
-        .last()
-        .expect("apply_step appends the routed path")
-        .1
-}
+    fn phantom_distance(&mut self, _inputs: &SelectInputs<'_>) -> Option<f64> {
+        self.phantom_dist
+    }
 
-/// The incremental loop: route-class path cache + lazy score heap (see
-/// [`crate::selection`]). Selector state is *derived*: a cold selector
-/// rebuilds it from the loop state at any point, so checkpoints and
-/// snapshots need no knowledge of it. A traced run logs it, and a
-/// pricing pass seeds from that log.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_loop_incremental(
-    instance: &UfpInstance,
-    config: &BoundedUfpConfig,
-    usable: Option<&[bool]>,
-    b: f64,
-    ln_guard: f64,
-    state: &mut EpochRunState,
-    mut record: Option<&mut EpochResumeTrace>,
-    mut shadow: Option<&mut Shadow<'_>>,
-) -> StopReason {
-    let mut selector = IncrementalSelector::new(
-        &state.remaining,
-        shadow.as_ref().map(|s| s.request),
-        &loop_inputs(instance, config, usable, state),
-    );
-    if let Some(s) = shadow.as_deref() {
-        selector.seed(&s.trace.log, s.step);
+    fn phantom_reachable(&mut self, inputs: &SelectInputs<'_>) -> bool {
+        let phantom = self.phantom.expect("only a pricing pass asks");
+        !Self::query(inputs, &[phantom]).is_empty()
     }
-    if record.is_some() {
-        selector.record();
-    }
-    let stop = loop {
-        if state.remaining.is_empty() {
-            break StopReason::Exhausted;
-        }
-        let ln_d1 = state.weights.ln_dual_sum();
-        if ln_d1 > ln_guard {
-            break StopReason::Guard;
-        }
 
-        let inputs = loop_inputs(instance, config, usable, state);
-        let Some((selected, score)) = selector.select(&inputs) else {
-            break StopReason::NoPath;
-        };
-        if let Some(s) = shadow.as_deref_mut() {
-            s.observe(
-                instance,
-                selector.phantom_distance(&inputs),
-                selected,
-                score,
-            );
-        }
-        // The winner's path comes straight from the cache: its exactness
-        // is the invariant the dirty-set bookkeeping maintains. The
-        // clone is the copy the solution owns either way.
-        let path = selector.winner_path(selected).clone();
-        apply_step(
-            instance,
-            config,
-            b,
-            state,
-            record.as_deref_mut().map(|t| &mut t.steps),
-            selected,
-            score,
-            ln_d1,
-            path,
-        );
-        selector.after_step(selected, last_routed(state), &state.weights);
-    };
-    if let Some(s) = shadow {
-        if matches!(stop, StopReason::NoPath | StopReason::Exhausted) {
-            s.reachable = selector.phantom_reachable(&loop_inputs(instance, config, usable, state));
-        }
-    }
-    if let Some(t) = record {
-        t.log = selector.take_log();
-    }
-    stop
-}
+    fn after_step(&mut self, _selected: RequestId, _path: &Path, _weights: &DualWeights) {}
 
-/// Package a finished run state into an [`EpochOutcome`].
-fn finish_outcome(
-    had_ctx: bool,
-    state: EpochRunState,
-    stop_reason: StopReason,
-    ln_guard: f64,
-) -> EpochOutcome {
-    let trace = RunTrace {
-        records: state.records,
-        ln_guard_threshold: ln_guard,
-        stop_reason,
-        certificate: if had_ctx {
-            Certificate::None
-        } else {
-            Certificate::Claim36
-        },
-    };
-    EpochOutcome {
-        run: UfpRunResult {
-            solution: state.solution,
-            trace,
-        },
-        carry: state.carry.unwrap_or_default(),
+    fn take_log(&mut self) -> SelectorLog {
+        SelectorLog::default()
     }
 }
 
@@ -883,17 +805,11 @@ fn run_epoch(
     instance: &UfpInstance,
     config: &BoundedUfpConfig,
     ctx: Option<&EpochContext<'_>>,
-    record: Option<&mut EpochResumeTrace>,
+    trace: Option<&mut EpochResumeTrace>,
 ) -> EpochOutcome {
-    validate_epoch_inputs(instance, config, ctx);
-    let b = epoch_bound_b(instance, ctx);
-    let ln_guard = config.epsilon * (b - 1.0);
-    let merged_mask = path_mask(ctx);
-    let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
-    let mut state = EpochRunState::init(instance, ctx);
-    let stop_reason = run_epoch_loop(
-        instance, config, usable, b, ln_guard, &mut state, record, None,
-    );
+    let lp = EpochLoop::new(instance, config, ctx);
+    let mut state = lp.start();
+    let stop_reason = lp.run(&mut state, trace, None);
     if config.obs.is_enabled() {
         // The paper's internal signals, gauged once per epoch run:
         // remaining guard headroom `ε(B−1) − ln D₁`, dual-weight
@@ -902,13 +818,16 @@ fn run_epoch(
         // pricing passes) are deliberately not gauged — they would drown
         // the real epoch's signal in replay noise.
         let obs = &config.obs;
-        obs.gauge_set("core.guard_slack", ln_guard - state.weights.ln_dual_sum());
+        obs.gauge_set(
+            "core.guard_slack",
+            lp.ln_guard - state.weights.ln_dual_sum(),
+        );
         obs.gauge_set("core.dual_weight_max_ln_y", state.weights.max_ln_y());
         obs.gauge_set("core.weight_recenters", state.weights.recenters() as f64);
         obs.counter_add("core.epoch_runs", 1);
         obs.counter_add("core.steps_applied", state.steps_done as u64);
     }
-    finish_outcome(ctx.is_some(), state, stop_reason, ln_guard)
+    lp.finish(state, stop_reason)
 }
 
 /// Resume an epoch run from `checkpoint` and drive it to completion.
@@ -925,16 +844,10 @@ pub fn bounded_ufp_epoch_resume(
     ctx: Option<&EpochContext<'_>>,
     checkpoint: EpochCheckpoint,
 ) -> EpochOutcome {
-    validate_epoch_inputs(instance, config, ctx);
-    let b = epoch_bound_b(instance, ctx);
-    let ln_guard = config.epsilon * (b - 1.0);
-    let merged_mask = path_mask(ctx);
-    let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
+    let lp = EpochLoop::new(instance, config, ctx);
     let mut state = checkpoint.state;
-    let stop_reason = run_epoch_loop(
-        instance, config, usable, b, ln_guard, &mut state, None, None,
-    );
-    finish_outcome(ctx.is_some(), state, stop_reason, ln_guard)
+    let stop_reason = lp.run(&mut state, None, None);
+    lp.finish(state, stop_reason)
 }
 
 /// Group requests by source vertex, deterministically: sorted by

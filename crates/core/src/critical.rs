@@ -24,8 +24,9 @@
 //! lower value only raises `r`'s score), so [`critical_value_exact`]
 //! prices `r` with **one** resume from the trace checkpoint at that
 //! step, with `r` masked out of the remaining set. A `Shadow` observer
-//! rides along inside the ordinary loop — the incremental selector or
-//! the fan-out reference, so there is no second loop to keep in sync.
+//! rides along inside the one loop skeleton every run uses, whichever
+//! argmin drives it (the incremental selector or the fan-out
+//! reference), so there is no second loop to keep in sync.
 //! The pass keeps `r` in its route class as a phantom, so the shadow
 //! reads `|p_r^t|` off that class, and the pass's selector starts from
 //! the answers the recorded run held at that step (Invariant 3 in
@@ -39,9 +40,7 @@
 //! quotient. The bisection survives as the test oracle for that
 //! contract.
 
-use crate::bounded_ufp::{
-    epoch_bound_b, path_mask, run_epoch_loop, BoundedUfpConfig, EpochContext, EpochResumeTrace,
-};
+use crate::bounded_ufp::{BoundedUfpConfig, EpochContext, EpochLoop, EpochResumeTrace};
 use crate::instance::UfpInstance;
 use crate::request::RequestId;
 use crate::trace::StopReason;
@@ -65,12 +64,9 @@ pub fn critical_value_exact(
     trace: &EpochResumeTrace,
     step: usize,
 ) -> f64 {
-    let winner = trace.step(step).selected;
-    let b = epoch_bound_b(instance, ctx);
-    let ln_guard = config.epsilon * (b - 1.0);
-    let merged_mask = path_mask(ctx);
-    let usable = merged_mask.as_deref().or(ctx.map(|c| c.usable));
-    let mut state = trace.checkpoint(instance, config, ctx, step).state;
+    let lp = EpochLoop::new(instance, config, ctx);
+    let winner = trace.selected(step);
+    let mut state = lp.checkpoint(trace, step);
     state.remaining.retain(|&r| r != winner);
 
     let mut shadow = Shadow {
@@ -80,16 +76,7 @@ pub fn critical_value_exact(
         reachable: false,
         threshold: f64::INFINITY,
     };
-    let stop = run_epoch_loop(
-        instance,
-        config,
-        usable,
-        b,
-        ln_guard,
-        &mut state,
-        None,
-        Some(&mut shadow),
-    );
+    let stop = lp.run(&mut state, None, Some(&mut shadow));
     // Where the `r`-absent run ends, `r` (still unselected) would face
     // the same checks the loop just made: exhaustion hands it the next
     // guard check, a path-less field hands it the argmin outright.
@@ -98,7 +85,7 @@ pub fn critical_value_exact(
         // with the winner still priced by the steps it saw.
         StopReason::Guard | StopReason::IterationCap => false,
         StopReason::NoPath => shadow.reachable,
-        StopReason::Exhausted => state.weights.ln_dual_sum() <= ln_guard && shadow.reachable,
+        StopReason::Exhausted => state.weights.ln_dual_sum() <= lp.ln_guard && shadow.reachable,
     };
     let threshold = if free {
         0.0
@@ -210,7 +197,7 @@ mod tests {
         trace: &EpochResumeTrace,
         step: usize,
     ) -> f64 {
-        let r = trace.step(step).selected;
+        let r = trace.selected(step);
         let req = *inst.request(r);
         bisect(req.value, |v| {
             let probe = inst.with_declared_type(r, req.demand, v);
@@ -241,7 +228,7 @@ mod tests {
         let exact: Vec<f64> = (0..trace.num_steps())
             .map(|k| {
                 let p = critical_value_exact(inst, cfg, ctx, &trace, k);
-                let r = trace.step(k).selected;
+                let r = trace.selected(k);
                 assert!(
                     (0.0..=inst.request(r).value).contains(&p),
                     "{r}: payment {p} outside [0, bid]"

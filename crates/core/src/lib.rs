@@ -39,6 +39,13 @@
 //! [`EpochResumeTrace::merge`] builds the same trace for an epoch planned
 //! in parts (a sharded deployment's shards) by replaying their recorded
 //! steps in the loop's argmin order under one global guard.
+//!
+//! Every one of these runs — the real one, traced or not, a resumed
+//! one, each pricing pass and the merge — shares one setup (the bound
+//! `B`, the guard and the path mask, computed once), one loop skeleton,
+//! and one function that applies a step, live or replayed; only the
+//! argmin varies, between the incremental selector and the fan-out
+//! reference the tests compare it with (`crates/core/README.md`).
 
 #![forbid(unsafe_code)]
 
@@ -58,7 +65,7 @@ pub mod weights;
 pub use bounded_ufp::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
     BoundedUfpConfig, EpochCheckpoint, EpochContext, EpochOutcome, EpochResumeTrace, MergedEpoch,
-    TraceStep, UfpRunResult,
+    UfpRunResult,
 };
 pub use critical::{critical_value_exact, VALUE_FLOOR};
 pub use exact::{exact_optimum, ExactConfig, ExactResult};

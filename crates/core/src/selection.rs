@@ -74,11 +74,13 @@
 //! installs the state the real selector held when step `k`'s selection
 //! returned (Invariant 3 in `crates/core/README.md`).
 //!
-//! The output contract is strict: selections, scores, paths, iteration
-//! records, resume traces, and stop reasons are **bit-identical** to the
-//! paper-literal per-iteration fan-out, which survives only as the test
-//! reference (`BoundedUfpConfig::fan_out_reference`) and is proptested
-//! against in `tests/selection_equivalence.rs`.
+//! The selector is one of two `Argmin`s behind Algorithm 1's one loop
+//! skeleton (`EpochLoop::drive` in [`mod@crate::bounded_ufp`]). The other is
+//! the paper-literal per-iteration fan-out, which survives only as the
+//! test reference (`BoundedUfpConfig::fan_out_reference`). The output
+//! contract is strict: selections, scores, paths, iteration records,
+//! resume traces, and stop reasons are **bit-identical** between the
+//! two, proptested in `tests/selection_equivalence.rs`.
 
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::heap::IndexedMinHeap;
@@ -138,7 +140,7 @@ struct DensityGroup {
 }
 
 /// The per-epoch incremental selection state. One instance lives for one
-/// `run_epoch_loop` call; it is derived state (rebuildable from the loop
+/// `EpochLoop::run` call; it is derived state (rebuildable from the loop
 /// state at any point), which is what keeps checkpoints, resume traces,
 /// and snapshots entirely unaware of it.
 pub(crate) struct IncrementalSelector {
@@ -212,11 +214,13 @@ impl SelectorLog {
     }
 }
 
-/// Everything `select` needs from the surrounding loop, bundled so the
-/// borrow of the loop state stays in one place.
+/// Everything an [`Argmin`] reads of the surrounding loop, bundled so
+/// the borrow of the loop state stays in one place.
 pub(crate) struct SelectInputs<'a> {
     pub instance: &'a UfpInstance,
     pub weights: &'a DualWeights,
+    /// The requests still in play (a pricing pass's phantom is not).
+    pub remaining: &'a [RequestId],
     pub usable: Option<&'a [bool]>,
     /// Observability handle (off by default; never affects selection).
     pub obs: &'a Recorder,
@@ -230,19 +234,42 @@ impl SelectInputs<'_> {
     }
 }
 
+/// The argmin Algorithm 1's loop skeleton asks of its selector, and what
+/// a pricing pass asks about its phantom. The skeleton is written once
+/// against it (`EpochLoop::drive` in [`mod@crate::bounded_ufp`]); the
+/// incremental selector implements it in production, and the fan-out
+/// reference implements it for the tests that compare the two.
+pub(crate) trait Argmin {
+    /// The step's argmin `(request, score, path)`, ties to the lower
+    /// request id; the path is the copy the solution keeps. `None` when
+    /// no remaining request has a path (the loop's `NoPath` stop).
+    fn select(&mut self, inputs: &SelectInputs<'_>) -> Option<(RequestId, f64, Path)>;
+
+    /// The phantom's shortest-path length at the step `select` just
+    /// chose (`None`: no path).
+    fn phantom_distance(&mut self, inputs: &SelectInputs<'_>) -> Option<f64>;
+
+    /// Whether the phantom still has a path where a pass stopped.
+    fn phantom_reachable(&mut self, inputs: &SelectInputs<'_>) -> bool;
+
+    /// Account for the step just applied: `selected` routed on `path`,
+    /// and `weights` bumped along it.
+    fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights);
+
+    /// The class-answer log of a traced run (empty when none was kept).
+    fn take_log(&mut self) -> SelectorLog;
+}
+
 impl IncrementalSelector {
     /// A selector over the loop's current `remaining` set: partitions it
     /// into route classes (numbered in `(src, dst)` order, so
     /// same-source classes are adjacent) and density groups, and flags
     /// every class for the first selection's full refresh. A pricing
     /// pass's `phantom` joins its route class without a member slot.
-    pub(crate) fn new(
-        remaining: &[RequestId],
-        phantom: Option<RequestId>,
-        inputs: &SelectInputs<'_>,
-    ) -> Self {
+    pub(crate) fn new(phantom: Option<RequestId>, inputs: &SelectInputs<'_>) -> Self {
         let instance = inputs.instance;
-        let mut keyed: Vec<(NodeId, NodeId, u64, RequestId)> = remaining
+        let mut keyed: Vec<(NodeId, NodeId, u64, RequestId)> = inputs
+            .remaining
             .iter()
             .chain(&phantom)
             .map(|&r| {
@@ -320,11 +347,6 @@ impl IncrementalSelector {
             num_classes: self.classes.len(),
             ..SelectorLog::default()
         });
-    }
-
-    /// The log [`IncrementalSelector::record`] started (empty if none).
-    pub(crate) fn take_log(&mut self) -> SelectorLog {
-        self.log.take().unwrap_or_default()
     }
 
     fn log_event(&mut self, c: u32, event: u32) {
@@ -455,12 +477,12 @@ impl IncrementalSelector {
         class.rep_group = rep_group;
         self.set_entry(c, rep.0, score);
     }
+}
 
-    /// The argmin `(request, score)` under the current weights —
-    /// bit-identical (selection, score, tie-break) to scanning a full
-    /// fan-out's findings. `None` when no live request has a path
-    /// (the fan-out's `NoPath` condition).
-    pub(crate) fn select(&mut self, inputs: &SelectInputs<'_>) -> Option<(RequestId, f64)> {
+impl Argmin for IncrementalSelector {
+    /// The argmin under the current weights — bit-identical (selection,
+    /// score, tie-break, path) to scanning a full fan-out's findings.
+    fn select(&mut self, inputs: &SelectInputs<'_>) -> Option<(RequestId, f64, Path)> {
         if self.dirty_count > 0 && (self.must_refresh_all || self.dirty_count >= EAGER_REFRESH_MIN)
         {
             self.refresh_eager(inputs);
@@ -477,23 +499,18 @@ impl IncrementalSelector {
                 self.refresh_one(c, inputs);
                 continue;
             }
-            return Some((RequestId(slot), key));
+            // The winner's path comes straight from the cache: its
+            // exactness is the invariant the dirty-set bookkeeping
+            // maintains.
+            let (_, path) = self.cache.get(c).expect("winner must have a cached path");
+            return Some((RequestId(slot), key, path.clone()));
         }
-    }
-
-    /// The cached path of the just-selected winner. Valid immediately
-    /// after [`IncrementalSelector::select`] returned that request.
-    pub(crate) fn winner_path(&self, r: RequestId) -> &Path {
-        self.cache
-            .get(self.class_of[r.index()])
-            .expect("winner must have a cached path")
-            .1
     }
 
     /// The phantom's current shortest-path length (`None`: no path),
     /// re-querying its class first if it is dirty. The query is an
     /// ordinary class refresh, and the selector keeps its answer.
-    pub(crate) fn phantom_distance(&mut self, inputs: &SelectInputs<'_>) -> Option<f64> {
+    fn phantom_distance(&mut self, inputs: &SelectInputs<'_>) -> Option<f64> {
         let c = self.phantom_class;
         if self.classes[c as usize].dirty {
             self.refresh_one(c, inputs);
@@ -506,7 +523,7 @@ impl IncrementalSelector {
     /// class's last answer decides even while it is dirty; only a class
     /// never answered (a cold pass that stopped before selecting) is
     /// queried.
-    pub(crate) fn phantom_reachable(&mut self, inputs: &SelectInputs<'_>) -> bool {
+    fn phantom_reachable(&mut self, inputs: &SelectInputs<'_>) -> bool {
         let c = self.phantom_class;
         if self.classes[c as usize].alive && self.cache.get(c).is_none() {
             self.refresh_one(c, inputs);
@@ -519,7 +536,7 @@ impl IncrementalSelector {
     /// classes whose cached paths cross its path's edges (their weights
     /// were bumped), and detect weight
     /// re-centering (which invalidates every cached distance's scale).
-    pub(crate) fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights) {
+    fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights) {
         self.steps += 1;
         let c = self.class_of[selected.index()];
         let class = &mut self.classes[c as usize];
@@ -565,6 +582,13 @@ impl IncrementalSelector {
         self.drain_buf = buf;
     }
 
+    /// The log [`IncrementalSelector::record`] started (empty if none).
+    fn take_log(&mut self) -> SelectorLog {
+        self.log.take().unwrap_or_default()
+    }
+}
+
+impl IncrementalSelector {
     /// Re-query one class at the heap top (the lazy path). Clears its
     /// dirty flag; retires it permanently — every member at once, since
     /// they share the query — if it no longer has a path (monotonicity:
@@ -650,15 +674,17 @@ mod tests {
     fn first_pick(inst: &UfpInstance) -> (RequestId, f64) {
         let weights = DualWeights::new(inst.graph());
         let obs = Recorder::off();
+        let remaining: Vec<RequestId> = inst.request_ids().collect();
         let inputs = SelectInputs {
             instance: inst,
             weights: &weights,
+            remaining: &remaining,
             usable: None,
             obs: &obs,
         };
-        let remaining: Vec<RequestId> = inst.request_ids().collect();
-        let mut selector = IncrementalSelector::new(&remaining, None, &inputs);
-        selector.select(&inputs).expect("some request has a path")
+        let mut selector = IncrementalSelector::new(None, &inputs);
+        let (picked, score, _) = selector.select(&inputs).expect("some request has a path");
+        (picked, score)
     }
 
     /// Whole-run agreement with the fan-out reference.

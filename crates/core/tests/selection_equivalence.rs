@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use ufp_core::{
     bounded_ufp, bounded_ufp_epoch, bounded_ufp_epoch_resume, bounded_ufp_epoch_traced,
     critical_value_exact, BoundedUfpConfig, EpochContext, EpochOutcome, EpochResumeTrace,
-    MergedEpoch, Request, UfpInstance,
+    MergedEpoch, Request, StopReason, UfpInstance,
 };
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::GraphBuilder;
@@ -341,7 +341,7 @@ proptest! {
                 let inc = critical_value_exact(&inst, &inc_cfg, ctx, &trace, k);
                 prop_assert_eq!(fan.to_bits(), inc.to_bits(),
                     "step {} priced {} vs {}", k, fan, inc);
-                prop_assert!((0.0..=inst.request(trace.step(k).selected).value).contains(&inc));
+                prop_assert!((0.0..=inst.request(trace.selected(k)).value).contains(&inc));
             }
         }
     }
@@ -368,7 +368,7 @@ proptest! {
             prop_assert_eq!(merged.trace.num_steps(), trace.num_steps());
             for k in 0..trace.num_steps() {
                 prop_assert_eq!(merged.order[k], (0, k));
-                prop_assert_eq!(merged.trace.step(k).selected, trace.step(k).selected);
+                prop_assert_eq!(merged.trace.selected(k), trace.selected(k));
                 let recorded = critical_value_exact(&inst, &cfg, ctx, &trace, k);
                 let replayed = critical_value_exact(&inst, &cfg, ctx, &merged.trace, k);
                 prop_assert_eq!(recorded.to_bits(), replayed.to_bits(),
@@ -569,7 +569,7 @@ fn two_route_diamond() -> UfpInstance {
     gb.add_edge(NodeId(1), NodeId(3), 40.0);
     gb.add_edge(NodeId(0), NodeId(2), 45.0);
     gb.add_edge(NodeId(2), NodeId(3), 45.0);
-    let reqs = (0..120)
+    let reqs = (0..240)
         .map(|i| {
             let demand = 0.3 + 0.07 * (i % 10) as f64;
             let value = 0.5 + ((i * 7) % 19) as f64;
@@ -684,4 +684,75 @@ fn seeded_pricing_passes_skip_the_opening_refresh() {
         .count() as u64;
     assert!(selecting > 10, "passes {selecting}");
     assert_eq!(cold_eager - warm_eager, selecting);
+}
+
+/// `(selection.dijkstra, selection.dirty_refresh)` hits a run recorded.
+fn query_hits(cfg: &BoundedUfpConfig) -> (u64, u64) {
+    let (_, hits) = cfg.obs.phase_totals().expect("recorder on");
+    (
+        hits[Phase::SelectionDijkstra as usize],
+        hits[Phase::SelectionDirtyRefresh as usize],
+    )
+}
+
+/// The selector's shortest-path work on one fixed contended epoch: the
+/// traced run, every winner priced from its seeded trace, and every
+/// winner priced cold from the one-part merge. The bit-identity tests
+/// pin what the loop computes; these counts pin what it costs, so a
+/// change to the loop cannot add queries unnoticed. A change that moves
+/// them on purpose updates the constants and says why.
+#[test]
+fn selector_query_work_is_pinned() {
+    let mut rng = StdRng::seed_from_u64(28);
+    let graph = generators::gnm_digraph(12, 48, (20.0, 40.0), &mut rng);
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    while pairs.len() < 24 {
+        let src = NodeId(rng.random_range(0..12));
+        let dst = NodeId(rng.random_range(0..12));
+        if src != dst && ufp_netgraph::bfs::is_reachable(&graph, src, dst) {
+            pairs.push((src, dst));
+        }
+    }
+    // Two thirds of the traffic on three hotspot pairs, the rest spread.
+    let reqs = (0..240)
+        .map(|i| {
+            let (src, dst) = pairs[if i % 3 == 2 { 3 + i % 21 } else { i % 3 }];
+            Request::new(
+                src,
+                dst,
+                rng.random_range(0.2..=1.0),
+                rng.random_range(0.5..=4.0),
+            )
+        })
+        .collect();
+    let inst = UfpInstance::new(graph, reqs);
+    let caps: Vec<f64> = inst
+        .graph()
+        .edges()
+        .iter()
+        .map(|e| 0.8 * e.capacity)
+        .collect();
+    let usable = vec![true; caps.len()];
+    let carry: Vec<f64> = (0..caps.len()).map(|e| 0.1 * (e % 4) as f64).collect();
+    let ctx = EpochContext {
+        capacities: &caps,
+        usable: &usable,
+        carry: &carry,
+        routable: None,
+    };
+    let eps = 0.5;
+    let run_cfg = incremental(eps).with_obs(Recorder::enabled());
+    let (full, seeded) = bounded_ufp_epoch_traced(&inst, &run_cfg, Some(&ctx));
+    assert_eq!(full.run.trace.stop_reason, StopReason::Guard);
+    let cold = one_part_merge(&inst, &incremental(eps), Some(&ctx), &seeded).trace;
+    let price_all = |trace: &EpochResumeTrace| {
+        let cfg = incremental(eps).with_obs(Recorder::enabled());
+        for k in 0..trace.num_steps() {
+            critical_value_exact(&inst, &cfg, Some(&ctx), trace, k);
+        }
+        query_hits(&cfg)
+    };
+    let work = [query_hits(&run_cfg), price_all(&seeded), price_all(&cold)];
+    assert_eq!(seeded.num_steps(), 190);
+    assert_eq!(work, [(278, 1), (28_479, 0), (28_264, 190)]);
 }

@@ -1032,7 +1032,7 @@ impl Engine {
             critical_value_exact(instance, config, Some(ctx), trace, step)
         });
         for (step, payment) in priced.into_iter().enumerate() {
-            payments[trace.step(step).selected.index()] = payment;
+            payments[trace.selected(step).index()] = payment;
         }
         payments
     }

@@ -36,8 +36,21 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default bound on retained span records before new spans are counted
-/// in `spans_dropped` instead of stored (~14 MB of records).
+/// in `spans_dropped` instead of stored (~14 MB of records). The same
+/// bound applies to epoch profiles and to alerts, each on its own.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 18;
+
+/// The one retention policy of spans, epoch profiles and alerts: keep
+/// the first `capacity` entries and count the rest in `dropped`.
+fn retain<T>(buf: &Mutex<Vec<T>>, capacity: usize, dropped: &AtomicU64, item: T) {
+    let mut kept = buf.lock().unwrap();
+    if kept.len() < capacity {
+        kept.push(item);
+    } else {
+        drop(kept);
+        dropped.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 /// Dense per-thread id for trace attribution.
 fn current_tid() -> u64 {
@@ -132,8 +145,10 @@ pub struct ObsCore {
     span_capacity: usize,
     spans_dropped: AtomicU64,
     profiles: Mutex<Vec<EpochProfile>>,
+    profiles_dropped: AtomicU64,
     open_epoch: Mutex<Option<EpochMark>>,
     alerts: Mutex<Vec<HealthAlert>>,
+    alerts_dropped: AtomicU64,
 }
 
 impl ObsCore {
@@ -147,8 +162,10 @@ impl ObsCore {
             span_capacity,
             spans_dropped: AtomicU64::new(0),
             profiles: Mutex::new(Vec::new()),
+            profiles_dropped: AtomicU64::new(0),
             open_epoch: Mutex::new(None),
             alerts: Mutex::new(Vec::new()),
+            alerts_dropped: AtomicU64::new(0),
         }
     }
 
@@ -174,13 +191,7 @@ impl ObsCore {
             tid: current_tid(),
             attr,
         };
-        let mut spans = self.spans.lock().unwrap();
-        if spans.len() < self.span_capacity {
-            spans.push(record);
-        } else {
-            drop(spans);
-            self.spans_dropped.fetch_add(1, Ordering::Relaxed);
-        }
+        retain(&self.spans, self.span_capacity, &self.spans_dropped, record);
     }
 }
 
@@ -202,10 +213,14 @@ pub struct ObsSnapshot {
     pub phase_ns: [u64; PHASE_COUNT],
     /// Lifetime per-phase span counts.
     pub phase_hits: [u64; PHASE_COUNT],
-    /// Completed epoch brackets in order.
+    /// Retained epoch brackets in completion order.
     pub profiles: Vec<EpochProfile>,
-    /// Auction-health alerts in firing order.
+    /// Epoch brackets discarded after the retention buffer filled.
+    pub profiles_dropped: u64,
+    /// Retained auction-health alerts in firing order.
     pub alerts: Vec<HealthAlert>,
+    /// Alerts discarded after the retention buffer filled.
+    pub alerts_dropped: u64,
 }
 
 /// The observability handle threaded through the stack. `Default` (and
@@ -240,8 +255,9 @@ impl Recorder {
         Self::enabled_with_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// An enabled recorder retaining at most `span_capacity` spans
-    /// (further spans only bump `spans_dropped`).
+    /// An enabled recorder retaining at most `span_capacity` spans, as
+    /// many epoch profiles and as many alerts (further ones are only
+    /// counted as dropped).
     pub fn enabled_with_capacity(span_capacity: usize) -> Self {
         Recorder {
             core: Some(Arc::new(ObsCore::new(span_capacity))),
@@ -343,13 +359,19 @@ impl Recorder {
                 phase_hits: std::array::from_fn(|i| now_hits[i].saturating_sub(mark.phase_hits[i])),
                 regret: None,
             };
-            core.profiles.lock().unwrap().push(profile);
+            retain(
+                &core.profiles,
+                core.span_capacity,
+                &core.profiles_dropped,
+                profile,
+            );
         }
     }
 
     /// Attach a regret-oracle verdict to the already-stored profile of
     /// `epoch` (the oracle runs strictly after the bracket closed).
-    /// Unknown epochs are ignored — observability never panics.
+    /// Unknown or dropped epochs are ignored — observability never
+    /// panics.
     pub fn profile_set_regret(&self, epoch: u64, sample: RegretSample) {
         if let Some(core) = &self.core {
             let mut profiles = core.profiles.lock().unwrap();
@@ -362,7 +384,12 @@ impl Recorder {
     /// Record a typed auction-health alert.
     pub fn alert(&self, alert: HealthAlert) {
         if let Some(core) = &self.core {
-            core.alerts.lock().unwrap().push(alert);
+            retain(
+                &core.alerts,
+                core.span_capacity,
+                &core.alerts_dropped,
+                alert,
+            );
         }
     }
 
@@ -400,7 +427,9 @@ impl Recorder {
             phase_ns: core.load_phase_ns(),
             phase_hits: core.load_phase_hits(),
             profiles: core.profiles.lock().unwrap().clone(),
+            profiles_dropped: core.profiles_dropped.load(Ordering::Relaxed),
             alerts: core.alerts.lock().unwrap().clone(),
+            alerts_dropped: core.alerts_dropped.load(Ordering::Relaxed),
         })
     }
 }
@@ -514,6 +543,56 @@ mod tests {
         assert_eq!(snap.spans_dropped, 3);
         // Phase accumulators still saw all five.
         assert_eq!(snap.phase_hits[Phase::ParSteal.index()], 5);
+    }
+
+    /// Five epochs, each raising one alert.
+    fn five_alerting_epochs(r: &Recorder) {
+        for epoch in 1..=5 {
+            r.epoch_begin(epoch);
+            r.alert(HealthAlert::Starvation {
+                epoch,
+                observed_epochs: 9,
+                threshold_epochs: 8,
+            });
+            r.epoch_end(epoch);
+        }
+    }
+
+    #[test]
+    fn span_capacity_bounds_profiles_and_alerts() {
+        let r = Recorder::enabled_with_capacity(2);
+        five_alerting_epochs(&r);
+        let sample = RegretSample {
+            online_value: 3.0,
+            fractional_bound: 4.0,
+            ratio: 0.75,
+            duality_gap: 0.1,
+            commodities: 7,
+            iterations: 12,
+        };
+        // A dropped epoch takes no verdict, and nothing else changes.
+        r.profile_set_regret(4, sample);
+        let snap = r.snapshot().unwrap();
+        let epochs: Vec<u64> = snap.profiles.iter().map(|p| p.epoch).collect();
+        assert_eq!(epochs, [1, 2]);
+        assert!(snap.profiles.iter().all(|p| p.regret.is_none()));
+        assert_eq!(snap.profiles_dropped, 3);
+        let alerted: Vec<u64> = snap.alerts.iter().map(|a| a.epoch()).collect();
+        assert_eq!(alerted, [1, 2]);
+        assert_eq!(snap.alerts_dropped, 3);
+
+        let none = Recorder::enabled_with_capacity(0);
+        five_alerting_epochs(&none);
+        let snap = none.snapshot().unwrap();
+        assert!(snap.profiles.is_empty() && snap.alerts.is_empty());
+        assert_eq!((snap.profiles_dropped, snap.alerts_dropped), (5, 5));
+
+        // The default recorder keeps them all.
+        let all = Recorder::enabled();
+        five_alerting_epochs(&all);
+        let snap = all.snapshot().unwrap();
+        assert_eq!((snap.profiles.len(), snap.alerts.len()), (5, 5));
+        assert_eq!((snap.profiles_dropped, snap.alerts_dropped), (0, 0));
     }
 
     #[test]

@@ -48,8 +48,7 @@ use ufp_engine::{
 };
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::EdgeId;
-use ufp_netgraph::residual::ResidualCaps;
-use ufp_netgraph::topology::{Topology, TopologyError, TopologyEvent};
+use ufp_netgraph::topology::{TopologyError, TopologyEvent};
 use ufp_obs::Phase;
 
 use crate::ledger::LeaseLedger;
@@ -383,11 +382,13 @@ impl EpochPlanner for ShardPlanner {
     }
 }
 
-/// The sharded admission-control engine. Drop-in analogue of
-/// [`Engine`] for partitioned deployments: same `submit_batch` /
-/// read-out surface, same event and metrics shapes — they are the
-/// book's own — with per-shard planning in parallel under capacity
-/// leases and a global-guard merge.
+/// The sharded admission-control engine: an [`Engine`] (the book) that
+/// plans each epoch per shard, in parallel under capacity leases, and
+/// merges the plans under the global guard. It takes the same
+/// `submit_batch` / `apply_topology` / drain calls as an [`Engine`], and
+/// its events and metrics are the book's own. Everything else the book
+/// holds is read through [`ShardedEngine::engine`]; this type adds only
+/// the sharding state (partition, config, ledger, shard stats).
 #[derive(Debug)]
 pub struct ShardedEngine {
     /// The deployment's only engine: every request, admission, load,
@@ -449,17 +450,13 @@ impl ShardedEngine {
     }
 
     // ------------------------------------------------------------------
-    // Read-out: the book's, plus the sharding state.
+    // Read-out: the book, the sharding state, and the few book read-outs
+    // a driver takes every epoch.
     // ------------------------------------------------------------------
 
     /// The deployment's book: the one engine holding all of its state.
     pub fn engine(&self) -> &Engine {
         &self.book
-    }
-
-    /// Number of shards (the cross-shard row not counted).
-    pub fn shards(&self) -> usize {
-        self.planner.partition.shards()
     }
 
     /// The partition in force.
@@ -477,29 +474,9 @@ impl ShardedEngine {
         &self.planner.ledger
     }
 
-    /// Completed epochs.
-    pub fn epoch(&self) -> u64 {
-        self.book.epoch()
-    }
-
     /// Running aggregate metrics.
     pub fn metrics(&self) -> &EngineMetrics {
         self.book.metrics()
-    }
-
-    /// The event log accumulated so far.
-    pub fn events(&self) -> &[EngineEvent] {
-        self.book.events()
-    }
-
-    /// The residual-capacity tracker.
-    pub fn residual(&self) -> &ResidualCaps {
-        self.book.residual()
-    }
-
-    /// The dynamic-topology overlay.
-    pub fn topology(&self) -> &Topology {
-        self.book.topology()
     }
 
     /// The request registry (ids match a single engine fed the same
@@ -518,28 +495,12 @@ impl ShardedEngine {
         self.book.admissions()[i].clone()
     }
 
-    /// All admissions ever made, including released ones.
-    pub fn admissions(&self) -> &[Admission] {
-        self.book.admissions()
-    }
-
-    /// The whole submitted history as one instance over the base graph.
-    pub fn instance(&self) -> UfpInstance {
-        self.book.instance()
-    }
-
-    /// Currently-held admissions, as a solution over
-    /// [`ShardedEngine::instance`].
-    pub fn active_solution(&self) -> UfpSolution {
-        self.book.active_solution()
-    }
-
     /// Per-shard observability: request/admission counts, cumulative
     /// planning wall-clock, and lease accounting. The last row is the
     /// cross-shard pass.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let ledger = &self.planner.ledger;
-        let shards = self.shards();
+        let shards = self.planner.partition.shards();
         self.planner
             .counters
             .iter()

@@ -146,7 +146,7 @@ fn run_pair_and_assert_identical(
         );
     }
     // Records: every admission, in order, with route/payment bits.
-    let (sh, si) = (sharded.admissions(), single.admissions());
+    let (sh, si) = (sharded.engine().admissions(), single.admissions());
     prop_assert_eq!(sh.len(), si.len());
     for (a, b) in sh.iter().zip(si) {
         prop_assert_eq!(a.request, b.request);
@@ -163,8 +163,9 @@ fn run_pair_and_assert_identical(
         );
     }
     // Events and loads.
-    prop_assert_eq!(sharded.events(), single.events());
+    prop_assert_eq!(sharded.engine().events(), single.events());
     for (a, b) in sharded
+        .engine()
         .residual()
         .loads()
         .iter()
@@ -230,7 +231,7 @@ proptest! {
             shard_config,
         ).expect("snapshot must restore");
         // Identity at the restore point.
-        prop_assert_eq!(restored.epoch(), unbroken.epoch());
+        prop_assert_eq!(restored.engine().epoch(), unbroken.engine().epoch());
         prop_assert_eq!(restored.requests(), unbroken.requests());
         // Lockstep continuation.
         for batch in &trace[split..] {
@@ -242,7 +243,7 @@ proptest! {
             prop_assert_eq!(ru.revenue.to_bits(), rr.revenue.to_bits());
             prop_assert_eq!(ru.min_residual.to_bits(), rr.min_residual.to_bits());
         }
-        let (au, ar) = (unbroken.admissions(), restored.admissions());
+        let (au, ar) = (unbroken.engine().admissions(), restored.engine().admissions());
         prop_assert_eq!(au.len(), ar.len());
         for (x, y) in au.iter().zip(ar) {
             prop_assert_eq!(x.request, y.request);
@@ -250,10 +251,10 @@ proptest! {
             prop_assert_eq!(x.payment.to_bits(), y.payment.to_bits());
             prop_assert_eq!(x.released, y.released);
         }
-        for (x, y) in unbroken.residual().loads().iter().zip(restored.residual().loads()) {
+        for (x, y) in unbroken.engine().residual().loads().iter().zip(restored.engine().residual().loads()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
-        prop_assert_eq!(unbroken.events(), restored.events());
+        prop_assert_eq!(unbroken.engine().events(), restored.engine().events());
         prop_assert_eq!(unbroken.ledger(), restored.ledger());
         prop_assert_eq!(unbroken.metrics(), restored.metrics());
         // Restored-and-continued snapshots to the unbroken run's bytes.
@@ -283,7 +284,7 @@ proptest! {
             prop_assert!(
                 a.snapshot_bytes() == b.snapshot_bytes(),
                 "epoch {}: identical runs snapshot to different bytes",
-                a.epoch()
+                a.engine().epoch()
             );
         }
     }
@@ -345,7 +346,7 @@ proptest! {
             prop_assert_eq!(rs.min_residual.to_bits(), ro.min_residual.to_bits());
         }
         // Records, events, loads, and the eviction/refund counters.
-        let (sh, si) = (sharded.admissions(), single.admissions());
+        let (sh, si) = (sharded.engine().admissions(), single.admissions());
         prop_assert_eq!(sh.len(), si.len());
         for (a, b) in sh.iter().zip(si) {
             prop_assert_eq!(a.request, b.request);
@@ -354,8 +355,9 @@ proptest! {
             prop_assert_eq!(a.evicted, b.evicted);
             prop_assert_eq!(a.payment.to_bits(), b.payment.to_bits());
         }
-        prop_assert_eq!(sharded.events(), single.events());
+        prop_assert_eq!(sharded.engine().events(), single.events());
         for (a, b) in sharded
+            .engine()
             .residual()
             .loads()
             .iter()
@@ -366,7 +368,7 @@ proptest! {
         let (ms, mo) = (sharded.metrics(), single.metrics());
         prop_assert_eq!(ms.evicted, mo.evicted);
         prop_assert_eq!(ms.refunded.to_bits(), mo.refunded.to_bits());
-        prop_assert_eq!(sharded.topology().fingerprint(), single.topology().fingerprint());
+        prop_assert_eq!(sharded.engine().topology().fingerprint(), single.topology().fingerprint());
     }
 
     /// Lowering a boundary edge's capacity mid-run never oversubscribes
@@ -399,7 +401,7 @@ proptest! {
         // Lower the boundary edge under its committed load (or to a
         // token capacity when it is idle): the repair pass must evict
         // enough flows to fit.
-        let new_cap = (sharded.residual().load(edge) * cut_frac).max(0.25);
+        let new_cap = (sharded.engine().residual().load(edge) * cut_frac).max(0.25);
         sharded
             .apply_topology(&[TopologyEvent::SetCapacity {
                 edge,
@@ -407,7 +409,7 @@ proptest! {
             }])
             .expect("capacity lower applies");
         let fits = |s: &ShardedEngine| {
-            s.residual().load(edge) <= new_cap * (1.0 + 1e-9) + 1e-9
+            s.engine().residual().load(edge) <= new_cap * (1.0 + 1e-9) + 1e-9
         };
         prop_assert!(fits(&sharded), "repair left the edge oversubscribed");
         prop_assert!(sharded.verify_active_feasibility().is_ok());
@@ -418,7 +420,7 @@ proptest! {
             prop_assert!(
                 fits(&sharded),
                 "epoch {} re-oversubscribed the lowered edge: load {} > cap {}",
-                sharded.epoch(), sharded.residual().load(edge), new_cap
+                sharded.engine().epoch(), sharded.engine().residual().load(edge), new_cap
             );
             prop_assert!(sharded.verify_active_feasibility().is_ok());
         }
@@ -473,8 +475,8 @@ proptest! {
         ).expect("mutated snapshot must restore");
         prop_assert_eq!(restored.snapshot_bytes(), bytes.clone());
         prop_assert_eq!(
-            restored.topology().fingerprint(),
-            unbroken.topology().fingerprint()
+            restored.engine().topology().fingerprint(),
+            unbroken.engine().topology().fingerprint()
         );
         for batch in &trace[split..] {
             let mut mu = unbroken.drain_readmissions();
@@ -488,9 +490,9 @@ proptest! {
             prop_assert_eq!(ru.revenue.to_bits(), rr.revenue.to_bits());
             prop_assert_eq!(ru.min_residual.to_bits(), rr.min_residual.to_bits());
         }
-        prop_assert_eq!(unbroken.events(), restored.events());
+        prop_assert_eq!(unbroken.engine().events(), restored.engine().events());
         prop_assert_eq!(unbroken.metrics(), restored.metrics());
-        for (x, y) in unbroken.residual().loads().iter().zip(restored.residual().loads()) {
+        for (x, y) in unbroken.engine().residual().loads().iter().zip(restored.engine().residual().loads()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }

@@ -101,7 +101,10 @@ fn engine_config(payments: PaymentPolicy) -> EngineConfig {
 /// agree on every deterministic observable, bit for bit.
 fn assert_bit_identical(sharded: &ShardedEngine, single: &Engine) {
     // Residual loads and carry bits.
-    let (gl, sl) = (sharded.residual().loads(), single.residual().loads());
+    let (gl, sl) = (
+        sharded.engine().residual().loads(),
+        single.residual().loads(),
+    );
     assert_eq!(gl.len(), sl.len());
     for (e, (a, b)) in gl.iter().zip(sl).enumerate() {
         assert_eq!(
@@ -113,7 +116,7 @@ fn assert_bit_identical(sharded: &ShardedEngine, single: &Engine) {
     // Requests registry.
     assert_eq!(sharded.requests(), single.requests());
     // Admissions: same order, same routes, same payments, same TTL state.
-    let sh = sharded.admissions();
+    let sh = sharded.engine().admissions();
     let si = single.admissions();
     assert_eq!(sh.len(), si.len(), "admission counts diverged");
     for (i, (a, b)) in sh.iter().zip(si).enumerate() {
@@ -131,7 +134,11 @@ fn assert_bit_identical(sharded: &ShardedEngine, single: &Engine) {
         );
     }
     // Events (the sharded engine's merged log vs the single log).
-    assert_eq!(sharded.events(), single.events(), "event logs diverged");
+    assert_eq!(
+        sharded.engine().events(),
+        single.events(),
+        "event logs diverged"
+    );
     // Deterministic metrics counters.
     let (ms, mo) = (sharded.metrics(), single.metrics());
     assert_eq!(ms.epochs, mo.epochs);
@@ -172,8 +179,9 @@ fn zero_cross_traffic_matches_single_engine_with_payments_and_churn() {
     }
     assert_bit_identical(&sharded, &single);
     assert!(sharded
+        .engine()
         .active_solution()
-        .check_feasible(&sharded.instance(), false)
+        .check_feasible(&sharded.engine().instance(), false)
         .is_ok());
     // All traffic was shard-local: the reconciler saw no requests, and
     // disconnected components have no boundary edges to lease.
@@ -343,11 +351,15 @@ fn guard_pressure_truncates_exactly_like_a_single_engine() {
     }
     assert!(guard_seen, "fixture must actually trip the guard");
     assert!(
-        !sharded.admissions().is_empty(),
+        !sharded.engine().admissions().is_empty(),
         "fixture must actually admit someone before the guard trips"
     );
     assert!(
-        sharded.admissions().iter().any(|a| a.payment > 0.0),
+        sharded
+            .engine()
+            .admissions()
+            .iter()
+            .any(|a| a.payment > 0.0),
         "fixture must actually charge someone"
     );
     assert_bit_identical(&sharded, &single);
@@ -425,15 +437,16 @@ fn cross_traffic_is_feasible_deterministic_and_leased() {
         );
         // Always feasible against base capacities.
         assert!(
-            a.active_solution()
-                .check_feasible(&a.instance(), false)
+            a.engine()
+                .active_solution()
+                .check_feasible(&a.engine().instance(), false)
                 .is_ok(),
             "epoch {}: infeasible active solution",
             ra.epoch
         );
         cross_admitted = a.shard_stats()[4].admissions;
     }
-    for (x, y) in a.events().iter().zip(b.events()) {
+    for (x, y) in a.engine().events().iter().zip(b.engine().events()) {
         assert_eq!(x, y, "determinism: events");
     }
     assert!(
@@ -471,7 +484,11 @@ fn parallel_pool_matches_sequential_with_cross_traffic() {
     };
     let (mut seq, mut par) = (build(Pool::sequential()), build(Pool::new(4)));
     let payments = |e: &ShardedEngine| -> Vec<u64> {
-        e.admissions().iter().map(|a| a.payment.to_bits()).collect()
+        e.engine()
+            .admissions()
+            .iter()
+            .map(|a| a.payment.to_bits())
+            .collect()
     };
     for batch in &trace {
         let (rs, rp) = (seq.submit_batch(batch), par.submit_batch(batch));
@@ -550,7 +567,11 @@ fn regret_oracle_on_matches_health_off_with_cross_traffic_and_faults() {
         ..HealthConfig::default()
     }));
     let payments = |e: &ShardedEngine| -> Vec<u64> {
-        e.admissions().iter().map(|a| a.payment.to_bits()).collect()
+        e.engine()
+            .admissions()
+            .iter()
+            .map(|a| a.payment.to_bits())
+            .collect()
     };
     for (events, batch) in faults.iter().zip(&trace) {
         if !events.is_empty() {
@@ -623,8 +644,9 @@ fn zero_lease_fraction_starves_shards_of_boundary_edges() {
     }
     let _ = map;
     assert!(sharded
+        .engine()
         .active_solution()
-        .check_feasible(&sharded.instance(), false)
+        .check_feasible(&sharded.engine().instance(), false)
         .is_ok());
 }
 
@@ -650,7 +672,7 @@ fn snapshot_restores_and_continues_in_lockstep() {
         shard_config.clone(),
     )
     .expect("restore");
-    assert_eq!(restored.epoch(), unbroken.epoch());
+    assert_eq!(restored.engine().epoch(), unbroken.engine().epoch());
     for batch in &trace[split..] {
         let ru = unbroken.submit_batch(batch);
         let rr = restored.submit_batch(batch);
@@ -660,7 +682,10 @@ fn snapshot_restores_and_continues_in_lockstep() {
     }
     // Full-state agreement after continuation.
     assert_eq!(unbroken.requests(), restored.requests());
-    let (au, ar) = (unbroken.admissions(), restored.admissions());
+    let (au, ar) = (
+        unbroken.engine().admissions(),
+        restored.engine().admissions(),
+    );
     assert_eq!(au.len(), ar.len());
     for (x, y) in au.iter().zip(ar) {
         assert_eq!(x.request, y.request);
@@ -669,17 +694,18 @@ fn snapshot_restores_and_continues_in_lockstep() {
         assert_eq!(x.released, y.released);
     }
     for (x, y) in unbroken
+        .engine()
         .residual()
         .loads()
         .iter()
-        .zip(restored.residual().loads())
+        .zip(restored.engine().residual().loads())
     {
         assert_eq!(x.to_bits(), y.to_bits());
     }
     assert_eq!(unbroken.ledger(), restored.ledger());
     // Event logs agree from the snapshot point on (and before: the log
     // was serialized whole).
-    assert_eq!(unbroken.events(), restored.events());
+    assert_eq!(unbroken.engine().events(), restored.engine().events());
 }
 
 #[test]
@@ -763,5 +789,8 @@ fn event_log_shape_matches_engine_contract() {
         .filter(|e| matches!(e, EngineEvent::EpochCompleted { .. }))
         .count();
     assert_eq!(completed, trace.len());
-    assert!(sharded.events().is_empty(), "drain empties the log");
+    assert!(
+        sharded.engine().events().is_empty(),
+        "drain empties the log"
+    );
 }
