@@ -21,6 +21,8 @@
 //! dual certificate recorded per iteration so every run carries a
 //! certified bound on its own approximation ratio.
 
+use std::sync::Arc;
+
 use ufp_netgraph::dijkstra::{Dijkstra, Targets};
 use ufp_netgraph::ids::NodeId;
 use ufp_netgraph::path::Path;
@@ -28,6 +30,7 @@ use ufp_obs::{Phase, Recorder};
 
 use crate::critical::Shadow;
 use crate::instance::UfpInstance;
+use crate::potentials::Potentials;
 use crate::request::RequestId;
 use crate::selection::{Argmin, IncrementalSelector, SelectInputs, SelectorLog};
 use crate::solution::UfpSolution;
@@ -219,11 +222,15 @@ pub(crate) struct ResumeStep {
 /// A trace recorded by the incremental selector also keeps a compact
 /// log of the selector's route-class answers, from which each pricing
 /// pass starts with the shortest paths the recorded run already held
-/// (Invariant 3 in `crates/core/README.md`).
+/// (Invariant 3 in `crates/core/README.md`). Recorded and merged traces
+/// also share the run's distance-to-target bounds with every pricing
+/// pass, which prune their lazy class queries (Invariant 4).
 #[derive(Clone, Debug, Default)]
 pub struct EpochResumeTrace {
     steps: Vec<ResumeStep>,
     log: SelectorLog,
+    /// Bounds built at the weights the traced run (or merge) started from.
+    potentials: Option<Arc<Potentials>>,
 }
 
 /// Result of [`EpochResumeTrace::merge`]: the one run the merged steps
@@ -252,8 +259,9 @@ impl EpochResumeTrace {
         self.steps.len()
     }
 
-    /// Bytes the trace holds on the heap: the recorded steps and the
-    /// selector log (lengths, not allocator capacities).
+    /// Bytes the trace holds on the heap: the recorded steps, the
+    /// selector log, and the distance-to-target bounds built so far
+    /// (lengths, not allocator capacities).
     pub fn heap_bytes(&self) -> usize {
         let steps: usize = self
             .steps
@@ -265,7 +273,7 @@ impl EpochResumeTrace {
                     + std::mem::size_of_val(&s.bumps[..])
             })
             .sum();
-        steps + self.log.heap_bytes()
+        steps + self.log.heap_bytes() + self.potentials.as_ref().map_or(0, |p| p.heap_bytes())
     }
 
     /// The request step `i` selected (panics past the end of the trace).
@@ -304,7 +312,10 @@ impl EpochResumeTrace {
     ) -> MergedEpoch {
         let lp = EpochLoop::new(instance, config, ctx);
         let mut state = lp.start();
-        let mut trace = EpochResumeTrace::default();
+        let mut trace = EpochResumeTrace {
+            potentials: Some(Arc::new(lp.potentials(&state))),
+            ..EpochResumeTrace::default()
+        };
         let mut cursors = vec![0usize; parts.len()];
         let mut order = Vec::new();
         let mut truncated = false;
@@ -546,15 +557,26 @@ impl<'a> EpochLoop<'a> {
         state
     }
 
+    /// The path-search filter every query of the run shares.
+    fn usable(&self) -> Option<&[bool]> {
+        self.mask.as_deref().or(self.ctx.map(|c| c.usable))
+    }
+
     /// What the argmin reads of the loop state.
     fn inputs<'s>(&'s self, state: &'s EpochRunState) -> SelectInputs<'s> {
         SelectInputs {
             instance: self.instance,
             weights: &state.weights,
             remaining: &state.remaining,
-            usable: self.mask.as_deref().or(self.ctx.map(|c| c.usable)),
+            usable: self.usable(),
             obs: &self.config.obs,
         }
+    }
+
+    /// Distance-to-target bounds at `state`'s weights, under the run's
+    /// path-search filter (no tree is built yet).
+    fn potentials(&self, state: &EpochRunState) -> Potentials {
+        Potentials::new(self.instance.graph(), &state.weights, self.usable())
     }
 
     /// Run Algorithm 1's main loop from `state` until it stops, with the
@@ -573,10 +595,15 @@ impl<'a> EpochLoop<'a> {
     ///   or `Exhausted` stop whether it still has a path, which is all
     ///   exact critical-value pricing needs ([`crate::critical`]). The
     ///   incremental selector starts from the shadow's trace log.
+    ///
+    /// The incremental selector's lazy queries prune with
+    /// distance-to-target bounds: a pricing pass shares its trace's, and
+    /// any other run builds its own at the weights it starts from,
+    /// keeping them in `trace` when it records one.
     pub(crate) fn run(
         &self,
         state: &mut EpochRunState,
-        trace: Option<&mut EpochResumeTrace>,
+        mut trace: Option<&mut EpochResumeTrace>,
         shadow: Option<&mut Shadow<'_>>,
     ) -> StopReason {
         let phantom = shadow.as_ref().map(|s| s.request);
@@ -591,12 +618,21 @@ impl<'a> EpochLoop<'a> {
         // the loop state at any point, so checkpoints and snapshots need
         // no knowledge of it. A traced run logs it, and a pricing pass
         // seeds from that log.
-        let mut selector = IncrementalSelector::new(phantom, &self.inputs(state));
-        if let Some(s) = shadow.as_deref() {
-            selector.seed(&s.trace.log, s.step);
-        }
-        if trace.is_some() {
+        let inputs = self.inputs(state);
+        let mut selector = IncrementalSelector::new(phantom, &inputs);
+        let potentials = match shadow.as_deref() {
+            Some(s) => {
+                selector.seed(&s.trace.log, s.step);
+                s.trace.potentials.clone()
+            }
+            None => Some(Arc::new(self.potentials(state))),
+        };
+        if let Some(t) = trace.as_deref_mut() {
+            t.potentials = potentials.clone();
             selector.record();
+        }
+        if let Some(p) = potentials {
+            selector.bound_by(p, &inputs);
         }
         self.drive(selector, state, trace, shadow)
     }
@@ -669,8 +705,9 @@ impl<'a> EpochLoop<'a> {
                 s.reachable = argmin.phantom_reachable(&self.inputs(state));
             }
         }
+        let log = argmin.finish(&self.config.obs);
         if let Some(t) = trace {
-            t.log = argmin.take_log();
+            t.log = log;
         }
         stop
     }
@@ -760,7 +797,7 @@ impl Argmin for FanOut {
 
     fn after_step(&mut self, _selected: RequestId, _path: &Path, _weights: &DualWeights) {}
 
-    fn take_log(&mut self) -> SelectorLog {
+    fn finish(&mut self, _obs: &Recorder) -> SelectorLog {
         SelectorLog::default()
     }
 }

@@ -54,6 +54,7 @@ pub mod bounded_ufp;
 pub mod critical;
 pub mod exact;
 pub mod instance;
+mod potentials;
 pub mod reasonable;
 pub mod repeat;
 pub mod request;

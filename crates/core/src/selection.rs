@@ -74,6 +74,18 @@
 //! installs the state the real selector held when step `k`'s selection
 //! returned (Invariant 3 in `crates/core/README.md`).
 //!
+//! **Goal-directed lazy queries.** Weights only rise within a shift, so a
+//! reverse shortest-path tree into a destination, taken at the weights
+//! the run started from, bounds every later distance to it from below.
+//! Each run holds such bounds (a `Potentials`, one tree per destination,
+//! built on first use and shared through the trace with every pricing
+//! pass). A lazy class query prunes with them and with its stale path's
+//! current length as an upper bound, and returns the plain query's bits
+//! (Invariant 4); only the nodes it settles shrink. The eager grouped
+//! refresh, and any query after a re-centering, runs the plain search.
+//! With the recorder on, the lazy queries' settled nodes and heap pushes
+//! are published as `selection.settled_nodes` and `selection.heap_pushes`.
+//!
 //! The selector is one of two `Argmin`s behind Algorithm 1's one loop
 //! skeleton (`EpochLoop::drive` in [`mod@crate::bounded_ufp`]). The other is
 //! the paper-literal per-iteration fan-out, which survives only as the
@@ -82,7 +94,9 @@
 //! resume traces, and stop reasons are **bit-identical** between the
 //! two, proptested in `tests/selection_equivalence.rs`.
 
-use ufp_netgraph::dijkstra::{Dijkstra, Targets};
+use std::sync::Arc;
+
+use ufp_netgraph::dijkstra::{Dijkstra, Goal, SearchWork, Targets};
 use ufp_netgraph::heap::IndexedMinHeap;
 use ufp_netgraph::ids::{EdgeId, NodeId};
 use ufp_netgraph::path::Path;
@@ -90,6 +104,7 @@ use ufp_netgraph::pathcache::PathCache;
 use ufp_obs::{Phase, Recorder};
 
 use crate::instance::UfpInstance;
+use crate::potentials::Potentials;
 use crate::request::RequestId;
 use crate::weights::DualWeights;
 
@@ -173,6 +188,11 @@ pub(crate) struct IncrementalSelector {
     steps: u32,
     /// Class-state changes, while recording a traced run.
     log: Option<SelectorLog>,
+    /// Distance-to-target bounds for the lazy queries, if they fit this
+    /// run's mask.
+    potentials: Option<Arc<Potentials>>,
+    /// Work of the lazy queries (published when the run finishes).
+    lazy_work: SearchWork,
 }
 
 /// The class-state changes of one traced run's selector, compact enough
@@ -256,8 +276,10 @@ pub(crate) trait Argmin {
     /// and `weights` bumped along it.
     fn after_step(&mut self, selected: RequestId, path: &Path, weights: &DualWeights);
 
-    /// The class-answer log of a traced run (empty when none was kept).
-    fn take_log(&mut self) -> SelectorLog;
+    /// The run is over: publish the argmin's query work to `obs` (when
+    /// it is on) and hand back the class-answer log of a traced run
+    /// (empty when none was kept).
+    fn finish(&mut self, obs: &Recorder) -> SelectorLog;
 }
 
 impl IncrementalSelector {
@@ -298,6 +320,8 @@ impl IncrementalSelector {
             phantom_class: NONE,
             steps: 0,
             log: None,
+            potentials: None,
+            lazy_work: SearchWork::default(),
         };
         let mut last_member = None;
         for (i, &(src, dst, density, r)) in keyed.iter().enumerate() {
@@ -340,6 +364,14 @@ impl IncrementalSelector {
         selector
     }
 
+    /// Prune the lazy queries with `potentials` when they were built
+    /// under the same path-search mask as this run's queries.
+    pub(crate) fn bound_by(&mut self, potentials: Arc<Potentials>, inputs: &SelectInputs<'_>) {
+        if potentials.fits(inputs.usable) {
+            self.potentials = Some(potentials);
+        }
+    }
+
     /// Log every class-state change from here on (a traced run).
     pub(crate) fn record(&mut self) {
         self.log = Some(SelectorLog {
@@ -367,9 +399,12 @@ impl IncrementalSelector {
     /// Start from the state `log`'s run held when step `step`'s
     /// selection returned, over this selector's member sets: clean
     /// answers are installed as they were (exact, Invariant 2), dirty
-    /// ones are keyed from their stale distance (a lower bound,
-    /// Invariant 1) and stay dirty, and classes without a path stay
-    /// retired. An empty log leaves the selector cold.
+    /// ones are installed as stale answers (no edge interest: the class
+    /// is dirty already), keyed from their stale distance (a lower bound,
+    /// Invariant 1), and stay dirty, and classes without a path stay
+    /// retired. A dirty class's stale path gives its lazy query an upper
+    /// bound (Invariant 4) and answers the pass-end reachability check
+    /// without a query. An empty log leaves the selector cold.
     pub(crate) fn seed(&mut self, log: &SelectorLog, step: usize) {
         if log.entries.is_empty() {
             return;
@@ -396,6 +431,7 @@ impl IncrementalSelector {
             }
             let (dist, path) = &log.answers[answer as usize];
             if dirty {
+                self.cache.install_stale(c, *dist, path.clone());
                 self.rekey(c, *dist);
                 self.mark_dirty(c);
             } else {
@@ -582,8 +618,15 @@ impl Argmin for IncrementalSelector {
         self.drain_buf = buf;
     }
 
-    /// The log [`IncrementalSelector::record`] started (empty if none).
-    fn take_log(&mut self) -> SelectorLog {
+    /// Publish the lazy queries' settled nodes and heap pushes as the
+    /// `selection.settled_nodes` and `selection.heap_pushes` counters,
+    /// and hand back the log [`IncrementalSelector::record`] started
+    /// (empty if none).
+    fn finish(&mut self, obs: &Recorder) -> SelectorLog {
+        if obs.is_enabled() {
+            obs.counter_add("selection.settled_nodes", self.lazy_work.settled);
+            obs.counter_add("selection.heap_pushes", self.lazy_work.pushes);
+        }
         self.log.take().unwrap_or_default()
     }
 }
@@ -593,20 +636,52 @@ impl IncrementalSelector {
     /// dirty flag; retires it permanently — every member at once, since
     /// they share the query — if it no longer has a path (monotonicity:
     /// paths never come back within an epoch).
+    ///
+    /// While the weights keep the scale of the run's potentials, the
+    /// query is goal-directed: it prunes with the destination's
+    /// distance-to-target bounds and the stale path's current length,
+    /// and returns the plain query's bits (Invariant 4). After a
+    /// re-centering it is the plain query.
     fn refresh_one(&mut self, c: u32, inputs: &SelectInputs<'_>) {
-        let _span = inputs.obs.span(Phase::SelectionDijkstra);
         let class = &mut self.classes[c as usize];
         debug_assert!(class.alive && class.dirty);
         class.dirty = false;
         self.dirty_count -= 1;
         let req = inputs.instance.request(class.query);
-        self.scratch.run(
-            inputs.instance.graph(),
-            inputs.weights.weights(),
-            req.src,
-            Targets::One(req.dst),
-            |e| inputs.passable(e),
-        );
+        let (graph, weights) = (inputs.instance.graph(), inputs.weights.weights());
+        // A destination's first query builds its bounds, outside the
+        // `selection.dijkstra` span so its hits stay one per query.
+        let to_target = self
+            .potentials
+            .as_deref()
+            .filter(|p| p.covers(inputs.weights.shift()))
+            .map(|p| p.to_target(graph, req.dst, &mut self.scratch, inputs.obs));
+        let _span = inputs.obs.span(Phase::SelectionDijkstra);
+        let before = self.scratch.work();
+        match to_target {
+            Some(to_target) => {
+                // The stale path at today's weights, summed as the search
+                // sums it: an upper bound on the fresh distance.
+                let upper = self.cache.get(c).map_or(f64::INFINITY, |(_, path)| {
+                    path.edges().iter().fold(0.0, |d, e| d + weights[e.index()])
+                });
+                let goal = Goal {
+                    target: req.dst,
+                    to_target,
+                    upper,
+                };
+                self.scratch
+                    .run_bounded(graph, weights, req.src, goal, |e| inputs.passable(e));
+            }
+            None => self
+                .scratch
+                .run(graph, weights, req.src, Targets::One(req.dst), |e| {
+                    inputs.passable(e)
+                }),
+        }
+        let work = self.scratch.work();
+        self.lazy_work.settled += work.settled - before.settled;
+        self.lazy_work.pushes += work.pushes - before.pushes;
         self.store_answer(c, req.dst);
     }
 

@@ -514,6 +514,76 @@ fn recentering_flush_preserves_bit_identity() {
     assert_outcomes_bit_identical(&fan, &inc);
 }
 
+/// Goal-directed class queries across a weight re-centering inside a
+/// pricing pass: before it, the pass's lazy queries prune with the
+/// trace's distance-to-target bounds; after it, in the new scale, they
+/// fall back to the plain search. Runs and payments must equal the cold
+/// passes' and the fan-out's bit for bit.
+#[test]
+fn goal_directed_queries_cross_a_recenter_inside_a_pass() {
+    // Three sources reach the hub 6 directly or over the relays 3 and 4;
+    // every route ends on the bottleneck `6 → 7`, so at ε = 1 and
+    // capacity 2000 each selection bumps it by its demand and ~900
+    // requests push it past the re-centering threshold (600). Dead ends
+    // hang off the relays (`3 → 5 → 8`, `4 → 8`): they cannot reach 7,
+    // so the bounded search never pushes them.
+    let mut gb = GraphBuilder::directed(9);
+    for src in 0..3 {
+        for via in [6, 3, 4] {
+            gb.add_edge(NodeId(src), NodeId(via), 2000.0);
+        }
+    }
+    for (u, v) in [(3, 6), (4, 6), (3, 5), (5, 8), (4, 8), (6, 7)] {
+        gb.add_edge(NodeId(u), NodeId(v), 2000.0);
+    }
+    let mut rng = StdRng::seed_from_u64(29);
+    let reqs: Vec<Request> = (0..900)
+        .map(|_| {
+            let src = NodeId(rng.random_range(0..3));
+            grid_request(&mut rng, src, NodeId(7), &[0.75, 1.0])
+        })
+        .collect();
+    let inst = UfpInstance::new(gb.build(), reqs);
+    let caps: Vec<f64> = inst.graph().edges().iter().map(|e| e.capacity).collect();
+    let usable = vec![true; caps.len()];
+    let carry = vec![0.0; caps.len()];
+    let ctx = EpochContext {
+        capacities: &caps,
+        usable: &usable,
+        carry: &carry,
+        routable: None,
+    };
+    // Passes from the first steps run the whole epoch (nothing
+    // guard-stops it), so they cross the re-center.
+    let sample = |t: &EpochResumeTrace| vec![0, 1, t.num_steps() / 3];
+    let fan = assert_loops_agree(&inst, 1.0, Some(&ctx), sample);
+    assert_eq!(fan.run.trace.stop_reason, StopReason::Exhausted);
+    let growth = fan.carry.iter().copied().fold(0.0, f64::max);
+    assert!(
+        growth > 602.0,
+        "no re-center inside the passes (growth {growth})"
+    );
+    assert_seeded_pricing_exact(&inst, 1.0, Some(&ctx), sample);
+
+    // The passes did prune: they built bounds and settled fewer nodes
+    // per lazy query than the plain search, which settles all seven
+    // nodes a source reaches before the heavy bottleneck lets it pop 7.
+    let cfg = incremental(1.0).with_obs(Recorder::enabled());
+    let (_, trace) = bounded_ufp_epoch_traced(&inst, &cfg, Some(&ctx));
+    let before = query_hits(&cfg);
+    for k in sample(&trace) {
+        critical_value_exact(&inst, &cfg, Some(&ctx), &trace, k);
+    }
+    let after = query_hits(&cfg);
+    let (queries, settled) = (after.0 - before.0, after.2 - before.2);
+    let (_, hits) = cfg.obs.phase_totals().expect("recorder on");
+    assert!(hits[Phase::SelectionPotentials as usize] > 0);
+    assert!(
+        queries > 0 && settled < 7 * queries,
+        "{settled} settled in {queries} queries"
+    );
+}
+
 /// Ten sources funnel through one bottleneck `10 → 11` to eight sinks:
 /// 80 route classes, every cached path crossing the bottleneck, so each
 /// winner dirties every live class. Request `i` asks for `demand(i)`.
@@ -686,12 +756,15 @@ fn seeded_pricing_passes_skip_the_opening_refresh() {
     assert_eq!(cold_eager - warm_eager, selecting);
 }
 
-/// `(selection.dijkstra, selection.dirty_refresh)` hits a run recorded.
-fn query_hits(cfg: &BoundedUfpConfig) -> (u64, u64) {
+/// `(selection.dijkstra, selection.dirty_refresh)` hits a run recorded,
+/// and the `selection.settled_nodes` of its lazy queries.
+fn query_hits(cfg: &BoundedUfpConfig) -> (u64, u64, u64) {
     let (_, hits) = cfg.obs.phase_totals().expect("recorder on");
+    let registry = cfg.obs.registry().expect("recorder on");
     (
         hits[Phase::SelectionDijkstra as usize],
         hits[Phase::SelectionDirtyRefresh as usize],
+        registry.counter("selection.settled_nodes").get(),
     )
 }
 
@@ -699,8 +772,11 @@ fn query_hits(cfg: &BoundedUfpConfig) -> (u64, u64) {
 /// traced run, every winner priced from its seeded trace, and every
 /// winner priced cold from the one-part merge. The bit-identity tests
 /// pin what the loop computes; these counts pin what it costs, so a
-/// change to the loop cannot add queries unnoticed. A change that moves
-/// them on purpose updates the constants and says why.
+/// change to the loop cannot add queries unnoticed. The settled nodes
+/// pin the work inside the lazy queries: the goal-directed search settles
+/// 2,101 / 250,182 / 248,601 here, where plain queries settle 2,546 /
+/// 273,595 / 271,676. A change that moves them on purpose updates the
+/// constants and says why.
 #[test]
 fn selector_query_work_is_pinned() {
     let mut rng = StdRng::seed_from_u64(28);
@@ -754,5 +830,12 @@ fn selector_query_work_is_pinned() {
     };
     let work = [query_hits(&run_cfg), price_all(&seeded), price_all(&cold)];
     assert_eq!(seeded.num_steps(), 190);
-    assert_eq!(work, [(278, 1), (28_479, 0), (28_264, 190)]);
+    assert_eq!(
+        work,
+        [
+            (278, 1, 2_101),
+            (28_479, 0, 250_182),
+            (28_264, 190, 248_601)
+        ]
+    );
 }

@@ -9,6 +9,18 @@
 //! The priority queue is the indexed 4-ary heap of [`crate::heap`]:
 //! one live entry per node, decrease-key instead of duplicate pushes,
 //! no stale pops. Pending nodes are ordered by `(distance, node id)`.
+//!
+//! Two queries share the one relaxation loop. [`Dijkstra::run`] is the
+//! plain search. [`Dijkstra::run_bounded`] is a goal-directed
+//! single-target search: given lower bounds on every node's distance to
+//! the target (a reverse query at lighter weights) and an upper bound on
+//! the target's own distance, it skips every push that cannot lead to
+//! the target within that bound. It keeps the plain search's pop order
+//! and parent rule, so its distance bits and path equal
+//! [`Dijkstra::run`]'s (the argument is Invariant 4 in
+//! `crates/core/README.md`); only the nodes it settles shrink. The loop
+//! takes the prune test as a monomorphized predicate, constant `false`
+//! for the plain search.
 
 use crate::graph::Graph;
 use crate::heap::IndexedMinHeap;
@@ -35,6 +47,43 @@ pub struct ShortestPathResult {
     pub path: Path,
 }
 
+/// Pruning inputs of a goal-directed single-target query
+/// ([`Dijkstra::run_bounded`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Goal<'a> {
+    /// The vertex the query stops at.
+    pub target: NodeId,
+    /// Per vertex, a lower bound on its distance to `target`
+    /// (`f64::INFINITY`: no usable path to it). Must come from a reverse
+    /// [`Dijkstra::run`] from `target` over [`Graph::reversed`], under
+    /// the query's edge filter or a wider one, at weights `lower` with
+    /// `lower[e] ≤ weights[e]·(1 + 2⁻⁵⁰) + 2⁻¹⁰⁷³` on every edge.
+    pub to_target: &'a [f64],
+    /// An upper bound on the target's distance: the length of some
+    /// usable path to it, summed from `0.0` in path order as the search
+    /// sums it, or `f64::INFINITY`.
+    pub upper: f64,
+}
+
+/// Relative slack of the prune test, `2⁻²⁰`. It covers the roundings of
+/// the sums on both sides of the test and the bound's own weights, with
+/// wide margin, on graphs of up to [`MAX_BOUNDED_NODES`] vertices
+/// (Invariant 4 in `crates/core/README.md`).
+const PRUNE_SLACK: f64 = 1.0 / 1_048_576.0;
+
+/// The vertex count up to which the prune test's rounding slack (`2⁻²⁰`)
+/// is proven to suffice.
+pub const MAX_BOUNDED_NODES: usize = 1 << 30;
+
+/// Work done by a [`Dijkstra`] workspace over its lifetime.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Vertices popped with their final distance.
+    pub settled: u64,
+    /// Heap insertions and decrease-keys.
+    pub pushes: u64,
+}
+
 const NO_PARENT: u32 = u32::MAX;
 
 /// Reusable Dijkstra workspace over graphs with at most the configured
@@ -51,6 +100,7 @@ pub struct Dijkstra {
     target_stamp: Vec<u32>,
     epoch: u32,
     queue: IndexedMinHeap,
+    work: SearchWork,
 }
 
 impl Dijkstra {
@@ -65,6 +115,7 @@ impl Dijkstra {
             target_stamp: vec![0; num_nodes],
             epoch: 0,
             queue: IndexedMinHeap::new(num_nodes),
+            work: SearchWork::default(),
         }
     }
 
@@ -95,6 +146,69 @@ impl Dijkstra {
     ) where
         F: Fn(EdgeId) -> bool,
     {
+        self.search(graph, weights, src, targets, usable, |_, _| false);
+    }
+
+    /// A single-target query from `src` to `goal.target` that skips the
+    /// push of vertex `u` at tentative distance `d` whenever
+    /// `d + goal.to_target[u]` exceeds `goal.upper` by more than the
+    /// rounding slack, and never pushes a vertex that cannot reach the
+    /// target. Under [`Goal`]'s contract the target's distance bits and
+    /// path are those of [`Dijkstra::run`] with [`Targets::One`]; other
+    /// vertices may be left unsettled.
+    ///
+    /// # Panics
+    ///
+    /// If the graph has more than [`MAX_BOUNDED_NODES`] vertices.
+    pub fn run_bounded<F>(
+        &mut self,
+        graph: &Graph,
+        weights: &[f64],
+        src: NodeId,
+        goal: Goal<'_>,
+        usable: F,
+    ) where
+        F: Fn(EdgeId) -> bool,
+    {
+        assert!(
+            graph.num_nodes() <= MAX_BOUNDED_NODES,
+            "the prune slack is proven for at most 2^30 vertices"
+        );
+        debug_assert_eq!(goal.to_target.len(), graph.num_nodes());
+        // Capped at `MAX`, so an unreachable vertex (`∞` bound) is
+        // skipped even when no upper bound is known.
+        let limit = (goal.upper * (1.0 + PRUNE_SLACK) + f64::MIN_POSITIVE).min(f64::MAX);
+        let to_target = goal.to_target;
+        self.search(
+            graph,
+            weights,
+            src,
+            Targets::One(goal.target),
+            usable,
+            |u, cand| cand + to_target[u] > limit,
+        );
+    }
+
+    /// Work done by every query so far.
+    #[inline]
+    pub fn work(&self) -> SearchWork {
+        self.work
+    }
+
+    /// The one relaxation loop. `prune(u, cand)` is asked before a push
+    /// that would improve vertex `u` to `cand`; `true` skips the push.
+    fn search<F, P>(
+        &mut self,
+        graph: &Graph,
+        weights: &[f64],
+        src: NodeId,
+        targets: Targets<'_>,
+        usable: F,
+        prune: P,
+    ) where
+        F: Fn(EdgeId) -> bool,
+        P: Fn(usize, f64) -> bool,
+    {
         debug_assert!(weights.len() >= graph.num_edges());
         debug_assert!(src.index() < graph.num_nodes());
         self.begin_epoch();
@@ -124,18 +238,20 @@ impl Dijkstra {
         self.parent_edge[src.index()] = NO_PARENT;
         self.stamp[src.index()] = epoch;
         self.queue.insert_or_decrease(src.0, 0.0);
+        let (mut settled, mut pushes) = (0u64, 1u64);
 
         while let Some((slot, dv)) = self.queue.pop() {
             let v = NodeId(slot);
             let vi = v.index();
             debug_assert_ne!(self.settled[vi], epoch, "settled nodes are never re-queued");
             self.settled[vi] = epoch;
+            settled += 1;
             debug_assert_eq!(dv, self.dist[vi]);
 
             if remaining_targets != usize::MAX && self.target_stamp[vi] == epoch {
                 remaining_targets -= 1;
                 if remaining_targets == 0 {
-                    return;
+                    break;
                 }
             }
 
@@ -150,15 +266,18 @@ impl Dijkstra {
                     continue;
                 }
                 let cand = dv + w;
-                if self.stamp[ui] != epoch || cand < self.dist[ui] {
+                if (self.stamp[ui] != epoch || cand < self.dist[ui]) && !prune(ui, cand) {
                     self.stamp[ui] = epoch;
                     self.dist[ui] = cand;
                     self.parent_node[ui] = v.0;
                     self.parent_edge[ui] = adj.edge.0;
                     self.queue.insert_or_decrease(adj.to.0, cand);
+                    pushes += 1;
                 }
             }
         }
+        self.work.settled += settled;
+        self.work.pushes += pushes;
     }
 
     /// Distance of `v` from the last query's source, if `v` was settled.
@@ -351,6 +470,73 @@ mod tests {
             .unwrap();
         assert_eq!(r.distance, 0.0);
         assert_eq!(r.path.len(), 2);
+    }
+
+    #[test]
+    fn work_counts_settled_vertices_and_pushes() {
+        let g = diamond();
+        let w = vec![1.0, 10.0, 1.0, 0.5];
+        let mut d = Dijkstra::new(g.num_nodes());
+        d.run(&g, &w, NodeId(0), Targets::All, |_| true);
+        // Pushes: the source, 1, 2, and 3 via 1; 3 via 2 does not improve.
+        let full = SearchWork {
+            settled: 4,
+            pushes: 4,
+        };
+        assert_eq!(d.work(), full);
+        d.run(&g, &w, NodeId(0), Targets::One(NodeId(1)), |_| true);
+        assert_eq!(d.work().settled, full.settled + 2);
+    }
+
+    #[test]
+    fn bounded_query_skips_hopeless_pushes_and_agrees() {
+        let g = diamond();
+        let w = vec![1.0, 10.0, 1.0, 0.5];
+        let mut tree = Dijkstra::new(g.num_nodes());
+        tree.run(&g.reversed(), &w, NodeId(3), Targets::All, |_| true);
+        let to_target: Vec<f64> = g
+            .node_ids()
+            .map(|v| tree.distance(v).unwrap_or(f64::INFINITY))
+            .collect();
+        assert_eq!(to_target, vec![2.0, 1.0, 0.5, 0.0]);
+        let mut plain = Dijkstra::new(g.num_nodes());
+        plain.run(&g, &w, NodeId(0), Targets::One(NodeId(3)), |_| true);
+        for upper in [2.0, f64::INFINITY] {
+            let mut d = Dijkstra::new(g.num_nodes());
+            let goal = Goal {
+                target: NodeId(3),
+                to_target: &to_target,
+                upper,
+            };
+            d.run_bounded(&g, &w, NodeId(0), goal, |_| true);
+            assert_eq!(d.distance(NodeId(3)), Some(2.0));
+            assert_eq!(d.path_to(NodeId(3)), plain.path_to(NodeId(3)));
+            // Vertex 2 (10 + 0.5 > 2) is pushed only without a bound.
+            let pushes = if upper == 2.0 { 3 } else { 4 };
+            assert_eq!(d.work().pushes, pushes);
+        }
+        assert_eq!(plain.work().pushes, 4);
+    }
+
+    #[test]
+    fn bounded_query_never_pushes_vertices_that_miss_the_target() {
+        // 0 -> 1 -> 2 and 0 -> 3 (a dead end): 3 cannot reach 2.
+        let mut b = GraphBuilder::directed(4);
+        b.add_edge(NodeId(0), NodeId(1), 1.0);
+        b.add_edge(NodeId(1), NodeId(2), 1.0);
+        b.add_edge(NodeId(0), NodeId(3), 1.0);
+        let g = b.build();
+        let w = vec![1.0, 1.0, 0.1];
+        let to_target = [2.0, 1.0, 0.0, f64::INFINITY];
+        let mut d = Dijkstra::new(g.num_nodes());
+        let goal = Goal {
+            target: NodeId(2),
+            to_target: &to_target,
+            upper: f64::INFINITY,
+        };
+        d.run_bounded(&g, &w, NodeId(0), goal, |_| true);
+        assert_eq!(d.distance(NodeId(2)), Some(2.0));
+        assert_eq!(d.work().pushes, 3);
     }
 
     #[test]

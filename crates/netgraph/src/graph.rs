@@ -101,6 +101,24 @@ impl Graph {
         self.edges.iter().map(|e| e.capacity).fold(0.0, f64::max)
     }
 
+    /// The same graph with every arc turned around and every edge id
+    /// kept: edge `e` runs `v → u` here where it runs `u → v` in `self`
+    /// (an undirected graph is its own reverse). A query from `t` over
+    /// the reverse gives every vertex's distance *to* `t`.
+    pub fn reversed(&self) -> Graph {
+        let mut builder = GraphBuilder::new(self.kind, self.num_nodes());
+        builder.edges = self
+            .edges
+            .iter()
+            .map(|e| Edge {
+                src: e.dst,
+                dst: e.src,
+                capacity: e.capacity,
+            })
+            .collect();
+        builder.build()
+    }
+
     /// Endpoint of `edge` opposite to `from`. Panics if `from` is not an
     /// endpoint.
     #[inline]
@@ -274,6 +292,23 @@ mod tests {
         let g = b.build();
         assert_ne!(e0, e1);
         assert_eq!(g.neighbors(NodeId(0)).len(), 2);
+    }
+
+    #[test]
+    fn reversed_turns_arcs_and_keeps_ids() {
+        let mut b = GraphBuilder::directed(3);
+        b.add_edge(NodeId(0), NodeId(1), 2.0);
+        let e12 = b.add_edge(NodeId(1), NodeId(2), 3.0);
+        let r = b.build().reversed();
+        assert!(r.neighbors(NodeId(0)).is_empty());
+        assert_eq!(r.neighbors(NodeId(2))[0].edge, e12);
+        assert_eq!(r.neighbors(NodeId(2))[0].to, NodeId(1));
+        assert_eq!(r.capacity(e12), 3.0);
+        let mut u = GraphBuilder::undirected(2);
+        u.add_edge(NodeId(0), NodeId(1), 1.0);
+        let ur = u.build().reversed();
+        assert_eq!(ur.neighbors(NodeId(0)).len(), 1);
+        assert_eq!(ur.neighbors(NodeId(1)).len(), 1);
     }
 
     #[test]

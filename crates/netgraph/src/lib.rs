@@ -11,7 +11,9 @@
 //! * [`dijkstra`] — non-negative shortest paths with reusable workspaces
 //!   (the inner loop of the paper's Algorithm 1 is "one Dijkstra per
 //!   remaining request per iteration", so this is the hot path), backed
-//!   by the indexed 4-ary decrease-key heap of [`heap`].
+//!   by the indexed 4-ary decrease-key heap of [`heap`], plus a
+//!   goal-directed single-target query that prunes with
+//!   distance-to-target lower bounds and returns the plain query's bits.
 //! * [`pathcache`] — per-slot shortest-path cache with a reverse
 //!   edge→slot interest index, the storage layer of `ufp-core`'s
 //!   incremental (dirty-set) selection loop.
@@ -46,7 +48,7 @@ pub mod pathcache;
 pub mod residual;
 pub mod topology;
 
-pub use dijkstra::{Dijkstra, ShortestPathResult};
+pub use dijkstra::{Dijkstra, Goal, SearchWork, ShortestPathResult};
 pub use graph::{Edge, Graph, GraphBuilder, GraphKind};
 pub use heap::IndexedMinHeap;
 pub use ids::{EdgeId, NodeId};

@@ -3,13 +3,14 @@
 //! The load-bearing invariant: the optimized, workspace-reusing Dijkstra
 //! must agree with the naive Bellman–Ford oracle on every graph, weight
 //! assignment, and query — distances equal, and returned paths valid with
-//! matching weight.
+//! matching weight. The goal-directed query must agree with the plain one
+//! bit for bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use ufp_netgraph::dijkstra::{Dijkstra, Targets};
+use ufp_netgraph::dijkstra::{Dijkstra, Goal, Targets};
 use ufp_netgraph::enumerate::simple_paths;
 use ufp_netgraph::generators;
 use ufp_netgraph::graph::{Graph, GraphBuilder};
@@ -107,6 +108,107 @@ proptest! {
             }
         }
         prop_assert!(counts.iter().all(|&c| c == 1));
+    }
+}
+
+/// One weight per edge in one of four regimes: spread, tie-heavy
+/// (two values), zero-heavy, and sub-ulp (weights below half an ulp of
+/// 1.0 beside weights of 1.0, so many sums round back to the same float).
+fn regime_weight(regime: u32, rng: &mut StdRng) -> f64 {
+    match regime {
+        0 => rng.random_range(0.01..10.0),
+        1 => [0.5, 1.0][rng.random_range(0..2usize)],
+        2 => [0.0, 0.0, 1.0, 2.0][rng.random_range(0..4usize)],
+        _ => [1.0, 1e-17, 5e-17, 0.0][rng.random_range(0..4usize)],
+    }
+}
+
+/// A bounded-query case from one seed: a directed or undirected
+/// multigraph, query weights, element-wise lower weights for the bounds,
+/// and a random edge mask.
+fn bounded_case(seed: u64) -> (Graph, Vec<f64>, Vec<f64>, Vec<bool>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.random_range(2..14usize);
+    let m = rng.random_range(1..4 * n);
+    let mut b = if rng.random_bool(0.5) {
+        GraphBuilder::directed(n)
+    } else {
+        GraphBuilder::undirected(n)
+    };
+    let mut last = None;
+    for _ in 0..m {
+        // One edge in four repeats the previous endpoints (multi-edges).
+        let (u, v) = match last {
+            Some(pair) if rng.random_range(0..4u32) == 0 => pair,
+            _ => {
+                let u = rng.random_range(0..n as u32);
+                let v = (u + rng.random_range(1..n as u32)) % n as u32;
+                (u, v)
+            }
+        };
+        b.add_edge(NodeId(u), NodeId(v), 1.0);
+        last = Some((u, v));
+    }
+    let g = b.build();
+    let regime = rng.random_range(0..4u32);
+    let w: Vec<f64> = (0..g.num_edges())
+        .map(|_| regime_weight(regime, &mut rng))
+        .collect();
+    let lower: Vec<f64> = w
+        .iter()
+        .map(|&x| match rng.random_range(0..3u32) {
+            0 => x,
+            1 => x * rng.random_range(0.0..1.0),
+            _ => 0.0,
+        })
+        .collect();
+    let dense = rng.random_bool(0.5);
+    let mask: Vec<bool> = (0..g.num_edges())
+        .map(|_| dense || rng.random_range(0..4u32) != 0)
+        .collect();
+    (g, w, lower, mask)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The goal-directed query returns the plain query's distance bits and
+    /// path edges, with bounds from reverse trees at element-wise lower
+    /// weights and an upper bound at, above, or without the distance.
+    #[test]
+    fn bounded_query_equals_plain(seed in any::<u64>()) {
+        let (g, w, lower, mask) = bounded_case(seed);
+        let usable = |e: ufp_netgraph::ids::EdgeId| mask[e.index()];
+        let reversed = g.reversed();
+        let mut plain = Dijkstra::new(g.num_nodes());
+        let mut bounded = Dijkstra::new(g.num_nodes());
+        let mut tree = Dijkstra::new(g.num_nodes());
+        for dst in g.node_ids() {
+            tree.run(&reversed, &lower, dst, Targets::All, usable);
+            let to_target: Vec<f64> = g
+                .node_ids()
+                .map(|v| tree.distance(v).unwrap_or(f64::INFINITY))
+                .collect();
+            for src in g.node_ids() {
+                plain.run(&g, &w, src, Targets::One(dst), usable);
+                let exact = plain.distance(dst);
+                let d = exact.unwrap_or(f64::INFINITY);
+                for upper in [d, d * 1.5 + 1.0, f64::INFINITY] {
+                    let goal = Goal { target: dst, to_target: &to_target, upper };
+                    bounded.run_bounded(&g, &w, src, goal, usable);
+                    prop_assert_eq!(
+                        bounded.distance(dst).map(f64::to_bits),
+                        exact.map(f64::to_bits),
+                        "{} -> {} at upper {}", src, dst, upper
+                    );
+                    prop_assert_eq!(
+                        bounded.path_to(dst).map(|p| p.edges().to_vec()),
+                        plain.path_to(dst).map(|p| p.edges().to_vec()),
+                        "{} -> {} at upper {}", src, dst, upper
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -68,10 +68,13 @@ pub enum Phase {
     /// One fractional-UFP regret-oracle solve over a frozen epoch
     /// snapshot (runs strictly after the epoch bracket closes).
     HealthRegretOracle,
+    /// Building one destination's distance-to-target bounds (a reverse
+    /// shortest-path tree) for the goal-directed class queries.
+    SelectionPotentials,
 }
 
 /// Number of phases (size of the dense accumulator arrays).
-pub const PHASE_COUNT: usize = 16;
+pub const PHASE_COUNT: usize = 17;
 
 impl Phase {
     /// Every phase, in dense-index order.
@@ -92,6 +95,7 @@ impl Phase {
         Phase::RepairEvict,
         Phase::RepairReadmit,
         Phase::HealthRegretOracle,
+        Phase::SelectionPotentials,
     ];
 
     /// Dense index (0-based, stable across a build).
@@ -119,6 +123,7 @@ impl Phase {
             Phase::RepairEvict => "repair.evict",
             Phase::RepairReadmit => "repair.readmit",
             Phase::HealthRegretOracle => "health.regret_oracle",
+            Phase::SelectionPotentials => "selection.potentials",
         }
     }
 
