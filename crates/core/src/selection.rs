@@ -157,8 +157,9 @@ struct DensityGroup {
 /// The per-epoch incremental selection state. One instance lives for one
 /// `EpochLoop::run` call; it is derived state (rebuildable from the loop
 /// state at any point), which is what keeps checkpoints, resume traces,
-/// and snapshots entirely unaware of it.
-pub(crate) struct IncrementalSelector {
+/// and snapshots entirely unaware of it. A pricing pass's selector
+/// borrows its trace's log for `'l`.
+pub(crate) struct IncrementalSelector<'l> {
     /// Cached `(distance, path)` per class.
     cache: PathCache,
     /// Lazy min-heap over `(score, request-id)`: one entry per live class.
@@ -193,6 +194,9 @@ pub(crate) struct IncrementalSelector {
     potentials: Option<Arc<Potentials>>,
     /// Work of the lazy queries (published when the run finishes).
     lazy_work: SearchWork,
+    /// Per class, the stale path a seeded pass's log held for it while
+    /// dirty, read until its first query (empty when not seeded).
+    stale: Vec<Option<&'l Path>>,
 }
 
 /// The class-state changes of one traced run's selector, compact enough
@@ -282,7 +286,7 @@ pub(crate) trait Argmin {
     fn finish(&mut self, obs: &Recorder) -> SelectorLog;
 }
 
-impl IncrementalSelector {
+impl<'l> IncrementalSelector<'l> {
     /// A selector over the loop's current `remaining` set: partitions it
     /// into route classes (numbered in `(src, dst)` order, so
     /// same-source classes are adjacent) and density groups, and flags
@@ -322,6 +326,7 @@ impl IncrementalSelector {
             log: None,
             potentials: None,
             lazy_work: SearchWork::default(),
+            stale: Vec::new(),
         };
         let mut last_member = None;
         for (i, &(src, dst, density, r)) in keyed.iter().enumerate() {
@@ -399,13 +404,13 @@ impl IncrementalSelector {
     /// Start from the state `log`'s run held when step `step`'s
     /// selection returned, over this selector's member sets: clean
     /// answers are installed as they were (exact, Invariant 2), dirty
-    /// ones are installed as stale answers (no edge interest: the class
-    /// is dirty already), keyed from their stale distance (a lower bound,
-    /// Invariant 1), and stay dirty, and classes without a path stay
-    /// retired. A dirty class's stale path gives its lazy query an upper
-    /// bound (Invariant 4) and answers the pass-end reachability check
-    /// without a query. An empty log leaves the selector cold.
-    pub(crate) fn seed(&mut self, log: &SelectorLog, step: usize) {
+    /// ones are keyed from their stale distance (a lower bound,
+    /// Invariant 1) and stay dirty, and classes without a path stay
+    /// retired. A dirty class's stale path stays in `log`, borrowed: it
+    /// gives the class's lazy query an upper bound (Invariant 4) and
+    /// answers the pass-end reachability check without a query. An empty
+    /// log leaves the selector cold.
+    pub(crate) fn seed(&mut self, log: &'l SelectorLog, step: usize) {
         if log.entries.is_empty() {
             return;
         }
@@ -421,6 +426,7 @@ impl IncrementalSelector {
         self.dirty_list.clear();
         self.dirty_count = 0;
         self.must_refresh_all = false;
+        self.stale = vec![None; self.classes.len()];
         for c in 0..self.classes.len() as u32 {
             self.classes[c as usize].dirty = false;
             let query = self.classes[c as usize].query;
@@ -431,7 +437,7 @@ impl IncrementalSelector {
             }
             let (dist, path) = &log.answers[answer as usize];
             if dirty {
-                self.cache.install_stale(c, *dist, path.clone());
+                self.stale[c as usize] = Some(path);
                 self.rekey(c, *dist);
                 self.mark_dirty(c);
             } else {
@@ -515,7 +521,7 @@ impl IncrementalSelector {
     }
 }
 
-impl Argmin for IncrementalSelector {
+impl Argmin for IncrementalSelector<'_> {
     /// The argmin under the current weights — bit-identical (selection,
     /// score, tie-break, path) to scanning a full fan-out's findings.
     fn select(&mut self, inputs: &SelectInputs<'_>) -> Option<(RequestId, f64, Path)> {
@@ -561,7 +567,7 @@ impl Argmin for IncrementalSelector {
     /// queried.
     fn phantom_reachable(&mut self, inputs: &SelectInputs<'_>) -> bool {
         let c = self.phantom_class;
-        if self.classes[c as usize].alive && self.cache.get(c).is_none() {
+        if self.classes[c as usize].alive && self.last_path(c).is_none() {
             self.refresh_one(c, inputs);
         }
         self.classes[c as usize].alive
@@ -631,7 +637,16 @@ impl Argmin for IncrementalSelector {
     }
 }
 
-impl IncrementalSelector {
+impl IncrementalSelector<'_> {
+    /// Class `c`'s last answered path, possibly stale: its cache entry,
+    /// or the seed's stale path before its first query.
+    fn last_path(&self, c: u32) -> Option<&Path> {
+        self.cache
+            .get(c)
+            .map(|(_, path)| path)
+            .or_else(|| self.stale.get(c as usize).copied().flatten())
+    }
+
     /// Re-query one class at the heap top (the lazy path). Clears its
     /// dirty flag; retires it permanently — every member at once, since
     /// they share the query — if it no longer has a path (monotonicity:
@@ -662,7 +677,7 @@ impl IncrementalSelector {
             Some(to_target) => {
                 // The stale path at today's weights, summed as the search
                 // sums it: an upper bound on the fresh distance.
-                let upper = self.cache.get(c).map_or(f64::INFINITY, |(_, path)| {
+                let upper = self.last_path(c).map_or(f64::INFINITY, |path| {
                     path.edges().iter().fold(0.0, |d, e| d + weights[e.index()])
                 });
                 let goal = Goal {

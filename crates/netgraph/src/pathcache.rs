@@ -114,18 +114,6 @@ impl PathCache {
         self.commit(slot, dist);
     }
 
-    /// Store a stale owned path for `slot` without registering interest:
-    /// the caller already treats the slot as dirty and will refresh it
-    /// (which registers the fresh path) before trusting it again. The
-    /// entry reads back through [`PathCache::get`] meanwhile.
-    pub fn install_stale(&mut self, slot: u32, dist: f64, path: Path) {
-        let s = slot as usize;
-        self.paths[s] = Some(path);
-        self.version[s] += 1;
-        self.dist[s] = dist;
-        self.present[s] = true;
-    }
-
     /// Drop `slot`'s entry (selected winners, unreachable requests). Old
     /// interest registrations die by version bump.
     pub fn evict(&mut self, slot: u32) {
@@ -198,21 +186,6 @@ mod tests {
         out.clear();
         c.drain_interested(EdgeId(0), &mut out);
         assert_eq!(out, vec![0]);
-    }
-
-    #[test]
-    fn stale_installs_read_back_without_interest() {
-        let mut c = PathCache::new(2, 8);
-        c.install(0, 1.0, path(&[0, 1, 2])); // edges 0, 1
-        c.install_stale(0, 3.0, path(&[0, 3, 4])); // edges 0, 3
-        assert_eq!(c.get(0).map(|(d, p)| (d, p.len())), Some((3.0, 2)));
-        // Neither the stale path's edges nor the replaced path's report
-        // the slot: its owner refreshes it before trusting it again.
-        let mut out = Vec::new();
-        for e in [0, 1, 3] {
-            c.drain_interested(EdgeId(e), &mut out);
-        }
-        assert!(out.is_empty());
     }
 
     #[test]
