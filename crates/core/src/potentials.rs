@@ -14,7 +14,7 @@
 use std::mem::size_of_val;
 use std::sync::OnceLock;
 
-use ufp_netgraph::dijkstra::{Dijkstra, Targets};
+use ufp_netgraph::dijkstra::{Dijkstra, Targets, MAX_BOUNDED_NODES};
 use ufp_netgraph::graph::Graph;
 use ufp_netgraph::ids::NodeId;
 use ufp_obs::{Phase, Recorder};
@@ -52,9 +52,10 @@ impl Potentials {
     }
 
     /// Whether queries under `mask` may prune with these bounds: the
-    /// trees searched exactly the edges such queries search.
+    /// trees searched exactly the edges such queries search, on a graph
+    /// small enough for the bounded query's proven slack.
     pub(crate) fn fits(&self, mask: Option<&[bool]>) -> bool {
-        self.mask.as_deref() == mask
+        self.mask.as_deref() == mask && self.trees.len() <= MAX_BOUNDED_NODES
     }
 
     /// Whether weights of scale `shift` still dominate the starting
