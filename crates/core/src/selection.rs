@@ -54,15 +54,16 @@
 //! paths + edge→class interest index, so a winner's weight bumps dirty
 //! exactly the classes whose cached paths cross the bumped edges), an
 //! [`IndexedMinHeap`] over request slots holding one entry per live
-//! class, and two refresh paths: lazy single-class re-queries for small
-//! dirty sets, and an eager grouped refresh for large ones (classes
-//! sharing a source share one Dijkstra). Both run on the calling thread:
+//! class, and one refresh path: a dirty class is re-queried, alone, when
+//! its entry reaches the heap top. It runs on the calling thread:
 //! Algorithm 1's loop is sequential, and the parallel grains (pricing
-//! passes, shards) sit above it. The one event that invalidates
-//! everything is a [`DualWeights`] re-centering: it rescales every
-//! materialized weight, so cached distances change *scale* and stale
-//! keys stop being lower bounds — the selector detects the shift change
-//! and refreshes every live class before the next selection.
+//! passes, shards) sit above it. Two events invalidate every answer: the
+//! cold start, when no class has one yet, and a [`DualWeights`]
+//! re-centering, which rescales every materialized weight, so cached
+//! distances change *scale* and stale keys stop being lower bounds. Both
+//! dirty every live class and key each one at `(−∞, member)`, a lower
+//! bound on any entry: the next selection then queries every class
+//! before any fresh entry surfaces.
 //!
 //! **Pricing passes** ([`crate::critical`]) drive this same selector
 //! with two differences. The held-out winner stays in its route class
@@ -81,8 +82,8 @@
 //! built on first use and shared through the trace with every pricing
 //! pass). A lazy class query prunes with them and with its stale path's
 //! current length as an upper bound, and returns the plain query's bits
-//! (Invariant 4); only the nodes it settles shrink. The eager grouped
-//! refresh, and any query after a re-centering, runs the plain search.
+//! (Invariant 4); only the nodes it settles shrink. A query after a
+//! re-centering runs the plain search.
 //! With the recorder on, the lazy queries' settled nodes and heap pushes
 //! are published as `selection.settled_nodes` and `selection.heap_pushes`.
 //!
@@ -107,13 +108,6 @@ use crate::instance::UfpInstance;
 use crate::potentials::Potentials;
 use crate::request::RequestId;
 use crate::weights::DualWeights;
-
-/// Dirty sets of at least this many *classes* are refreshed eagerly,
-/// grouped by source, instead of lazily one-at-a-time at the heap top.
-/// Pure cost model: grouped refresh shares one Dijkstra among
-/// same-source classes; lazy refresh skips classes that never become
-/// competitive. Results are identical either way.
-const EAGER_REFRESH_MIN: usize = 64;
 
 /// "No heap entry", "no class", "no answer".
 const NONE: u32 = u32::MAX;
@@ -171,16 +165,9 @@ pub(crate) struct IncrementalSelector<'l> {
     members: Vec<RequestId>,
     /// Class index per request id (for seeded requests).
     class_of: Vec<u32>,
-    /// Classes flagged dirty since the last eager refresh (entries whose
-    /// flag was cleared by a lazy refresh are skipped when drained).
-    dirty_list: Vec<u32>,
-    dirty_count: usize,
     /// Weight scale the cached distances were computed under; a shift
-    /// change (re-centering) forces a full refresh.
+    /// change (re-centering) invalidates every answer.
     shift_seen: f64,
-    /// Forces the next refresh to be eager and complete (set by scale
-    /// flushes, where stale keys are not lower bounds).
-    must_refresh_all: bool,
     scratch: Dijkstra,
     drain_buf: Vec<u32>,
     /// The class holding a pricing pass's phantom, [`NONE`] otherwise.
@@ -288,10 +275,10 @@ pub(crate) trait Argmin {
 
 impl<'l> IncrementalSelector<'l> {
     /// A selector over the loop's current `remaining` set: partitions it
-    /// into route classes (numbered in `(src, dst)` order, so
-    /// same-source classes are adjacent) and density groups, and flags
-    /// every class for the first selection's full refresh. A pricing
-    /// pass's `phantom` joins its route class without a member slot.
+    /// into route classes (numbered in `(src, dst)` order) and density
+    /// groups, and starts cold: every class is invalidated, to be
+    /// queried by the first selection. A pricing pass's `phantom` joins
+    /// its route class without a member slot.
     pub(crate) fn new(phantom: Option<RequestId>, inputs: &SelectInputs<'_>) -> Self {
         let instance = inputs.instance;
         let mut keyed: Vec<(NodeId, NodeId, u64, RequestId)> = inputs
@@ -315,10 +302,7 @@ impl<'l> IncrementalSelector<'l> {
             groups: Vec::new(),
             members: Vec::with_capacity(keyed.len()),
             class_of: vec![NONE; n],
-            dirty_list: Vec::new(),
-            dirty_count: 0,
             shift_seen: inputs.weights.shift(),
-            must_refresh_all: true,
             scratch: Dijkstra::new(graph.num_nodes()),
             drain_buf: Vec::new(),
             phantom_class: NONE,
@@ -363,9 +347,7 @@ impl<'l> IncrementalSelector<'l> {
             selector.groups.last_mut().expect("open group").end += 1;
         }
         selector.cache = PathCache::new(selector.classes.len(), graph.num_edges());
-        for c in 0..selector.classes.len() as u32 {
-            selector.mark_dirty(c);
-        }
+        selector.invalidate();
         selector
     }
 
@@ -408,8 +390,9 @@ impl<'l> IncrementalSelector<'l> {
     /// Invariant 1) and stay dirty, and classes without a path stay
     /// retired. A dirty class's stale path stays in `log`, borrowed: it
     /// gives the class's lazy query an upper bound (Invariant 4) and
-    /// answers the pass-end reachability check without a query. An empty
-    /// log leaves the selector cold.
+    /// answers the pass-end reachability check without a query. Seeding
+    /// replaces the cold start's invalidation; an empty log leaves the
+    /// selector cold.
     pub(crate) fn seed(&mut self, log: &'l SelectorLog, step: usize) {
         if log.entries.is_empty() {
             return;
@@ -423,9 +406,6 @@ impl<'l> IncrementalSelector<'l> {
                 (event, false)
             };
         }
-        self.dirty_list.clear();
-        self.dirty_count = 0;
-        self.must_refresh_all = false;
         self.stale = vec![None; self.classes.len()];
         for c in 0..self.classes.len() as u32 {
             self.classes[c as usize].dirty = false;
@@ -452,9 +432,23 @@ impl<'l> IncrementalSelector<'l> {
         let class = &mut self.classes[c as usize];
         if class.alive && !class.dirty {
             class.dirty = true;
-            self.dirty_list.push(c);
-            self.dirty_count += 1;
             self.log_event(c, DIRTY);
+        }
+    }
+
+    /// Invalidate every answer (the cold start, or a re-centering): dirty
+    /// every live class and key each one that has members at `(−∞, head
+    /// member)`. That entry is a lexicographic lower bound on any true
+    /// `(score, representative)`, score-0 ties included, so every class
+    /// is queried before any fresh entry surfaces, in slot order.
+    fn invalidate(&mut self) {
+        for c in 0..self.classes.len() as u32 {
+            self.mark_dirty(c);
+            let class = &self.classes[c as usize];
+            if class.alive && class.head < class.groups_end {
+                let head = self.members[self.groups[class.head as usize].cursor as usize];
+                self.set_entry(c, head.0, f64::NEG_INFINITY);
+            }
         }
     }
 
@@ -525,11 +519,13 @@ impl Argmin for IncrementalSelector<'_> {
     /// The argmin under the current weights — bit-identical (selection,
     /// score, tie-break, path) to scanning a full fan-out's findings.
     fn select(&mut self, inputs: &SelectInputs<'_>) -> Option<(RequestId, f64, Path)> {
-        if self.dirty_count > 0 && (self.must_refresh_all || self.dirty_count >= EAGER_REFRESH_MIN)
-        {
-            self.refresh_eager(inputs);
-            self.must_refresh_all = false;
-        }
+        // The selection after an invalidation answers it: its `−∞` keys
+        // surface first, under one `selection.dirty_refresh` span.
+        let _refresh = self
+            .heap
+            .peek()
+            .is_some_and(|(_, key)| key == f64::NEG_INFINITY)
+            .then(|| inputs.obs.span(Phase::SelectionDirtyRefresh));
         // `selection.heap` covers the lazy pop loop (peeks, staleness
         // checks, re-inserts); the per-class re-queries it triggers
         // nest inside it as `selection.dijkstra` spans.
@@ -604,13 +600,9 @@ impl Argmin for IncrementalSelector<'_> {
         if weights.shift() != self.shift_seen {
             // Re-centering rescaled every materialized weight: cached
             // distances are in the wrong scale and stale keys are no
-            // longer lower bounds. Refresh everything before the next
-            // selection.
+            // longer lower bounds.
             self.shift_seen = weights.shift();
-            self.must_refresh_all = true;
-            for c in 0..self.classes.len() as u32 {
-                self.mark_dirty(c);
-            }
+            self.invalidate();
             return;
         }
         let mut buf = std::mem::take(&mut self.drain_buf);
@@ -647,10 +639,10 @@ impl IncrementalSelector<'_> {
             .or_else(|| self.stale.get(c as usize).copied().flatten())
     }
 
-    /// Re-query one class at the heap top (the lazy path). Clears its
-    /// dirty flag; retires it permanently — every member at once, since
-    /// they share the query — if it no longer has a path (monotonicity:
-    /// paths never come back within an epoch).
+    /// Re-query one dirty class: clear its dirty flag, then commit, log
+    /// and re-key its answer, or retire it permanently — every member at
+    /// once, since they share the query — if it no longer has a path
+    /// (monotonicity: paths never come back within an epoch).
     ///
     /// While the weights keep the scale of the run's potentials, the
     /// query is goal-directed: it prunes with the destination's
@@ -661,7 +653,6 @@ impl IncrementalSelector<'_> {
         let class = &mut self.classes[c as usize];
         debug_assert!(class.alive && class.dirty);
         class.dirty = false;
-        self.dirty_count -= 1;
         let req = inputs.instance.request(class.query);
         let (graph, weights) = (inputs.instance.graph(), inputs.weights.weights());
         // A destination's first query builds its bounds, outside the
@@ -697,57 +688,16 @@ impl IncrementalSelector<'_> {
         let work = self.scratch.work();
         self.lazy_work.settled += work.settled - before.settled;
         self.lazy_work.pushes += work.pushes - before.pushes;
-        self.store_answer(c, req.dst);
-    }
-
-    /// Write the scratch tree's answer for class `c`, whose target is
-    /// `dst`: commit and log its path and re-key it, or retire it
-    /// when it has no path.
-    fn store_answer(&mut self, c: u32, dst: NodeId) {
-        match self.scratch.distance(dst) {
+        match self.scratch.distance(req.dst) {
             None => self.retire(c),
             Some(dist) => {
-                let filled = self.scratch.path_to_into(dst, self.cache.refresh_buffer(c));
+                let filled = self
+                    .scratch
+                    .path_to_into(req.dst, self.cache.refresh_buffer(c));
                 debug_assert!(filled, "settled target must reconstruct");
                 self.cache.commit(c, dist);
                 self.log_answer(c);
                 self.rekey(c, dist);
-            }
-        }
-    }
-
-    /// Refresh every dirty class, grouped by source (the
-    /// large-dirty-set / post-flush path). Same queries as
-    /// [`IncrementalSelector::refresh_one`], batched: same-source classes
-    /// share one Dijkstra, and each answer is stored as `refresh_one`
-    /// stores it.
-    fn refresh_eager(&mut self, inputs: &SelectInputs<'_>) {
-        let _span = inputs.obs.span(Phase::SelectionDirtyRefresh);
-        let mut dirty: Vec<(u32, NodeId, NodeId)> = Vec::with_capacity(self.dirty_count);
-        for c in self.dirty_list.drain(..) {
-            let class = &mut self.classes[c as usize];
-            if class.dirty {
-                class.dirty = false;
-                let q = inputs.instance.request(class.query);
-                dirty.push((c, q.src, q.dst));
-            }
-        }
-        self.dirty_count = 0;
-        // Class numbers ascend with the source, so sorting groups them.
-        dirty.sort_unstable_by_key(|q| q.0);
-        let mut targets = Vec::new();
-        for group in dirty.chunk_by(|a, b| a.1 == b.1) {
-            targets.clear();
-            targets.extend(group.iter().map(|q| q.2));
-            self.scratch.run(
-                inputs.instance.graph(),
-                inputs.weights.weights(),
-                group[0].1,
-                Targets::Set(&targets),
-                |e| inputs.passable(e),
-            );
-            for &(c, _, dst) in group {
-                self.store_answer(c, dst);
             }
         }
     }

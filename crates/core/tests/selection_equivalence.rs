@@ -606,8 +606,9 @@ fn bottleneck_storm(demand: impl Fn(usize) -> f64) -> UfpInstance {
     UfpInstance::new(gb.build(), reqs)
 }
 
-/// Eager refreshes a run made, counting the seeding one.
-fn eager_refreshes(cfg: &BoundedUfpConfig) -> u64 {
+/// Full invalidations a run's selections answered, the cold start's
+/// included.
+fn dirty_refreshes(cfg: &BoundedUfpConfig) -> u64 {
     let (_, hits) = cfg.obs.phase_totals().expect("recorder on");
     hits[Phase::SelectionDirtyRefresh as usize]
 }
@@ -650,40 +651,36 @@ fn two_route_diamond() -> UfpInstance {
 }
 
 /// Runs `inst` on the fan-out reference and on the incremental
-/// selector and demands bit-identical outcomes; `eager` further demands the storm went eager.
-fn assert_storm_bit_identical(inst: &UfpInstance, eps: f64, eager: bool) {
+/// selector and demands bit-identical outcomes.
+fn assert_storm_bit_identical(inst: &UfpInstance, eps: f64) {
     let fan = bounded_ufp_epoch(inst, &fan_out(eps), None);
-    let inc_cfg = incremental(eps).with_obs(Recorder::enabled());
-    let inc = bounded_ufp_epoch(inst, &inc_cfg, None);
+    let inc = bounded_ufp_epoch(inst, &incremental(eps), None);
     assert!(!fan.run.solution.routed.is_empty());
-    if eager {
-        assert!(eager_refreshes(&inc_cfg) > 1, "storm never went eager");
-    }
     assert_outcomes_bit_identical(&fan, &inc);
 }
 
-/// A dirty storm drives the selector through its eager grouped fan-out
-/// refresh (the large-dirty-set path) while at least `EAGER_REFRESH_MIN`
-/// classes are dirty; the one-pair storm covers the same traffic as a
-/// single large class.
+/// A dirty storm: every winner dirties all 80 live classes, and each
+/// selection re-queries them one at a time at the heap top until a
+/// fresh entry surfaces; the one-pair storm covers the same traffic as
+/// a single large class.
 #[test]
-fn dirty_storm_takes_the_eager_path_bit_identically() {
+fn dirty_storm_bit_identical() {
     let many_classes = bottleneck_storm(|i| 0.5 + 0.05 * (i % 10) as f64);
-    for (inst, eager) in [(&many_classes, true), (&single_pair_storm(), false)] {
+    for inst in [&many_classes, &single_pair_storm()] {
         for eps in [0.3, 0.8] {
-            assert_storm_bit_identical(inst, eps, eager);
+            assert_storm_bit_identical(inst, eps);
         }
     }
 }
 
 /// The storm fixtures that once ran residual-gated, now run on the one
-/// search there is: a three-demand bottleneck storm through the eager
-/// refresh, and the two-route diamond (one class) through the lazy one.
+/// search there is: a three-demand bottleneck storm, and the two-route
+/// diamond (one class).
 #[test]
 fn residual_gate_dirty_storm_bit_identical() {
     let many_classes = bottleneck_storm(|i| 0.3 + 0.07 * (i % 3) as f64);
-    for (inst, eager) in [(&many_classes, true), (&two_route_diamond(), false)] {
-        assert_storm_bit_identical(inst, 0.6, eager);
+    for inst in [&many_classes, &two_route_diamond()] {
+        assert_storm_bit_identical(inst, 0.6);
     }
 }
 
@@ -728,9 +725,9 @@ fn default_strategy_is_incremental_and_equivalent() {
 }
 
 /// Seeded pricing passes start from the recorded run's answers: each
-/// cold pass over the same steps opens with a full refresh of every
-/// route class, which the seeded pass skips, for the same payments. The
-/// storm's 80 classes keep the later refreshes eager in both.
+/// cold pass over the same steps opens by querying every route class
+/// (one full invalidation), which the seeded pass skips, for the same
+/// payments.
 #[test]
 fn seeded_pricing_passes_skip_the_opening_refresh() {
     let inst = bottleneck_storm(|i| 0.5 + 0.05 * (i % 10) as f64);
@@ -742,10 +739,10 @@ fn seeded_pricing_passes_skip_the_opening_refresh() {
         let paid: Vec<u64> = (0..trace.num_steps())
             .map(|k| critical_value_exact(&inst, &cfg, None, trace, k).to_bits())
             .collect();
-        (paid, eager_refreshes(&cfg))
+        (paid, dirty_refreshes(&cfg))
     };
-    let (warm_paid, warm_eager) = price_all(&seeded);
-    let (cold_paid, cold_eager) = price_all(&cold);
+    let (warm_paid, warm_refreshes) = price_all(&seeded);
+    let (cold_paid, cold_refreshes) = price_all(&cold);
     assert_eq!(warm_paid, cold_paid);
     // Every pass selects at least once unless its winner was the last
     // request left.
@@ -753,11 +750,11 @@ fn seeded_pricing_passes_skip_the_opening_refresh() {
         .filter(|&k| k + 1 < inst.num_requests())
         .count() as u64;
     assert!(selecting > 10, "passes {selecting}");
-    assert_eq!(cold_eager - warm_eager, selecting);
+    assert_eq!(cold_refreshes - warm_refreshes, selecting);
 }
 
 /// `(selection.dijkstra, selection.dirty_refresh)` hits a run recorded,
-/// and the `selection.settled_nodes` of its lazy queries.
+/// and the `selection.settled_nodes` of its class queries.
 fn query_hits(cfg: &BoundedUfpConfig) -> (u64, u64, u64) {
     let (_, hits) = cfg.obs.phase_totals().expect("recorder on");
     let registry = cfg.obs.registry().expect("recorder on");
@@ -773,10 +770,13 @@ fn query_hits(cfg: &BoundedUfpConfig) -> (u64, u64, u64) {
 /// winner priced cold from the one-part merge. The bit-identity tests
 /// pin what the loop computes; these counts pin what it costs, so a
 /// change to the loop cannot add queries unnoticed. The settled nodes
-/// pin the work inside the lazy queries: the goal-directed search settles
-/// 2,101 / 250,182 / 248,601 here, where plain queries settle 2,546 /
-/// 273,595 / 271,676. A change that moves them on purpose updates the
-/// constants and says why.
+/// pin the work inside the class queries: the goal-directed search
+/// settles 2,153 / 250,182 / 262,025 here, where plain queries settle
+/// 2,598 / 273,595 / 285,100. Every class is answered by its own query,
+/// the cold starts' included, so a cold pass opens with one query per
+/// route class: the cold passes make more queries than the seeded ones.
+/// A change that moves the counts on purpose updates the constants and
+/// says why.
 #[test]
 fn selector_query_work_is_pinned() {
     let mut rng = StdRng::seed_from_u64(28);
@@ -833,9 +833,9 @@ fn selector_query_work_is_pinned() {
     assert_eq!(
         work,
         [
-            (278, 1, 2_101),
+            (287, 1, 2_153),
             (28_479, 0, 250_182),
-            (28_264, 190, 248_601)
+            (29_801, 190, 262_025)
         ]
     );
 }

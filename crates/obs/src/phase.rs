@@ -36,11 +36,13 @@ pub enum Phase {
     EpochPlan,
     /// Payments, residual commit, events, metrics at the epoch tail.
     EpochCommit,
-    /// One grouped shortest-path recomputation (lazy, per heap top).
+    /// One single-class shortest-path query (a dirty route class at the
+    /// heap top).
     SelectionDijkstra,
     /// Lazy-heap maintenance in the incremental selection loop.
     SelectionHeap,
-    /// One eager grouped refresh of the dirty set (parallel fan-out).
+    /// One full invalidation (a cold start or a re-centering): the
+    /// selection that answers it, querying every route class.
     SelectionDirtyRefresh,
     /// One winner's exact critical-value pass (attr: resumed suffix
     /// length).
